@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Measure batch-engine wall time versus field size on synthetic
-radially staggered layouts, with and without the projected-quad culling,
-and print a small scaling table."""
+radially staggered layouts, with and without the reach prefilter and the
+projected-quad culling, and print a small scaling table."""
 
 import argparse
 import math

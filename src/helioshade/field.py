@@ -1,9 +1,10 @@
 """Field layouts, layout file I/O, synthetic benchmark layouts and the
 batch efficiency engine.
 
-The batch engine vectorizes the projection and culling of all N-1
-candidate occluders per subject with numpy; only the few surviving quads
-go through the polygon clipper.  Results are deterministic and assembled
+The batch engine first keeps, per subject, only the neighbours within a
+sound reach bound (see `OrientedField.candidates`), then vectorizes their
+projection and culling with numpy; only the few surviving quads go
+through the polygon clipper.  Results are deterministic and assembled
 in heliostat order regardless of the worker count.
 """
 
@@ -37,6 +38,11 @@ __all__ = [
 ]
 
 _PERP_TOL = 1e-12
+
+# Relative widening of the reach bound, far above the rounding of the
+# projected coordinates, so a neighbour whose image just touches the
+# mirror in exact arithmetic is never dropped.
+_REACH_SLACK = 1e-9
 
 
 class LayoutError(ValueError):
@@ -330,6 +336,59 @@ class OrientedField:
             np.einsum("nji,naj->nai", self.rotations, local) + self.centers[:, None, :]
         )
 
+        # reach prefilter constants, derived in `candidates`
+        self.half_diagonals = 0.5 * np.hypot(self.dims[:, 0], self.dims[:, 1])
+        z = self.corners[:, :, 2]
+        dz = float(z.max() - z.min()) if n else 0.0
+        sin_eta = -float(u_s[2])
+        shadow_reach = math.inf
+        if sin_eta > 0.0:
+            shadow_reach = dz * math.hypot(u_s[0], u_s[1]) / sin_eta
+        rise = self.aims[:, 2] - z.max(axis=1)
+        run = np.hypot(to_t[:, 0], to_t[:, 1]) + self.half_diagonals
+        with np.errstate(divide="ignore", invalid="ignore"):
+            block_reach = np.where(rise > 0.0, dz * run / rise, math.inf)
+        self.reach = np.maximum(shadow_reach, block_reach) + self.half_diagonals
+
+    def candidates(self, j: int) -> np.ndarray:
+        """Ascending indices of the neighbours that can shadow or block
+        mirror j; every other neighbour's images miss the mirror.
+
+        Let dz be the field-wide spread of corner heights and hd the
+        mirror half-diagonals.  A neighbour matters only if its shadow or
+        block image meets the mirror: some point p of the neighbour (or of
+        its part clipped to the valid side of the plane, a convex
+        combination of its corners) maps to a point q of mirror j.  Both
+        lie within the field's corner heights, so p_z - q_z <= dz.
+
+        Shadow: q = p + t u_s with t >= 0, and u_s sinks at the solar
+        height eta, so p sits up-sun of q, p_z - q_z above it, at
+        horizontal offset (p_z - q_z) / tan(eta) <= dz / tan(eta).
+
+        Block: p lies inside the slab between the mirror plane and the aim
+        point T, hence on the segment from q to T: p = q + lam (T - q) with
+        0 < lam < 1.  With T above the mirror, p_z - q_z > 0 and the
+        horizontal offset is (p_z - q_z) / tan(eps), where the sight line
+        from q rises at
+        tan(eps) = (T_z - q_z) / |T_h - q_h|
+                >= (T_z - max corner z of j) / (|T_h - c_j,h| + hd_j),
+        so the offset is at most dz over that lower bound.
+
+        The horizontal distance from a mirror's centre to any of its
+        points is at most its half-diagonal, so a neighbour i can matter
+        only if |c_i,h - c_j,h| <= max(shadow, block offset) + hd_i + hd_j.
+        With the sun at or below the horizon, or the aim point not above
+        every corner of mirror j, the offset is unbounded and every
+        neighbour is kept; so is one whose distance is not a number.
+        """
+        d = self.centers[:, :2] - self.centers[j, :2]
+        limit = (self.reach[j] + self.half_diagonals) * (1.0 + _REACH_SLACK)
+        # "not beyond" rather than "within", so NaN geometry stays in and
+        # fails in the projection exactly as without the prefilter
+        near = ~(np.einsum("ij,ij->i", d, d) > limit * limit)
+        near[j] = False
+        return np.flatnonzero(near)
+
 
 def _rotations_zxz(alpha, beta, gamma) -> np.ndarray:
     """(n,3,3) stack of Rz(gamma) @ Rx(beta) @ Rz(alpha)."""
@@ -357,20 +416,27 @@ def subject_quads(
     """Surviving occluder quads for subject j, in field order (block
     before shadow per occluder), as polygons in the subject's local plane.
 
-    Occluders entirely inside the valid projection region go through the
-    vectorized fast path; the rare occluder straddling a region boundary
-    is clipped in 3D by the scalar projection routines.
+    Only the neighbours within reach (`OrientedField.candidates`) are
+    projected; `use_culling=False` projects every neighbour and keeps
+    every quad.  Occluders entirely inside the valid projection region go
+    through the vectorized fast path; the rare occluder straddling a
+    region boundary is clipped in 3D by the scalar projection routines.
     """
     from .shading import block_image, shadow_image
 
+    if use_culling:
+        idx = of.candidates(j)
+    else:
+        idx = np.delete(np.arange(of.n), j)
+    k = len(idx)
     n_c = of.normals[j]
     x_c = of.centers[j]
     rot = of.rotations[j]
     hx, hy = of.dims[j] / 2.0
     plane_d = float(n_c @ x_c)
     u_s = of.sun.u_s.as_array()
-    corners = of.corners  # (n, 4, 3)
-    side = corners @ n_c - plane_d  # (n, 4), positive on the front side
+    corners = of.corners[idx]  # (k, 4, 3)
+    side = corners @ n_c - plane_d  # (k, 4), positive on the front side
 
     def local_xy(pts):
         return np.einsum("ij,naj->nai", rot, pts - x_c)[:, :, :2]
@@ -384,9 +450,9 @@ def subject_quads(
         t_s = -side / denom_s
         shadow_xy = local_xy(corners + t_s[:, :, None] * u_s)
     else:
-        shadow_full = np.zeros(of.n, dtype=bool)
+        shadow_full = np.zeros(k, dtype=bool)
         shadow_part = shadow_full.copy()
-        shadow_xy = np.zeros((of.n, 4, 2))
+        shadow_xy = np.zeros((k, 4, 2))
 
     # block projection from the aim point: a corner has a finite image
     # only inside the slab 0 < side < side(aim)
@@ -399,11 +465,11 @@ def subject_quads(
             & ~np.all(side <= 0.0, axis=1)
             & ~np.all(side >= upper, axis=1)
         )
-        d = of.aims[j] - corners  # (n, 4, 3)
+        d = of.aims[j] - corners  # (k, 4, 3)
         dist = np.linalg.norm(d, axis=2)
         with np.errstate(divide="ignore", invalid="ignore"):
             u_ta = d / dist[:, :, None]
-            denom_b = u_ta @ n_c  # (n, 4)
+            denom_b = u_ta @ n_c  # (k, 4)
             t_b = -side / denom_b
         block_full &= np.all(dist > 0.0, axis=1) & np.all(
             np.abs(denom_b) >= _PERP_TOL, axis=1
@@ -411,12 +477,9 @@ def subject_quads(
         with np.errstate(invalid="ignore"):
             block_xy = local_xy(corners + t_b[:, :, None] * u_ta)
     else:
-        block_full = np.zeros(of.n, dtype=bool)
+        block_full = np.zeros(k, dtype=bool)
         block_part = block_full.copy()
-        block_xy = np.zeros((of.n, 4, 2))
-
-    shadow_full[j] = shadow_part[j] = False
-    block_full[j] = block_part[j] = False
+        block_xy = np.zeros((k, 4, 2))
 
     if use_culling:
         shadow_full &= ~_culled(shadow_xy, hx, hy)
@@ -431,35 +494,35 @@ def subject_quads(
         arr = np.array([p.as_array() for p in pts])
         return (arr - x_c) @ rot.T[:, :2]
 
-    partial_any = shadow_part | block_part
     quads: List[ProjectedQuad] = []
-    for i in range(of.n):
-        ring_b = block_xy[i] if block_full[i] else None
-        ring_s = shadow_xy[i] if shadow_full[i] else None
-        if partial_any[i]:
+    for r in np.flatnonzero(block_full | shadow_full | block_part | shadow_part):
+        ring_b = block_xy[r] if block_full[r] else None
+        ring_s = shadow_xy[r] if shadow_full[r] else None
+        if block_part[r] or shadow_part[r]:
             cs = [
-                Vec3(float(c[0]), float(c[1]), float(c[2])) for c in corners[i]
+                Vec3(float(c[0]), float(c[1]), float(c[2])) for c in corners[r]
             ]
-            if block_part[i]:
+            if block_part[r]:
                 pts = block_image(cs, n_c_v, plane_d, target_v)
                 if pts is not None:
-                    r = to_local(pts)
-                    if not use_culling or _keep(r, hx, hy):
-                        ring_b = r
-            if shadow_part[i]:
+                    ring = to_local(pts)
+                    if not use_culling or _keep(ring, hx, hy):
+                        ring_b = ring
+            if shadow_part[r]:
                 pts = shadow_image(cs, n_c_v, plane_d, of.sun.u_s)
                 if pts is not None:
-                    r = to_local(pts)
-                    if not use_culling or _keep(r, hx, hy):
-                        ring_s = r
+                    ring = to_local(pts)
+                    if not use_culling or _keep(ring, hx, hy):
+                        ring_s = ring
+        source = of.ids[idx[r]]
         if ring_b is not None:
             q = _quad_poly(ring_b)
             if q is not None:
-                quads.append(ProjectedQuad(source_id=of.ids[i], kind="block", ring=q))
+                quads.append(ProjectedQuad(source_id=source, kind="block", ring=q))
         if ring_s is not None:
             q = _quad_poly(ring_s)
             if q is not None:
-                quads.append(ProjectedQuad(source_id=of.ids[i], kind="shadow", ring=q))
+                quads.append(ProjectedQuad(source_id=source, kind="shadow", ring=q))
     return quads
 
 
@@ -522,7 +585,14 @@ def _pool_eval(args) -> float:
 
 
 def default_workers() -> int:
-    return int(os.environ.get("HELIOSHADE_WORKERS", "1"))
+    text = os.environ.get("HELIOSHADE_WORKERS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"HELIOSHADE_WORKERS must be a positive integer, got {text!r}")
+    return workers
 
 
 def evaluate_field(
@@ -540,6 +610,8 @@ def evaluate_field(
     """
     if workers is None:
         workers = default_workers()
+    if workers < 1:
+        raise ValueError(f"worker count must be at least 1, got {workers}")
     start = time.perf_counter()
     of = OrientedField(layout, sun)
     n = of.n

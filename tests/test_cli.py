@@ -78,6 +78,23 @@ def test_malformed_sun_spec_fails(capsys):
     assert code != 0 and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "workers_arg,env",
+    [(["--workers", "0"], None), (["--workers", "-3"], None), ([], "0")],
+)
+def test_invalid_worker_count_fails(capsys, monkeypatch, workers_arg, env):
+    if env is not None:
+        monkeypatch.setenv("HELIOSHADE_WORKERS", env)
+    code, out, err = run(
+        capsys, "efficiency", SIMPLE_PAIR, "--date", "01-21", "--hour", "12:00",
+        *workers_arg,
+    )
+    assert code != 0
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("error:") and "worker" in err.lower()
+
+
 def test_below_horizon_fails(capsys):
     code, _, err = run(
         capsys, "efficiency", SIMPLE_PAIR, "--date", "01-21", "--hour", "01:00"

@@ -1,7 +1,9 @@
+import dataclasses
 import hashlib
 import math
 import os
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -22,9 +24,11 @@ from helioshade.field import (
     format_report,
     load_layout,
     save_layout,
+    subject_quads,
     synthetic_field,
     write_report,
 )
+from helioshade.clip import intersection, region_area
 from helioshade.linalg3 import Vec3
 from helioshade.shading import efficiency
 
@@ -170,31 +174,102 @@ def test_batch_matches_scalar_engine():
             assert e_batch == pytest.approx(e_scalar, abs=1e-12)
 
 
+def _layout_of(helios):
+    return FieldLayout(
+        latitude_deg=38.0,
+        receivers=(("t", helios[0].aim),),
+        heliostats=tuple(
+            HeliostatSpec(
+                id=h.id, center=h.center, width=h.width, height=h.height,
+                receiver="t",
+            )
+            for h in helios
+        ),
+    )
+
+
+def _efficiencies(layout, sun):
+    return {r.id: r.efficiency for r in evaluate_field(layout, sun).records}
+
+
 def test_removing_heliostat_never_hurts_others(rng):
     for _ in range(10):
         helios, sun = random_config(rng)
-        layout = FieldLayout(
-            latitude_deg=38.0,
-            receivers=(("t", helios[0].aim),),
-            heliostats=tuple(
-                HeliostatSpec(
-                    id=h.id, center=h.center, width=h.width, height=h.height,
-                    receiver="t",
-                )
-                for h in helios
-            ),
-        )
-        full = {r.id: r.efficiency for r in evaluate_field(layout, sun).records}
-        reduced_layout = FieldLayout(
-            latitude_deg=38.0,
-            receivers=(("t", helios[0].aim),),
-            heliostats=layout.heliostats[:-1],
-        )
-        reduced = {
-            r.id: r.efficiency for r in evaluate_field(reduced_layout, sun).records
-        }
-        for hid, e in reduced.items():
+        layout = _layout_of(helios)
+        full = _efficiencies(layout, sun)
+        reduced_layout = dataclasses.replace(layout, heliostats=layout.heliostats[:-1])
+        for hid, e in _efficiencies(reduced_layout, sun).items():
             assert e >= full[hid] - 1e-9
+
+
+@pytest.mark.parametrize("hour", [7.75, 16.25])
+def test_removing_any_heliostat_never_hurts_others_low_sun(hour):
+    # removing a mirror can shrink the field's height spread and with it
+    # the prefilter reach, so this also exercises the bound as the field
+    # changes
+    layout = synthetic_field(60)
+    sun = sun_at(21, hour, layout.latitude_deg)
+    full = _efficiencies(layout, sun)
+    assert min(full.values()) < 1.0
+    helios = layout.heliostats
+    for i in range(len(helios)):
+        reduced = dataclasses.replace(layout, heliostats=helios[:i] + helios[i + 1:])
+        for hid, e in _efficiencies(reduced, sun).items():
+            assert e >= full[hid] - 1e-9, (helios[i].id, hid)
+
+
+# 01-21 at these hours spans solar heights from 3.97 to 31.6 degrees
+PREFILTER_HOURS = ["07:45", "08:00", "12:00", "16:15", "16:30"]
+
+
+def _hour(hhmm):
+    hh, mm = hhmm.split(":")
+    return int(hh) + int(mm) / 60.0
+
+
+@pytest.mark.parametrize("hhmm", PREFILTER_HOURS)
+def test_prefilter_matches_unfiltered_engine(hhmm):
+    layout = synthetic_field(250)
+    of = OrientedField(layout, sun_at(21, _hour(hhmm), layout.latitude_deg))
+    for j in np.linspace(0, of.n - 1, 8).astype(int):
+        assert _subject_efficiency(of, j, use_culling=True) == _subject_efficiency(
+            of, j, use_culling=False
+        )
+
+
+def test_prefilter_keeps_every_overlapping_quad(rng):
+    overlapping = 0
+    for _ in range(100):
+        helios, sun = random_config(rng)
+        of = OrientedField(_layout_of(helios), sun)
+        for j in range(of.n):
+            outline = helios[j].outline()
+            kept = {of.ids[i] for i in of.candidates(j)}
+            for quad in subject_quads(of, j, use_culling=False):
+                if region_area(intersection(outline, quad.ring)) > 1e-12:
+                    overlapping += 1
+                    assert quad.source_id in kept
+    assert overlapping > 100
+
+
+# sha256 of the --no-timing report of synthetic_field(250) on 01-21, as
+# produced by the engine before the reach prefilter existed
+GOLDEN_REPORTS = {
+    "07:45": "18b4bebbe96cda49e907046ae864af068e6c79b642586719ec4a01117e414a4e",
+    "08:00": "9a6b9f6b8e726fece3e7d5d762a3898b707a0216e8893707389c54cb478c2f27",
+    "12:00": "5daafed08a3644c1346b2a06c35acb41cbea883d8a0522b980fe35e4f028783d",
+    "16:15": "8c71a3c857b1bb843f85c17954f632527fa446b65433bf7d305492ad4b7fe30a",
+    "16:30": "b0494250d62c04a91ac74145bc9221d275153ae42d1de366e8a631c0091ccbe8",
+}
+
+
+@pytest.mark.parametrize("hhmm", PREFILTER_HOURS)
+def test_report_matches_golden_digest(hhmm):
+    layout = synthetic_field(250)
+    sun = sun_at(21, _hour(hhmm), layout.latitude_deg)
+    report = evaluate_field(layout, sun, workers=1, date_label=f"01-21 {hhmm}")
+    text = format_report(report, include_timing=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS[hhmm]
 
 
 def test_report_format(tmp_path):
@@ -215,9 +290,10 @@ def test_report_format(tmp_path):
         assert float(cols[2]) == pytest.approx(float(cols[1]) * float(cols[3]))
 
 
-def test_reports_identical_across_workers():
+@pytest.mark.parametrize("hour", [12.0, 16.25])
+def test_reports_identical_across_workers(hour):
     layout = synthetic_field(40)
-    sun = sun_at(21, 12.0, layout.latitude_deg)
+    sun = sun_at(21, hour, layout.latitude_deg)
     texts = []
     for workers in (1, 4):
         report = evaluate_field(layout, sun, workers=workers)

@@ -12,7 +12,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from helioshade.field import load_layout
 from helioshade.render import render_svg
-from helioshade.shading import efficiency, orient
+from helioshade.shading import efficiency
 from helioshade.solar import solar_position, sun_vector
 
 DAY_OF_YEAR = 21  # January 21
@@ -31,6 +31,8 @@ def main() -> None:
 
     layout = load_layout(args.layout)
     lat = math.radians(layout.latitude_deg)
+    field = layout.to_heliostats()
+    subject = next(h for h in field if h.id == args.subject)
     os.makedirs(args.outdir, exist_ok=True)
 
     series_path = os.path.join(args.outdir, "efficiency_series.txt")
@@ -45,10 +47,7 @@ def main() -> None:
             except ValueError:  # below the horizon
                 t += args.step_min / 60.0
                 continue
-            sun = sun_vector(eta, theta)
-            field = [orient(h, sun) for h in layout.to_heliostats()]
-            subject = next(h for h in field if h.id == args.subject)
-            result = efficiency(subject, field, sun)
+            result = efficiency(subject, field, sun_vector(eta, theta))
             fh.write(
                 f"{t:.9g} {math.degrees(eta):.9g} "
                 f"{math.degrees(theta):.9g} {result.efficiency:.9g}\n"

@@ -17,13 +17,7 @@ import sys
 import time
 from typing import List, Optional, Tuple
 
-from .field import (
-    FieldLayout,
-    evaluate_field,
-    format_report,
-    load_layout,
-    synthetic_field,
-)
+from .field import evaluate_field, format_report, load_layout, synthetic_field
 from .oracle import OracleConfig, sample_efficiency
 from .render import render_svg
 from .shading import Heliostat, efficiency, orient
@@ -85,10 +79,6 @@ def _resolve_sun(args, latitude_deg: float) -> Tuple[SunState, str]:
     return sun_vector(eta, theta), f"{args.date} {args.hour}"
 
 
-def _oriented_field(layout: FieldLayout, sun: SunState) -> List[Heliostat]:
-    return [orient(h, sun) for h in layout.to_heliostats()]
-
-
 def _find_subject(field: List[Heliostat], subject_id: str) -> Heliostat:
     for h in field:
         if h.id == subject_id:
@@ -108,7 +98,7 @@ def cmd_efficiency(args) -> None:
     layout = load_layout(args.layout)
     sun, label = _resolve_sun(args, layout.latitude_deg)
     if args.subject:
-        field = _oriented_field(layout, sun)
+        field = layout.to_heliostats()
         subject = _find_subject(field, args.subject)
         result = efficiency(subject, field, sun)
         line = (
@@ -129,9 +119,8 @@ def cmd_sweep(args) -> None:
         raise CliError("--start must precede --end")
     day = _day_of_year(args.date)
     lat = math.radians(layout.latitude_deg)
-    helios = layout.to_heliostats()
-    if not any(h.id == args.subject for h in helios):
-        raise CliError(f"unknown heliostat id {args.subject!r}")
+    field = layout.to_heliostats()
+    subject = _find_subject(field, args.subject)
     lines = [
         f"# sweep subject={args.subject} date={args.date} "
         f"start={args.start} end={args.end} step={_fmt(args.step)} min",
@@ -150,10 +139,7 @@ def cmd_sweep(args) -> None:
             lines.append(f"# {stamp} sun below horizon, skipped")
             t += args.step / 60.0
             continue
-        sun = sun_vector(eta, theta)
-        field = _oriented_field(layout, sun)
-        subject = _find_subject(field, args.subject)
-        e = efficiency(subject, field, sun).efficiency
+        e = efficiency(subject, field, sun_vector(eta, theta)).efficiency
         lines.append(
             f"{stamp} {_fmt(math.degrees(eta))} "
             f"{_fmt(math.degrees(theta))} {_fmt(e)}"
@@ -165,7 +151,7 @@ def cmd_sweep(args) -> None:
 def cmd_render(args) -> None:
     layout = load_layout(args.layout)
     sun, _ = _resolve_sun(args, layout.latitude_deg)
-    field = _oriented_field(layout, sun)
+    field = layout.to_heliostats()
     subject = _find_subject(field, args.subject)
     result = efficiency(subject, field, sun)
     render_svg(subject, result, args.out)
@@ -199,7 +185,8 @@ def cmd_bench(args) -> None:
 def cmd_oracle_check(args) -> None:
     layout = load_layout(args.layout)
     sun, _ = _resolve_sun(args, layout.latitude_deg)
-    field = _oriented_field(layout, sun)
+    # the 3D-ray oracle checks against the scalar mirror frames
+    field = [orient(h, sun) for h in layout.to_heliostats()]
     subject = _find_subject(field, args.subject)
     e_clip = efficiency(subject, field, sun).efficiency
     if args.corrupt:

@@ -14,14 +14,21 @@ import math
 import os
 import time
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .clip import Region, difference, region_area
 from .linalg3 import Vec3
 from .polygon2d import Point2, Polygon2, ring_signed_area
-from .shading import Heliostat, ProjectedQuad, _MIN_QUAD_AREA
+from .shading import (
+    EfficiencyResult,
+    Heliostat,
+    ProjectedQuad,
+    _PERP_TOL,
+    block_image,
+    shadow_image,
+)
 from .solar import SunState
 
 __all__ = [
@@ -37,7 +44,7 @@ __all__ = [
     "write_report",
 ]
 
-_PERP_TOL = 1e-12
+_MIN_QUAD_AREA = 1e-12
 
 # Relative widening of the reach bound, far above the rounding of the
 # projected coordinates, so a neighbour whose image just touches the
@@ -150,26 +157,28 @@ def load_layout(path: str) -> FieldLayout:
             kind = parts[0]
             try:
                 fields = _parse_fields(parts[1:], lineno)
-                if kind == "plant":
-                    latitude = float(fields["lat"])
-                elif kind == "receiver":
-                    receivers.append(
-                        (
-                            fields["id"],
-                            Vec3(float(fields["x"]), float(fields["y"]), float(fields["z"])),
+
+                def num(key: str) -> float:
+                    value = float(fields[key])
+                    if not math.isfinite(value):
+                        raise LayoutError(
+                            f"line {lineno}: {key}={fields[key]} is not a finite number"
                         )
-                    )
+                    return value
+
+                if kind == "plant":
+                    latitude = num("lat")
+                elif kind == "receiver":
+                    receivers.append((fields["id"], Vec3(num("x"), num("y"), num("z"))))
                 elif kind == "heliostat":
                     heliostats.append(
                         HeliostatSpec(
                             id=fields["id"],
-                            center=Vec3(
-                                float(fields["x"]), float(fields["y"]), float(fields["z"])
-                            ),
-                            width=float(fields["w"]),
-                            height=float(fields["h"]),
+                            center=Vec3(num("x"), num("y"), num("z")),
+                            width=num("w"),
+                            height=num("h"),
                             receiver=fields["receiver"],
-                            spin=float(fields.get("phi", "0.0")),
+                            spin=num("phi") if "phi" in fields else 0.0,
                         )
                     )
                 else:
@@ -293,10 +302,14 @@ def synthetic_field(n: int, spec: RadialStaggerSpec = RadialStaggerSpec()) -> Fi
 
 
 class OrientedField:
-    """Immutable array view of a whole oriented field for one sun state."""
+    """Immutable array view of a whole oriented field for one sun state.
 
-    def __init__(self, layout: FieldLayout, sun: SunState):
-        helios = layout.to_heliostats()
+    `field` is a layout or a heliostat sequence; any orientation cached on
+    the heliostats is ignored and recomputed here for `sun`.
+    """
+
+    def __init__(self, field: Union[FieldLayout, Sequence[Heliostat]], sun: SunState):
+        helios = field.to_heliostats() if isinstance(field, FieldLayout) else field
         self.ids = [h.id for h in helios]
         self.sun = sun
         n = len(helios)
@@ -422,8 +435,6 @@ def subject_quads(
     through the vectorized fast path; the rare occluder straddling a
     region boundary is clipped in 3D by the scalar projection routines.
     """
-    from .shading import block_image, shadow_image
-
     if use_culling:
         idx = of.candidates(j)
     else:
@@ -506,13 +517,13 @@ def subject_quads(
                 pts = block_image(cs, n_c_v, plane_d, target_v)
                 if pts is not None:
                     ring = to_local(pts)
-                    if not use_culling or _keep(ring, hx, hy):
+                    if not use_culling or not _culled(ring, hx, hy):
                         ring_b = ring
             if shadow_part[r]:
                 pts = shadow_image(cs, n_c_v, plane_d, of.sun.u_s)
                 if pts is not None:
                     ring = to_local(pts)
-                    if not use_culling or _keep(ring, hx, hy):
+                    if not use_culling or not _culled(ring, hx, hy):
                         ring_s = ring
         source = of.ids[idx[r]]
         if ring_b is not None:
@@ -526,21 +537,16 @@ def subject_quads(
     return quads
 
 
-def _keep(xy: np.ndarray, hx: float, hy: float) -> bool:
-    xs, ys = xy[:, 0], xy[:, 1]
-    return not (
-        np.all(xs > hx) or np.all(xs < -hx) or np.all(ys > hy) or np.all(ys < -hy)
-    )
-
-
 def _culled(xy: np.ndarray, hx: float, hy: float) -> np.ndarray:
-    xs = xy[:, :, 0]
-    ys = xy[:, :, 1]
+    """True for each ring (points on the second-to-last axis) whose points
+    all lie beyond one side of the 2hx x 2hy mirror: it cannot meet it."""
+    xs = xy[..., 0]
+    ys = xy[..., 1]
     return (
-        np.all(xs > hx, axis=1)
-        | np.all(xs < -hx, axis=1)
-        | np.all(ys > hy, axis=1)
-        | np.all(ys < -hy, axis=1)
+        np.all(xs > hx, axis=-1)
+        | np.all(xs < -hx, axis=-1)
+        | np.all(ys > hy, axis=-1)
+        | np.all(ys < -hy, axis=-1)
     )
 
 
@@ -557,18 +563,27 @@ def _quad_poly(xy: np.ndarray) -> Optional[Polygon2]:
     return Polygon2(tuple(Point2(x, y) for x, y in ring))
 
 
-def _subject_efficiency(of: OrientedField, j: int, use_culling: bool = True) -> float:
+def subject_efficiency(
+    of: OrientedField, j: int, use_culling: bool = True
+) -> EfficiencyResult:
+    """Efficiency of subject j: its surviving quads (`subject_quads`) are
+    subtracted in turn from the mirror outline, and the residual area is
+    divided by the mirror area."""
     hx, hy = of.dims[j] / 2.0
     outline = Polygon2(
         (Point2(-hx, hy), Point2(-hx, -hy), Point2(hx, -hy), Point2(hx, hy))
     )
     residual = Region.from_polygon(outline)
-    for quad in subject_quads(of, j, use_culling=use_culling):
+    quads = subject_quads(of, j, use_culling=use_culling)
+    for quad in quads:
         residual = difference(residual, quad.ring)
         if not residual.components:
             break
     area = of.dims[j, 0] * of.dims[j, 1]
-    return min(1.0, max(0.0, region_area(residual) / area))
+    e = min(1.0, max(0.0, region_area(residual) / area))
+    return EfficiencyResult(
+        subject_id=of.ids[j], efficiency=e, residual=residual, quads=tuple(quads)
+    )
 
 
 _POOL_FIELD: Optional[OrientedField] = None
@@ -581,7 +596,7 @@ def _pool_init(of: OrientedField) -> None:
 
 def _pool_eval(args) -> float:
     j, use_culling = args
-    return _subject_efficiency(_POOL_FIELD, j, use_culling)
+    return subject_efficiency(_POOL_FIELD, j, use_culling).efficiency
 
 
 def default_workers() -> int:
@@ -620,11 +635,14 @@ def evaluate_field(
     if workers > 1 and n > 1:
         import multiprocessing as mp
 
-        ctx = mp.get_context("fork")
+        # fork shares the oriented field without pickling it; spawn is
+        # the only method on some platforms
+        method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+        ctx = mp.get_context(method)
         with ctx.Pool(workers, initializer=_pool_init, initargs=(of,)) as pool:
             effs = pool.map(_pool_eval, [(j, use_culling) for j in range(n)], chunksize=max(1, n // (4 * workers)))
     else:
-        effs = [_subject_efficiency(of, j, use_culling) for j in range(n)]
+        effs = [subject_efficiency(of, j, use_culling).efficiency for j in range(n)]
     duration = time.perf_counter() - start
     records = tuple(
         HeliostatRecord(

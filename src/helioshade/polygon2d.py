@@ -22,7 +22,6 @@ __all__ = [
     "signed_area",
     "contains",
     "contains_many",
-    "perturb_key",
 ]
 
 # Coordinates are O(1e3) m; 1e-9 m is far below physical meaning and well
@@ -143,14 +142,3 @@ def contains_many(p: Polygon2, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         crossing = straddle & (xs < x_int)
         inside ^= crossing
     return inside
-
-
-def perturb_key(pt: Point2, index: int) -> Tuple[float, float, int]:
-    """Deterministic total order for degenerate (coincident) points.
-
-    Lexicographic on (x, y, vertex index): coincident points with different
-    indices get distinct ranks, and the same input always ranks the same.
-    Used to break ties consistently in membership tests and intersection
-    classification.
-    """
-    return (pt.x, pt.y, index)

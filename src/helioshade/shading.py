@@ -1,11 +1,13 @@
-"""Projection of neighbor mirrors onto the subject plane and the
-iterative-subtraction efficiency computation.
+"""Heliostat records, scalar orientation, occluder images for the
+straddle case, and the single-subject entry points.
 
 For a subject mirror the occluders are projected corner by corner: along
 the light direction for shadowing, toward the subject's aim point for
 blocking.  The projected quads are culled cheaply, then subtracted one by
 one from the subject outline; the efficiency is the surviving area over
-the total mirror area.
+the total mirror area.  `efficiency` and `candidate_quads` run that
+pipeline through the array engine in `field`; `orient` keeps the scalar
+mirror frames that the 3D-ray oracle uses as its independent reference.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ import dataclasses
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .clip import Region, difference, region_area
-from .linalg3 import HeliostatFrame, Vec3, frame_from_normal, from_frame, to_frame
-from .polygon2d import Point2, Polygon2, signed_area
+from .clip import Region
+from .linalg3 import HeliostatFrame, Vec3, frame_from_normal, from_frame
+from .polygon2d import Point2, Polygon2
 from .solar import SunState
 
 __all__ = [
@@ -24,17 +26,13 @@ __all__ = [
     "ProjectedQuad",
     "EfficiencyResult",
     "orient",
-    "project_shadow",
-    "project_block",
-    "cull",
+    "candidate_quads",
     "efficiency",
 ]
 
 # Projections with |n . u| below this are treated as perpendicular: the
 # occluder edge-on to the subject casts no area.
 _PERP_TOL = 1e-12
-
-_MIN_QUAD_AREA = 1e-12
 
 
 @dataclass(frozen=True)
@@ -126,44 +124,15 @@ def _clip_to_halfspace(
     return out_p, out_s
 
 
-def _quad_from_points(
-    subject: Heliostat, pts: Sequence[Vec3], source_id: str, kind: str
-) -> Optional[ProjectedQuad]:
-    from .clip import _collapse_ring
-
-    local = [to_frame(subject.frame, p) for p in pts]
-    ring = _collapse_ring([(p.x, p.y) for p in local])
-    if len(ring) < 3:
-        return None
-    poly = Polygon2(tuple(Point2(x, y) for x, y in ring))
-    if abs(signed_area(poly)) < _MIN_QUAD_AREA:
-        return None
-    if signed_area(poly) < 0:
-        poly = poly.reversed()
-    return ProjectedQuad(source_id=source_id, kind=kind, ring=poly)
-
-
-def project_shadow(
-    subject: Heliostat, other: Heliostat, sun: SunState
-) -> Optional[ProjectedQuad]:
-    """Image of `other` on the subject plane along the light direction.
-
-    None when the planes are mutually perpendicular to the light or the
-    occluder sits entirely downstream of the subject (its shadow falls
-    away from the mirror, never on it).
-    """
-    pts = shadow_image(
-        list(other.corners), subject.normal, subject.normal.dot(subject.center), sun.u_s
-    )
-    if pts is None:
-        return None
-    return _quad_from_points(subject, pts, other.id, "shadow")
-
-
 def shadow_image(
     corners: Sequence[Vec3], n_c: Vec3, plane_d: float, u_s: Vec3
 ) -> Optional[List[Vec3]]:
-    """Plant-frame image of an occluder polygon along the light direction."""
+    """Plant-frame image of an occluder polygon along the light direction.
+
+    None when the subject plane is edge-on to the light or the occluder
+    sits entirely downstream of the subject (its shadow falls away from
+    the mirror, never on it).
+    """
     denom = n_c.dot(u_s)
     if abs(denom) < _PERP_TOL:
         return None
@@ -179,31 +148,13 @@ def shadow_image(
     return [p + (-s / denom) * u_s for p, s in zip(corners, sides)]
 
 
-def project_block(subject: Heliostat, other: Heliostat) -> Optional[ProjectedQuad]:
-    """Image of `other` on the subject plane as seen from the aim point.
-
-    The projection center is the subject's aim point: the subject's
-    reflected rays converge there, and `other` can only intercept them
-    from between the subject plane and that point (projection parameter
-    negative).  None when any sight line is perpendicular to the subject
-    or the occluder lies behind the subject / beyond the receiver.
-    """
-    pts = block_image(
-        list(other.corners),
-        subject.normal,
-        subject.normal.dot(subject.center),
-        subject.aim,
-    )
-    if pts is None:
-        return None
-    return _quad_from_points(subject, pts, other.id, "block")
-
-
 def block_image(
     corners: Sequence[Vec3], n_c: Vec3, plane_d: float, target: Vec3
 ) -> Optional[List[Vec3]]:
     """Plant-frame image of an occluder polygon projected from the aim point.
 
+    The subject's reflected rays converge on the aim point, so an occluder
+    can only intercept them between the subject plane and that point.
     A point q casts a finite image only inside the slab
     0 < side(q) < side(target): behind the subject plane it cannot block,
     and at or beyond the aim point's plane distance the image runs to
@@ -239,16 +190,15 @@ def block_image(
     return pts
 
 
-def cull(subject: Heliostat, quad: ProjectedQuad) -> bool:
-    """Keep the quad unless all corners lie beyond one side of the mirror."""
-    hx, hy = subject.width / 2.0, subject.height / 2.0
-    xs = [p.x for p in quad.ring.ring]
-    ys = [p.y for p in quad.ring.ring]
-    if all(x > hx for x in xs) or all(x < -hx for x in xs):
-        return False
-    if all(y > hy for y in ys) or all(y < -hy for y in ys):
-        return False
-    return True
+def _oriented_subject(subject: Heliostat, field: Sequence[Heliostat], sun: SunState):
+    """The array view of `field` for this sun and the subject's row in it."""
+    from .field import OrientedField
+
+    of = OrientedField(field, sun)
+    try:
+        return of, of.ids.index(subject.id)
+    except ValueError:
+        raise ValueError(f"unknown heliostat id {subject.id!r}") from None
 
 
 def candidate_quads(
@@ -257,19 +207,18 @@ def candidate_quads(
     sun: SunState,
     use_culling: bool = True,
 ) -> List[ProjectedQuad]:
-    """Projected block and shadow quads of every field mirror, in field
-    order (block before shadow per occluder), optionally culled."""
-    quads: List[ProjectedQuad] = []
-    for other in field:
-        if other.id == subject.id:
-            continue
-        for quad in (project_block(subject, other), project_shadow(subject, other, sun)):
-            if quad is None:
-                continue
-            if use_culling and not cull(subject, quad):
-                continue
-            quads.append(quad)
-    return quads
+    """Projected block and shadow quads of the field mirrors on the
+    subject, in field order (block before shadow per occluder), optionally
+    culled; see `field.subject_quads`.
+
+    The subject is looked up by id in `field`; a `ValueError` names an id
+    that is not there.  Orientation is computed for `sun`, so the
+    heliostats need not be oriented.
+    """
+    from .field import subject_quads
+
+    of, j = _oriented_subject(subject, field, sun)
+    return subject_quads(of, j, use_culling=use_culling)
 
 
 def efficiency(
@@ -280,18 +229,13 @@ def efficiency(
 ) -> EfficiencyResult:
     """Blocking-and-shadowing efficiency of `subject` against `field`.
 
-    All heliostats must already be oriented for this sun state.  The
-    residual region starts as the mirror outline and every surviving quad
-    is subtracted in turn; the efficiency is its area over the mirror area.
+    The residual region starts as the mirror outline and every surviving
+    quad is subtracted in turn; the efficiency is its area over the mirror
+    area.  The subject is looked up by id in `field` as in
+    `candidate_quads`, and the result equals the subject's record in
+    `field.evaluate_field`.
     """
-    quads = candidate_quads(subject, field, sun, use_culling=use_culling)
-    residual = Region.from_polygon(subject.outline())
-    for quad in quads:
-        residual = difference(residual, quad.ring)
-        if not residual.components:
-            break
-    e = region_area(residual) / subject.area
-    e = min(1.0, max(0.0, e))
-    return EfficiencyResult(
-        subject_id=subject.id, efficiency=e, residual=residual, quads=tuple(quads)
-    )
+    from .field import subject_efficiency
+
+    of, j = _oriented_subject(subject, field, sun)
+    return subject_efficiency(of, j, use_culling=use_culling)

@@ -68,6 +68,38 @@ def test_efficiency_unknown_subject_fails(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_layout_value_fails(tmp_path, capsys, value):
+    p = tmp_path / "bad.txt"
+    p.write_text(
+        "plant lat=40\nreceiver id=t x=0 y=0 z=100\n"
+        "heliostat id=a x=50 y=0 z=5 w=10 h=10 receiver=t\n"
+        f"heliostat id=b x={value} y=20 z=5 w=10 h=10 receiver=t\n"
+    )
+    code, _, err = run(capsys, "efficiency", str(p), "--eta", "45", "--theta", "0")
+    assert code == 1
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: line 4")
+
+
+@pytest.mark.parametrize(
+    "path", [SIMPLE_PAIR, REAL_SCENARIO], ids=["simple_pair", "real_scenario"]
+)
+def test_subject_line_equals_report_line(capsys, path):
+    for hour in ("08:00", "12:00", "16:15"):
+        sun = ("--date", "01-21", "--hour", hour)
+        code, report, _ = run(capsys, "efficiency", path, *sun, "--no-timing")
+        assert code == 0
+        for line in report.splitlines():
+            if line.startswith("#"):
+                continue
+            code, out, _ = run(
+                capsys, "efficiency", path, *sun, "--subject", line.split()[0]
+            )
+            assert code == 0
+            assert out == line + "\n"
+
+
 def test_malformed_sun_spec_fails(capsys):
     code, _, err = run(capsys, "efficiency", SIMPLE_PAIR, "--eta", "45")
     assert code != 0 and "error:" in err

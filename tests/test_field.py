@@ -6,24 +6,18 @@ import os
 import numpy as np
 import pytest
 
-from conftest import (
-    REAL_SCENARIO,
-    SIMPLE_PAIR,
-    oriented,
-    random_config,
-    sun_at,
-)
+from conftest import REAL_SCENARIO, SIMPLE_PAIR, random_config, sun_at
 from helioshade.field import (
     FieldLayout,
     HeliostatSpec,
     LayoutError,
     OrientedField,
     RadialStaggerSpec,
-    _subject_efficiency,
     evaluate_field,
     format_report,
     load_layout,
     save_layout,
+    subject_efficiency,
     subject_quads,
     synthetic_field,
     write_report,
@@ -94,6 +88,21 @@ def test_empty_heliostat_list_is_valid(tmp_path):
             "plant lat=40\nwidget id=t\n",
             "unknown record type",
         ),
+        (
+            "plant lat=40\nreceiver id=t x=0 y=0 z=100\n"
+            "heliostat id=a x=nan y=0 z=5 w=10 h=10 receiver=t\n",
+            "line 3: x=nan is not a finite number",
+        ),
+        (
+            "plant lat=40\nreceiver id=t x=0 y=0 z=100\n"
+            "heliostat id=a x=0 y=0 z=5 w=10 h=10 receiver=t phi=-inf\n",
+            "line 3: phi=-inf is not a finite number",
+        ),
+        (
+            "plant lat=40\nreceiver id=t x=0 y=0 z=inf\n",
+            "line 2: z=inf is not a finite number",
+        ),
+        ("plant lat=nan\n", "line 1: lat=nan is not a finite number"),
     ],
 )
 def test_layout_diagnostics(tmp_path, body, message):
@@ -162,16 +171,17 @@ def test_evaluate_simple_pair_noon():
     )
 
 
-def test_batch_matches_scalar_engine():
-    layout = load_layout(REAL_SCENARIO)
+@pytest.mark.parametrize(
+    "path", [SIMPLE_PAIR, REAL_SCENARIO], ids=["simple_pair", "real_scenario"]
+)
+def test_subject_mode_matches_field_report(path):
+    layout = load_layout(path)
+    field = layout.to_heliostats()
     for hour in (8.0, 12.0, 16.25):
         sun = sun_at(21, hour, layout.latitude_deg)
-        of = OrientedField(layout, sun)
-        field = oriented(layout.to_heliostats(), sun)
-        for j in (0, 4, 11):
-            e_batch = _subject_efficiency(of, j)
-            e_scalar = efficiency(field[j], field, sun).efficiency
-            assert e_batch == pytest.approx(e_scalar, abs=1e-12)
+        report = evaluate_field(layout, sun, workers=1)
+        for subject, record in zip(field, report.records):
+            assert efficiency(subject, field, sun).efficiency == record.efficiency
 
 
 def _layout_of(helios):
@@ -232,9 +242,9 @@ def test_prefilter_matches_unfiltered_engine(hhmm):
     layout = synthetic_field(250)
     of = OrientedField(layout, sun_at(21, _hour(hhmm), layout.latitude_deg))
     for j in np.linspace(0, of.n - 1, 8).astype(int):
-        assert _subject_efficiency(of, j, use_culling=True) == _subject_efficiency(
-            of, j, use_culling=False
-        )
+        on = subject_efficiency(of, j, use_culling=True)
+        off = subject_efficiency(of, j, use_culling=False)
+        assert on.efficiency == off.efficiency
 
 
 def test_prefilter_keeps_every_overlapping_quad(rng):
@@ -298,6 +308,26 @@ def test_reports_identical_across_workers(hour):
     for workers in (1, 4):
         report = evaluate_field(layout, sun, workers=workers)
         texts.append(format_report(report, include_timing=False))
+    assert texts[0] == texts[1]
+
+
+def test_spawn_workers_match_serial(monkeypatch):
+    # platforms without fork fall back to spawn, which pickles the field
+    import multiprocessing
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    methods = []
+    get_context = multiprocessing.get_context
+    monkeypatch.setattr(
+        multiprocessing, "get_context", lambda m=None: methods.append(m) or get_context(m)
+    )
+    layout = synthetic_field(40)
+    sun = sun_at(21, 16.25, layout.latitude_deg)
+    texts = [
+        format_report(evaluate_field(layout, sun, workers=w), include_timing=False)
+        for w in (1, 2)
+    ]
+    assert methods == ["spawn"]
     assert texts[0] == texts[1]
 
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from conftest import make_heliostat, oriented, simple_trio, sun_at
+from conftest import make_heliostat, oriented, random_config, simple_trio, sun_at
 from helioshade.linalg3 import Vec3
 from helioshade.oracle import OracleConfig, sample_efficiency
 from helioshade.shading import efficiency, orient
@@ -58,6 +58,22 @@ def test_independent_3d_mode_agrees():
         f[0], f, sun, OracleConfig(samples=1_000_000, independent=True)
     )
     assert abs(est - e_clip) <= max(0.002, 4.0 * se)
+
+
+def test_independent_3d_mode_agrees_on_random_fields(rng):
+    # the 3D ray tests share no code with the array projection, so this
+    # checks its shadow and block equations on overlapping occluders
+    shaded = 0
+    for _ in range(20):
+        field, sun = random_config(rng)
+        f = oriented(field, sun)
+        e_clip = efficiency(f[0], f, sun).efficiency
+        est, se = sample_efficiency(
+            f[0], f, sun, OracleConfig(samples=250_000, independent=True)
+        )
+        assert abs(est - e_clip) <= max(0.002, 4.0 * se)
+        shaded += e_clip < 1.0
+    assert shaded >= 5
 
 
 def test_grid_mode_converges_with_resolution():

@@ -8,7 +8,6 @@ from helioshade.polygon2d import (
     Polygon2,
     contains,
     contains_many,
-    perturb_key,
     signed_area,
 )
 
@@ -66,12 +65,6 @@ def test_contains_on_edge_matches_perturbed_point():
     assert contains(UNIT_SQUARE, Point2(0.0, 0.0)) == contains(
         UNIT_SQUARE, Point2(eps, eps * eps)
     )
-
-
-def test_perturb_key_deterministic_and_total():
-    p = Point2(1.5, -2.5)
-    assert perturb_key(p, 3) == perturb_key(Point2(1.5, -2.5), 3)
-    assert perturb_key(p, 3) != perturb_key(p, 4)
 
 
 def test_contains_many_matches_scalar_including_degenerate():

@@ -3,16 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_heliostat, oriented, random_config, simple_trio, sun_at
-from helioshade.linalg3 import Vec3, to_frame
-from helioshade.shading import (
-    Heliostat,
-    cull,
-    efficiency,
-    orient,
-    project_block,
-    project_shadow,
-)
+from conftest import make_heliostat, random_config, simple_trio, sun_at
+from helioshade.field import OrientedField, subject_quads
+from helioshade.linalg3 import Vec3, from_frame, to_frame
+from helioshade.shading import candidate_quads, efficiency, orient, shadow_image
 from helioshade.solar import sun_vector
 
 
@@ -51,16 +45,20 @@ def test_orient_rejects_heliostat_at_receiver():
         orient(h, ZENITH)
 
 
+def _quads(subject, others, sun, kind, use_culling=True):
+    """Projected quads of one kind on `subject` from `others`."""
+    quads = candidate_quads(subject, [subject, *others], sun, use_culling=use_culling)
+    return [q for q in quads if q.kind == kind]
+
+
 def test_shadow_vertical_drop():
-    subject = orient(up_facing("s", 0.0, 0.0, 0.0), ZENITH)
-    other = orient(up_facing("o", 2.0, 0.0, 5.0), ZENITH)
-    quad = project_shadow(subject, other, ZENITH)
-    assert quad is not None and quad.kind == "shadow"
+    subject = up_facing("s", 0.0, 0.0, 0.0)
+    (quad,) = _quads(subject, [up_facing("o", 2.0, 0.0, 5.0)], ZENITH, "shadow")
+    assert quad.source_id == "o"
     # map the local-frame ring back to plant coordinates: it must be the
     # occluder rectangle dropped straight down onto z = 0
-    from helioshade.linalg3 import from_frame
-
-    plant = [from_frame(subject.frame, Vec3(p.x, p.y, 0.0)) for p in quad.ring.ring]
+    frame = orient(subject, ZENITH).frame
+    plant = [from_frame(frame, Vec3(p.x, p.y, 0.0)) for p in quad.ring.ring]
     xs = sorted(p.x for p in plant)
     ys = sorted(p.y for p in plant)
     assert (xs[0], xs[-1]) == pytest.approx((-3.0, 7.0), abs=1e-9)
@@ -70,24 +68,31 @@ def test_shadow_vertical_drop():
 
 
 def test_shadow_perpendicular_discarded():
-    subject = orient(up_facing("s", 0.0, 0.0), ZENITH)
-    other = orient(up_facing("o", 2.0, 0.0, 5.0), ZENITH)
-    grazing = sun_vector(1e-13, 0.0)  # u_s horizontal: n_c . u_s ~ 0
-    assert project_shadow(subject, other, grazing) is None
+    # mirrors aimed for the zenith sun, lit by a horizontal one: the light
+    # runs along the subject plane (n_c . u_s ~ 0), so nothing is cast
+    of = OrientedField([up_facing("s", 0.0, 0.0), up_facing("o", 2.0, 0.0, 5.0)], ZENITH)
+
+    def kinds():
+        return [q.kind for q in subject_quads(of, 0, use_culling=False)]
+
+    assert kinds() == ["block", "shadow"]
+    of.sun = sun_vector(1e-13, 0.0)
+    assert kinds() == ["block"]
+    corners = [Vec3(*c) for c in of.corners[1]]
+    n_c = Vec3(*of.normals[0])
+    assert shadow_image(corners, n_c, 0.0, of.sun.u_s) is None
 
 
 def test_shadow_downstream_occluder_discarded():
-    subject = orient(up_facing("s", 0.0, 0.0, 10.0), ZENITH)
-    below = orient(up_facing("o", 0.0, 0.0, 2.0), ZENITH)
-    assert project_shadow(subject, below, ZENITH) is None
+    subject = up_facing("s", 0.0, 0.0, 10.0)
+    assert _quads(subject, [up_facing("o", 0.0, 0.0, 2.0)], ZENITH, "shadow") == []
 
 
 def test_block_symmetric_occlusion():
     aim = Vec3(0.0, 0.0, 100.0)
-    subject = orient(make_heliostat("s", 0.0, 0.0, 0.0, 10.0, 10.0, aim), ZENITH)
-    other = orient(make_heliostat("o", 0.0, 0.0, 50.0, 4.0, 4.0, Vec3(0, 0, 150)), ZENITH)
-    quad = project_block(subject, other)
-    assert quad is not None and quad.kind == "block"
+    subject = make_heliostat("s", 0.0, 0.0, 0.0, 10.0, 10.0, aim)
+    other = make_heliostat("o", 0.0, 0.0, 50.0, 4.0, 4.0, Vec3(0, 0, 150))
+    (quad,) = _quads(subject, [other], ZENITH, "block")
     cx = sum(p.x for p in quad.ring.ring) / len(quad.ring.ring)
     cy = sum(p.y for p in quad.ring.ring) / len(quad.ring.ring)
     assert (cx, cy) == pytest.approx((0.0, 0.0), abs=1e-9)
@@ -95,36 +100,42 @@ def test_block_symmetric_occlusion():
 
 def test_block_requires_occluder_between_subject_and_receiver():
     aim = Vec3(0.0, 0.0, 100.0)
-    subject = orient(make_heliostat("s", 0.0, 0.0, 50.0, 10.0, 10.0, aim), ZENITH)
-    behind = orient(make_heliostat("o", 0.0, 0.0, 10.0, 10.0, 10.0, aim), ZENITH)
-    assert project_block(subject, behind) is None
-    beyond = orient(make_heliostat("o2", 0.0, 0.0, 120.0, 10.0, 10.0, Vec3(0, 0, 300)), ZENITH)
+    subject = make_heliostat("s", 0.0, 0.0, 50.0, 10.0, 10.0, aim)
+    behind = make_heliostat("o", 0.0, 0.0, 10.0, 10.0, 10.0, aim)
+    assert _quads(subject, [behind], ZENITH, "block") == []
+    beyond = make_heliostat("o2", 0.0, 0.0, 120.0, 10.0, 10.0, Vec3(0, 0, 300))
     # above the aim point's plane distance: no finite image from the
     # projection center
-    assert project_block(subject, beyond) is None
-
-
-class _FakeQuad:
-    def __init__(self, pts):
-        from helioshade.polygon2d import Point2, Polygon2
-
-        self.ring = Polygon2([Point2(x, y) for x, y in pts])
-        self.source_id = "f"
-        self.kind = "shadow"
+    assert _quads(subject, [beyond], ZENITH, "block") == []
 
 
 def test_cull_rules():
-    subject = orient(up_facing("s", 0.0, 0.0), ZENITH)  # 10 x 10
-    far_right = _FakeQuad([(6.0, 0.0), (8.0, 0.0), (8.0, 2.0), (6.0, 2.0)])
-    assert not cull(subject, far_right)
-    split_right = _FakeQuad([(6.0, 6.0), (8.0, 6.0), (8.0, -6.0), (6.0, -6.0)])
-    assert not cull(subject, split_right)  # all corners right of +Lx/2
-    central = _FakeQuad([(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)])
-    assert cull(subject, central)
+    # 10 x 10 mirror; at the zenith sun the local x axis runs along plant
+    # y and the local y axis along plant x
+    subject = up_facing("s", 0.0, 0.0)
+    cases = [
+        (up_facing("beyond_x", 0.0, 8.0, 5.0, w=2.0, h=2.0), False),
+        (up_facing("beyond_y", 8.0, 0.0, 5.0, w=2.0, h=2.0), False),
+        # spans the mirror in y but lies entirely beyond one side in x
+        (up_facing("split_beyond_x", 0.0, 7.0, 5.0, w=2.0, h=12.0), False),
+        (up_facing("central", 0.0, 0.0, 5.0, w=2.0, h=2.0), True),
+    ]
+    for other, kept in cases:
+        field = [subject, other]
+        unculled = candidate_quads(subject, field, ZENITH, use_culling=False)
+        assert [q.kind for q in unculled] == ["block", "shadow"]
+        culled = candidate_quads(subject, field, ZENITH)
+        assert culled == (unculled if kept else []), other.id
+
+
+def test_unknown_subject_rejected():
+    subject = up_facing("s", 0.0, 0.0)
+    with pytest.raises(ValueError, match="unknown heliostat id 'x'"):
+        efficiency(up_facing("x", 5.0, 5.0), [subject], ZENITH)
 
 
 def test_efficiency_empty_field():
-    subject = orient(up_facing("s", 0.0, 0.0), ZENITH)
+    subject = up_facing("s", 0.0, 0.0)
     r = efficiency(subject, [subject], ZENITH)
     assert r.efficiency == 1.0
     assert r.quads == ()
@@ -132,8 +143,8 @@ def test_efficiency_empty_field():
 
 def test_efficiency_fully_occluded():
     aim = Vec3(0.0, 0.0, 100.0)
-    subject = orient(make_heliostat("s", 0.0, 0.0, 0.0, 4.0, 4.0, aim), ZENITH)
-    lid = orient(make_heliostat("o", 0.0, 0.0, 1.0, 40.0, 40.0, Vec3(0, 0, 101)), ZENITH)
+    subject = make_heliostat("s", 0.0, 0.0, 0.0, 4.0, 4.0, aim)
+    lid = make_heliostat("o", 0.0, 0.0, 1.0, 40.0, 40.0, Vec3(0, 0, 101))
     r = efficiency(subject, [subject, lid], ZENITH)
     assert r.efficiency == 0.0
     assert not r.residual.components
@@ -142,7 +153,6 @@ def test_efficiency_fully_occluded():
 def test_efficiency_in_unit_interval_and_monotone_under_insertion(rng):
     for _ in range(30):
         field, sun = random_config(rng)
-        field = oriented(field, sun)
         prev = 1.0
         for k in range(1, len(field) + 1):
             e = efficiency(field[0], field[:k], sun).efficiency
@@ -154,8 +164,7 @@ def test_efficiency_in_unit_interval_and_monotone_under_insertion(rng):
 def test_golden_simple_case():
     field = simple_trio()
     sun = sun_at(21, 12.0, 40.08)
-    e_noon = efficiency(oriented(field, sun)[0], oriented(field, sun), sun).efficiency
+    e_noon = efficiency(field[0], field, sun).efficiency
     assert e_noon == pytest.approx(0.76, abs=0.02)
     sun = sun_at(21, 15.25, 40.08)
-    f = oriented(field, sun)
-    assert efficiency(f[0], f, sun).efficiency == pytest.approx(0.31, abs=0.03)
+    assert efficiency(field[0], field, sun).efficiency == pytest.approx(0.31, abs=0.03)

@@ -1,460 +1,229 @@
-"""Boolean operations on simple 2D polygons (Greiner-Hormann style).
+"""Boolean operations on 2D polygons held as disjoint convex pieces.
 
-The engine behind the iterative subtraction of occluder quads from the
-mirror outline: intersection insertion on circular vertex rings, entry/exit
-marking, and tracing of the result components.
-
-Degenerate configurations (shared edges, vertex on edge, crossings through
-vertices) are never special-cased in the tracer.  They are detected up
-front and resolved by a deterministic symbolic-style perturbation of the
-clip ring, escalated until the configuration is generic.  Exactly equal
-rings are recognized first, so identity cases stay exact.
+Every occluder image the engine subtracts is convex (a parallel or central
+projection of a rectangle, clipped to a slab) and the mirror outline is a
+rectangle, so a `Region` is a set of disjoint convex counterclockwise
+pieces with no holes.  A convex polygon is subtracted from a piece as in
+Sutherland and Hodgman's reentrant clipper (CACM 17(1), 1974): the piece
+is split by the half-plane of each clip edge in turn, with one sign test
+per vertex; the part outside the edge is a result piece, the part inside
+goes on to the next edge, and what lies inside every edge is dropped.  A
+vertex on a clip line belongs to both halves, so no configuration is
+degenerate and nothing is traced or retried.  A non-convex input polygon
+is first cut into convex pieces by ear clipping.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .polygon2d import Point2, Polygon2, contains, ring_signed_area, signed_area
+from .polygon2d import COINCIDENCE_TOL, Polygon2, ring_signed_area, signed_area
 
 __all__ = [
     "Region",
-    "segment_intersection",
+    "clean_ring",
     "difference",
     "intersection",
     "region_area",
 ]
 
-# Components below this signed-area magnitude are numerical slivers and are
-# dropped; they would otherwise accumulate across the 2N subtractions.
+# Pieces below this area are numerical slivers and are dropped; they would
+# otherwise accumulate across the 2N subtractions.
 MIN_COMPONENT_AREA = 1e-12
 
-# Vertex-on-edge proximity (relative to the configuration scale) that is
-# treated as degenerate and perturbed away.
-_DEGENERACY_TOL = 1e-13
-
-# First perturbation magnitude, relative to scale; escalated x10 per retry.
-_PERTURB_BASE = 1e-11
-_MAX_ATTEMPTS = 5
-
-# Golden angle: successive vertex perturbation directions never align.
-_GOLDEN = 2.399963229728653
+_Point = Tuple[float, float]
+_Ring = List[_Point]
 
 
 @dataclass(frozen=True)
 class Region:
-    """Set of oriented simple polygons: CCW components are solid, CW are holes."""
+    """Union of disjoint convex counterclockwise polygons."""
 
     components: Tuple[Polygon2, ...]
 
     @staticmethod
     def from_polygon(p: Polygon2) -> "Region":
-        return Region(components=(p,))
+        return Region(components=_convex_pieces(p))
 
     @staticmethod
     def empty() -> "Region":
         return Region(components=())
 
 
-class _DegenerateError(Exception):
-    """Internal: configuration not generic enough to trace; retry perturbed."""
+def clean_ring(pts: Sequence[_Point]) -> Optional[Polygon2]:
+    """Counterclockwise polygon from a raw ring, or None if nothing is left.
 
-
-class _Node:
-    __slots__ = ("pt", "next", "prev", "is_intersection", "entry", "visited", "twin")
-
-    def __init__(self, pt: Tuple[float, float], is_intersection: bool = False):
-        self.pt = pt
-        self.next: "_Node" = self
-        self.prev: "_Node" = self
-        self.is_intersection = is_intersection
-        self.entry = False
-        self.visited = False
-        self.twin: Optional["_Node"] = None
-
-
-def segment_intersection(
-    a1: Point2, a2: Point2, b1: Point2, b2: Point2
-) -> Optional[Tuple[Point2, float, float]]:
-    """Proper crossing of two segments, or None.
-
-    Touching configurations (endpoint on the other segment, shared
-    endpoints, collinear overlap) resolve to None: after the symbolic
-    perturbation the segments separate rather than cross.
+    Consecutive vertices closer than the coincidence tolerance are merged,
+    and a ring with fewer than 3 vertices or less than
+    `MIN_COMPONENT_AREA` of area is dropped.
     """
-    rx, ry = a2.x - a1.x, a2.y - a1.y
-    sx, sy = b2.x - b1.x, b2.y - b1.y
-    den = rx * sy - ry * sx
-    scale = max(abs(rx), abs(ry), abs(sx), abs(sy), 1.0)
-    if abs(den) <= 1e-15 * scale * scale:
+    out: _Ring = []
+    for pt in pts:
+        if out and _coincident(pt, out[-1]):
+            continue
+        out.append(pt)
+    while len(out) >= 2 and _coincident(out[0], out[-1]):
+        out.pop()
+    if len(out) < 3:
         return None
-    qpx, qpy = b1.x - a1.x, b1.y - a1.y
-    t = (qpx * sy - qpy * sx) / den
-    u = (qpx * ry - qpy * rx) / den
-    eps = 1e-12
-    if t <= eps or t >= 1.0 - eps or u <= eps or u >= 1.0 - eps:
+    area = ring_signed_area(out)
+    if abs(area) < MIN_COMPONENT_AREA:
         return None
-    return Point2(a1.x + t * rx, a1.y + t * ry), t, u
+    if area < 0:
+        out = out[::-1]
+    return Polygon2(out)
 
 
 def region_area(r: Region) -> float:
-    """Net area: holes subtract automatically through their orientation."""
+    """Total area of the pieces."""
     return sum(signed_area(c) for c in r.components)
 
 
 def intersection(a: Polygon2, b: Polygon2) -> Region:
-    """Region of points in both polygons."""
-    a_ccw = a if signed_area(a) >= 0 else a.reversed()
-    rings = _clip_pair(_pts(a_ccw), _pts(b), op="intersection")
-    return _region_from_rings(rings)
+    """Region of points in both polygons: each piece of `a` clipped by the
+    half-planes of each piece of `b`."""
+    out: List[Polygon2] = []
+    pieces_b = [_ring(p) for p in _convex_pieces(b)]
+    for pa in _convex_pieces(a):
+        ring_a = _ring(pa)
+        for ring_b in pieces_b:
+            if not _boxes_meet(ring_a, ring_b):
+                continue
+            rest = ring_a
+            for e0, e1 in _edges(ring_b):
+                rest, _ = _split(rest, e0, e1)
+                if len(rest) < 3:
+                    break
+            poly = clean_ring(rest)
+            if poly is not None:
+                out.append(poly)
+    return Region(components=tuple(out))
 
 
 def difference(subject: Union[Region, Polygon2], clip: Polygon2) -> Region:
-    """Set difference subject \\ clip.
-
-    A multi-component subject is clipped component-wise; hole components
-    (clockwise) are processed in reversed orientation so the entry/exit
-    logic always sees a counterclockwise subject.
-    """
+    """Set difference subject \\ clip, as disjoint convex pieces."""
     if isinstance(subject, Polygon2):
         subject = Region.from_polygon(subject)
-    out: List[Polygon2] = []
-    for comp in subject.components:
-        if signed_area(comp) >= 0:
-            rings = _clip_pair(_pts(comp), _pts(clip), op="difference")
-            out.extend(_polygons_from_rings(rings))
-        else:
-            rings = _clip_pair(_pts(comp.reversed()), _pts(clip), op="difference")
-            out.extend(p.reversed() for p in _polygons_from_rings(rings))
-    return Region(components=tuple(out))
+    pieces = subject.components
+    for c in _convex_pieces(clip):
+        pieces = _subtract_convex(pieces, _ring(c))
+    return Region(components=tuple(pieces))
 
 
 # ---------------------------------------------------------------------------
 # internals
 
-_Ring = List[Tuple[float, float]]
+
+def _coincident(p: _Point, q: _Point) -> bool:
+    return abs(p[0] - q[0]) <= COINCIDENCE_TOL and abs(p[1] - q[1]) <= COINCIDENCE_TOL
 
 
-def _pts(p: Polygon2) -> _Ring:
+def _ring(p: Polygon2) -> _Ring:
     return [(v.x, v.y) for v in p.ring]
 
 
-def _polygons_from_rings(rings: List[_Ring]) -> List[Polygon2]:
-    out = []
-    for ring in rings:
-        cleaned = _collapse_ring(ring)
-        if len(cleaned) < 3:
+def _edges(ring: _Ring):
+    return zip(ring, ring[1:] + ring[:1])
+
+
+def _boxes_meet(a: _Ring, b: _Ring) -> bool:
+    ax = [x for x, _ in a]
+    ay = [y for _, y in a]
+    bx = [x for x, _ in b]
+    by = [y for _, y in b]
+    return (
+        min(ax) <= max(bx)
+        and min(bx) <= max(ax)
+        and min(ay) <= max(by)
+        and min(by) <= max(ay)
+    )
+
+
+def _subtract_convex(pieces: Sequence[Polygon2], clip: _Ring) -> List[Polygon2]:
+    """Pieces minus one convex counterclockwise clip ring."""
+    out: List[Polygon2] = []
+    for piece in pieces:
+        rest = _ring(piece)
+        if not _boxes_meet(rest, clip):
+            out.append(piece)
             continue
-        if abs(ring_signed_area(cleaned)) < MIN_COMPONENT_AREA:
-            continue
-        out.append(Polygon2(tuple(Point2(x, y) for x, y in cleaned)))
-    return out
-
-
-def _region_from_rings(rings: List[_Ring]) -> Region:
-    return Region(components=tuple(_polygons_from_rings(rings)))
-
-
-def _collapse_ring(ring: _Ring) -> _Ring:
-    """Merge consecutive vertices closer than the coincidence tolerance."""
-    from .polygon2d import COINCIDENCE_TOL
-
-    out: _Ring = []
-    for pt in ring:
-        if out and abs(pt[0] - out[-1][0]) <= COINCIDENCE_TOL and abs(
-            pt[1] - out[-1][1]
-        ) <= COINCIDENCE_TOL:
-            continue
-        out.append(pt)
-    while (
-        len(out) >= 2
-        and abs(out[0][0] - out[-1][0]) <= COINCIDENCE_TOL
-        and abs(out[0][1] - out[-1][1]) <= COINCIDENCE_TOL
-    ):
-        out.pop()
-    return out
-
-
-def _scale_of(a: _Ring, b: _Ring) -> float:
-    m = 1.0
-    for x, y in a + b:
-        m = max(m, abs(x), abs(y))
-    return m
-
-
-def _same_ring(a: _Ring, b: _Ring, tol: float) -> bool:
-    """True if the rings are the same cyclic sequence, either orientation."""
-    if len(a) != len(b):
-        return False
-    n = len(a)
-    for rev in (False, True):
-        bb = b[::-1] if rev else b
-        for shift in range(n):
-            if all(
-                abs(a[i][0] - bb[(i + shift) % n][0]) <= tol
-                and abs(a[i][1] - bb[(i + shift) % n][1]) <= tol
-                for i in range(n)
-            ):
-                return True
-    return False
-
-
-def _point_segment_dist(px, py, ax, ay, bx, by) -> float:
-    dx, dy = bx - ax, by - ay
-    L2 = dx * dx + dy * dy
-    if L2 == 0.0:
-        return math.hypot(px - ax, py - ay)
-    t = ((px - ax) * dx + (py - ay) * dy) / L2
-    t = min(1.0, max(0.0, t))
-    return math.hypot(px - (ax + t * dx), py - (ay + t * dy))
-
-
-def _is_degenerate(a: _Ring, b: _Ring, tol: float) -> bool:
-    """Any vertex of one ring within tol of the other ring's boundary.
-
-    This single test covers vertex-on-vertex, vertex-on-edge and (partial)
-    collinear edge overlap, which are exactly the configurations the
-    tracer cannot classify.
-    """
-    for ring, other in ((a, b), (b, a)):
-        n = len(other)
-        for px, py in ring:
-            for i in range(n):
-                ax, ay = other[i]
-                bx, by = other[(i + 1) % n]
-                if _point_segment_dist(px, py, ax, ay, bx, by) <= tol:
-                    return True
-    return False
-
-
-def _far_vertex(ring: _Ring, other: _Ring) -> Tuple[float, float]:
-    """Vertex of `ring` with the largest clearance from `other`'s boundary."""
-    best = ring[0]
-    best_d = -1.0
-    n = len(other)
-    for px, py in ring:
-        d = min(
-            _point_segment_dist(
-                px, py, other[i][0], other[i][1],
-                other[(i + 1) % n][0], other[(i + 1) % n][1],
-            )
-            for i in range(n)
-        )
-        if d > best_d:
-            best_d = d
-            best = (px, py)
-    return best
-
-
-def _perturbed(ring: _Ring, attempt: int, scale: float) -> _Ring:
-    mag = _PERTURB_BASE * (10.0 ** attempt) * scale
-    out = []
-    for j, (x, y) in enumerate(ring):
-        ang = _GOLDEN * (j + 1) + 0.7 * (attempt + 1)
-        out.append((x + mag * math.cos(ang), y + mag * math.sin(ang)))
-    return out
-
-
-def _clip_pair(subject: _Ring, clip: _Ring, op: str) -> List[_Ring]:
-    """Clip a CCW subject ring against a simple clip ring.
-
-    op is "difference" or "intersection".  The clip ring is normalized to
-    CCW; degenerate inputs are perturbed deterministically and retried.
-    """
-    if ring_signed_area(clip) < 0:
-        clip = clip[::-1]
-    scale = _scale_of(subject, clip)
-    tol = _DEGENERACY_TOL * scale
-
-    if _same_ring(subject, clip, tol):
-        return [] if op == "difference" else [list(subject)]
-
-    attempt = 0
-    cur_clip = clip
-    while True:
-        if not _is_degenerate(subject, cur_clip, tol):
-            try:
-                return _clip_generic(subject, cur_clip, op)
-            except _DegenerateError:
-                pass
-        if attempt >= _MAX_ATTEMPTS:
-            raise RuntimeError("polygon clipping failed to resolve degeneracy")
-        cur_clip = _perturbed(clip, attempt, scale)
-        attempt += 1
-
-
-def _clip_generic(subject: _Ring, clip: _Ring, op: str) -> List[_Ring]:
-    subj_poly = Polygon2(tuple(Point2(x, y) for x, y in subject))
-    clip_poly = Polygon2(tuple(Point2(x, y) for x, y in clip))
-
-    s_first = _build_ring(subject)
-    c_first = _build_ring(clip)
-    n_inter = _insert_intersections(s_first, c_first)
-
-    if n_inter == 0:
-        # Classify containment from the vertex farthest from the other
-        # ring's boundary: a vertex grazing the boundary (closer than the
-        # intersection exclusion window) would give an arbitrary side.
-        s_in_c = contains(clip_poly, Point2(*_far_vertex(subject, clip)))
-        c_in_s = contains(subj_poly, Point2(*_far_vertex(clip, subject)))
-        if op == "difference":
-            if s_in_c:
-                return []
-            if c_in_s:
-                return [list(subject), clip[::-1]]
-            return [list(subject)]
-        else:
-            if s_in_c:
-                return [list(subject)]
-            if c_in_s:
-                return [list(clip)]
-            return []
-
-    if n_inter % 2 != 0:
-        raise _DegenerateError("odd intersection count")
-
-    _classify(s_first, clip_poly)
-    _classify(c_first, subj_poly)
-
-    if op == "difference":
-        # Complement the subject's flags: the trace then follows the
-        # subject where it is outside the clip ring and the clip ring
-        # backward where it is inside the subject.
-        for node in _ring_nodes(s_first):
-            if node.is_intersection:
-                node.entry = not node.entry
-    rings = _trace(s_first)
-    # Traced cycles are always solid boundaries (holes only arise in the
-    # no-intersection containment cases above), but the traversal direction
-    # depends on the starting node's flag; normalize to counterclockwise.
-    return [r if ring_signed_area(r) >= 0 else r[::-1] for r in rings]
-
-
-def _build_ring(pts: _Ring) -> _Node:
-    first: Optional[_Node] = None
-    prev: Optional[_Node] = None
-    for pt in pts:
-        node = _Node(pt)
-        if first is None:
-            first = node
-        else:
-            prev.next = node
-            node.prev = prev
-        prev = node
-    prev.next = first
-    first.prev = prev
-    return first
-
-
-def _ring_nodes(first: _Node) -> List[_Node]:
-    out = [first]
-    cur = first.next
-    while cur is not first:
-        out.append(cur)
-        cur = cur.next
-    return out
-
-
-def _insert_intersections(s_first: _Node, c_first: _Node) -> int:
-    """Find all proper edge crossings and splice paired nodes into both rings.
-
-    Nodes on one edge are inserted in order of the fractional edge
-    parameter; twins cross-link the two rings.
-    """
-    s_edges = [n for n in _ring_nodes(s_first)]
-    c_edges = [n for n in _ring_nodes(c_first)]
-
-    # per original edge: list of (param, node) to splice after sorting
-    pending_s: dict = {id(n): [] for n in s_edges}
-    pending_c: dict = {id(n): [] for n in c_edges}
-    count = 0
-    for sn in s_edges:
-        a1 = Point2(*sn.pt)
-        a2 = Point2(*sn.next.pt)
-        for cn in c_edges:
-            b1 = Point2(*cn.pt)
-            b2 = Point2(*cn.next.pt)
-            hit = segment_intersection(a1, a2, b1, b2)
-            if hit is None:
-                continue
-            pt, t, u = hit
-            ns = _Node((pt.x, pt.y), is_intersection=True)
-            nc = _Node((pt.x, pt.y), is_intersection=True)
-            ns.twin = nc
-            nc.twin = ns
-            pending_s[id(sn)].append((t, ns))
-            pending_c[id(cn)].append((u, nc))
-            count += 1
-
-    for edges, pending in ((s_edges, pending_s), (c_edges, pending_c)):
-        for edge_start in edges:
-            items = pending[id(edge_start)]
-            if not items:
-                continue
-            items.sort(key=lambda x: x[0])
-            cur = edge_start
-            for _, node in items:
-                nxt = cur.next
-                cur.next = node
-                node.prev = cur
-                node.next = nxt
-                nxt.prev = node
-                cur = node
-    return count
-
-
-def _classify(first: _Node, other: Polygon2) -> None:
-    """Mark every intersection node as entry or exit w.r.t. `other`.
-
-    Each node is classified from the midpoint of the ring segment just
-    before it: if that sample is inside the other polygon the crossing
-    leaves it (exit), otherwise it enters.  The resulting flags must
-    alternate along the ring; a violation means the configuration is not
-    generic and triggers a perturbation retry.
-    """
-    nodes = [n for n in _ring_nodes(first) if n.is_intersection]
-    for node in nodes:
-        mx = 0.5 * (node.prev.pt[0] + node.pt[0])
-        my = 0.5 * (node.prev.pt[1] + node.pt[1])
-        inside = contains(other, Point2(mx, my))
-        node.entry = not inside
-    for a, b in zip(nodes, nodes[1:] + nodes[:1]):
-        if a.entry == b.entry:
-            raise _DegenerateError("entry/exit alternation violated")
-
-
-def _trace(s_first: _Node) -> List[_Ring]:
-    """Extract result cycles: forward along a ring from entry nodes,
-    backward from exit nodes, switching rings at every intersection."""
-    results: List[_Ring] = []
-    for start in (n for n in _ring_nodes(s_first) if n.is_intersection):
-        if start.visited:
-            continue
-        pts: _Ring = []
-        cur = start
-        guard = 0
-        while True:
-            cur.visited = True
-            cur.twin.visited = True
-            if cur.entry:
-                while True:
-                    pts.append(cur.pt)
-                    cur = cur.next
-                    if cur.is_intersection:
-                        break
-            else:
-                while True:
-                    pts.append(cur.pt)
-                    cur = cur.prev
-                    if cur.is_intersection:
-                        break
-            cur = cur.twin
-            guard += 1
-            if guard > 10000:
-                raise _DegenerateError("tracing did not terminate")
-            if cur.visited:
+        for e0, e1 in _edges(clip):
+            rest, outside = _split(rest, e0, e1)
+            poly = clean_ring(outside)
+            if poly is not None:
+                out.append(poly)
+            if len(rest) < 3:
                 break
-        results.append(pts)
-    return results
+    return out
+
+
+def _split(ring: _Ring, a: _Point, b: _Point) -> Tuple[_Ring, _Ring]:
+    """(inside, outside): the parts of a convex ring left and right of the
+    directed line a -> b.  A vertex on the line goes to both parts; an
+    edge that crosses the line is cut at one shared point."""
+    ax, ay = a
+    dx, dy = b[0] - ax, b[1] - ay
+    sides = [dx * (y - ay) - dy * (x - ax) for x, y in ring]
+    if min(sides) >= 0.0:
+        return ring, []
+    if max(sides) <= 0.0:
+        return [], ring
+    inside: _Ring = []
+    outside: _Ring = []
+    n = len(ring)
+    for i in range(n):
+        p, s = ring[i], sides[i]
+        if s >= 0.0:
+            inside.append(p)
+        if s <= 0.0:
+            outside.append(p)
+        q, t = ring[(i + 1) % n], sides[(i + 1) % n]
+        if (s > 0.0 > t) or (s < 0.0 < t):
+            f = s / (s - t)
+            cut = (p[0] + f * (q[0] - p[0]), p[1] + f * (q[1] - p[1]))
+            inside.append(cut)
+            outside.append(cut)
+    return inside, outside
+
+
+def _turn(a, b, c) -> float:
+    """Cross product of (b - a) and (c - b): positive for a left turn at b."""
+    return (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
+
+
+def _is_convex(ring: _Ring) -> bool:
+    n = len(ring)
+    return all(_turn(ring[i - 1], ring[i], ring[(i + 1) % n]) >= 0.0 for i in range(n))
+
+
+def _convex_pieces(p: Polygon2) -> Tuple[Polygon2, ...]:
+    """A polygon as disjoint convex counterclockwise pieces: itself
+    (reoriented if clockwise) when convex, else cut by ear clipping."""
+    ring = _ring(p)
+    if ring_signed_area(ring) < 0:
+        p = p.reversed()
+        ring.reverse()
+    if _is_convex(ring):
+        return (p,)
+    pieces: List[Polygon2] = []
+    while not _is_convex(ring):
+        n = len(ring)
+        for i in range(n):
+            a, b, c = ring[i - 1], ring[i], ring[(i + 1) % n]
+            if _turn(a, b, c) > 0.0 and not any(
+                _turn(a, b, q) > 0.0 and _turn(b, c, q) > 0.0 and _turn(c, a, q) > 0.0
+                for k, q in enumerate(ring)
+                if k not in ((i - 1) % n, i, (i + 1) % n)
+            ):
+                break
+        else:
+            raise ValueError("polygon is not simple: no ear to cut")
+        ear = clean_ring([a, b, c])
+        if ear is not None:
+            pieces.append(ear)
+        del ring[i]
+    rest = clean_ring(ring)
+    if rest is not None:
+        pieces.append(rest)
+    return tuple(pieces)

@@ -18,9 +18,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .clip import Region, difference, region_area
+from .clip import Region, clean_ring, difference, region_area
 from .linalg3 import Vec3
-from .polygon2d import Point2, Polygon2, ring_signed_area
+from .polygon2d import Point2, Polygon2
 from .shading import (
     EfficiencyResult,
     Heliostat,
@@ -43,8 +43,6 @@ __all__ = [
     "format_report",
     "write_report",
 ]
-
-_MIN_QUAD_AREA = 1e-12
 
 # Relative widening of the reach bound, far above the rounding of the
 # projected coordinates, so a neighbour whose image just touches the
@@ -551,16 +549,7 @@ def _culled(xy: np.ndarray, hx: float, hy: float) -> np.ndarray:
 
 
 def _quad_poly(xy: np.ndarray) -> Optional[Polygon2]:
-    from .clip import _collapse_ring
-
-    ring = _collapse_ring([(float(x), float(y)) for x, y in xy])
-    if len(ring) < 3:
-        return None
-    if abs(ring_signed_area(ring)) < _MIN_QUAD_AREA:
-        return None
-    if ring_signed_area(ring) < 0:
-        ring = ring[::-1]
-    return Polygon2(tuple(Point2(x, y) for x, y in ring))
+    return clean_ring([(float(x), float(y)) for x, y in xy])
 
 
 def subject_efficiency(

@@ -76,19 +76,12 @@ def signed_area(p: Polygon2) -> float:
     Terms are combined with exact summation so reversing the ring negates
     the result exactly.
     """
-    ring = p.ring
-    n = len(ring)
-    terms = []
-    for i in range(n):
-        a = ring[i]
-        b = ring[(i + 1) % n]
-        terms.append(a.x * b.y)
-        terms.append(-b.x * a.y)
-    return 0.5 * math.fsum(terms)
+    return ring_signed_area([(v.x, v.y) for v in p.ring])
 
 
 def ring_signed_area(pts: Sequence[Tuple[float, float]]) -> float:
-    """Shoelace over a raw coordinate sequence (no Polygon2 validation)."""
+    """Shoelace over a raw coordinate sequence (no Polygon2 validation);
+    `signed_area` for a bare ring."""
     n = len(pts)
     terms = []
     for i in range(n):

@@ -1,8 +1,9 @@
 """SVG rendering of the subject-plane picture.
 
 Draws exactly the geometry used in the efficiency computation — subject
-outline, per-source shadow and block quads, residual region — in the
-subject's local frame, with a caption carrying the computed efficiency.
+outline, per-source shadow and block quads, residual region (as its
+convex pieces) — in the subject's local frame, with a caption carrying
+the computed efficiency.
 Colors are assigned per source heliostat by a stable hash so renders of
 the same field at different times stay comparable.
 """

@@ -7,7 +7,9 @@ import os
 import numpy as np
 import pytest
 
+from helioshade.clip import intersection, region_area
 from helioshade.linalg3 import Vec3
+from helioshade.polygon2d import contains_many, signed_area
 from helioshade.shading import Heliostat, orient
 from helioshade.solar import solar_position, sun_vector
 
@@ -96,6 +98,64 @@ def random_config(rng):
     eta = float(rng.uniform(math.radians(8.0), math.radians(75.0)))
     theta = float(rng.uniform(-math.pi, math.pi))
     return field, sun_vector(eta, theta)
+
+
+def is_convex_ccw(poly, tol=1e-12):
+    """Counterclockwise, and no turn of the ring is a right turn by more
+    than an angle whose sine is `tol` (rounding of cut points)."""
+    e = np.roll(poly.xy(), -1, axis=0) - poly.xy()
+    f = np.roll(e, -1, axis=0)
+    cross = e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0]
+    lengths = np.hypot(e[:, 0], e[:, 1]) * np.hypot(f[:, 0], f[:, 1])
+    return signed_area(poly) > 0.0 and bool(np.all(cross >= -tol * lengths))
+
+
+def pieces_disjoint(region, tol=1e-12):
+    """No two pieces of the region overlap by more than `tol` of area."""
+    pieces = region.components
+    return all(
+        region_area(intersection(p, q)) <= tol
+        for i, p in enumerate(pieces)
+        for q in pieces[i + 1 :]
+    )
+
+
+def _boundary_distance(poly, xs, ys):
+    v = poly.xy()
+    d = np.full(np.shape(xs), np.inf)
+    for (ax, ay), (bx, by) in zip(v, np.roll(v, -1, axis=0)):
+        dx, dy = bx - ax, by - ay
+        t = np.clip(((xs - ax) * dx + (ys - ay) * dy) / (dx * dx + dy * dy), 0.0, 1.0)
+        d = np.minimum(d, np.hypot(xs - (ax + t * dx), ys - (ay + t * dy)))
+    return d
+
+
+def region_matches(region, in_set, boundaries, cells=200, tol=1e-9):
+    """True if the region's pieces cover exactly the set that the mask
+    function `in_set(xs, ys)` describes, whose edges are those of the
+    polygons `boundaries`: every piece vertex lies in the closed set, and
+    on a cells x cells grid every sample farther than `tol` from an edge
+    is in a piece exactly when it is in the set."""
+
+    def near_edge(xs, ys):
+        return np.min([_boundary_distance(p, xs, ys) for p in boundaries], axis=0) <= tol
+
+    for piece in region.components:
+        xs, ys = piece.xy().T
+        if not np.all(in_set(xs, ys) | near_edge(xs, ys)):
+            return False
+    pts = np.vstack([p.xy() for p in boundaries])
+    (x0, y0), (x1, y1) = pts.min(axis=0) - 0.5, pts.max(axis=0) + 0.5
+    gx, gy = np.meshgrid(
+        x0 + (np.arange(cells) + 0.5) * (x1 - x0) / cells,
+        y0 + (np.arange(cells) + 0.5) * (y1 - y0) / cells,
+    )
+    gx, gy = gx.ravel(), gy.ravel()
+    covered = np.zeros(gx.shape, dtype=bool)
+    for piece in region.components:
+        covered |= contains_many(piece, gx, gy)
+    clear = ~near_edge(gx, gy)
+    return bool(np.array_equal(covered[clear], in_set(gx, gy)[clear]))
 
 
 @pytest.fixture

@@ -11,16 +11,19 @@ import numpy as np
 import pytest
 
 from conftest import (
+    is_convex_ccw,
     oriented,
+    pieces_disjoint,
     random_config,
     real_scenario_heliostats,
+    region_matches,
     simple_trio,
     sun_at,
 )
 from helioshade.clip import Region, difference, intersection, region_area
 from helioshade.field import evaluate_field, format_report, synthetic_field
 from helioshade.oracle import OracleConfig, sample_efficiency
-from helioshade.polygon2d import Polygon2, signed_area
+from helioshade.polygon2d import Polygon2, contains_many, signed_area
 from helioshade.shading import efficiency
 
 
@@ -133,14 +136,12 @@ def test_acceptance_clipping_properties():
     a = Polygon2([(0, 0), (4, 0), (4, 4), (0, 4)])
     b = Polygon2([(3, 3), (5, 3), (5, 5), (3, 5)])
     r = difference(Region.from_polygon(a), b)
-    expected = [(4, 3), (3, 3), (3, 4), (0, 4), (0, 0), (4, 0)]
-    pts = [(p.x, p.y) for p in r.components[0].ring]
-    trace_ok = len(r.components) == 1 and any(
-        all(
-            abs(x - ex) < 1e-9 and abs(y - ey) < 1e-9
-            for (x, y), (ex, ey) in zip(pts[s:] + pts[:s], expected)
-        )
-        for s in range(len(pts))
+    expected = Polygon2([(4, 3), (3, 3), (3, 4), (0, 4), (0, 0), (4, 0)])
+    trace_ok = (
+        abs(region_area(r) - 15.0) <= 1e-12
+        and all(is_convex_ccw(c) for c in r.components)
+        and pieces_disjoint(r)
+        and region_matches(r, lambda x, y: contains_many(expected, x, y), [expected])
     )
 
     rng = np.random.default_rng(7)
@@ -178,7 +179,7 @@ def test_acceptance_clipping_properties():
         "clipping property suite (1000 random quad pairs + traced figure)",
         trace_ok and props_ok,
         f"area conservation worst rel err {worst_rel:.2e} (<=1e-9), "
-        f"idempotence/monotonicity hold, traced cycle matches",
+        f"idempotence/monotonicity hold, figure is the expected convex partition",
     )
 
 

@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
 
-from helioshade.clip import (
-    Region,
-    difference,
-    intersection,
-    region_area,
-    segment_intersection,
-)
-from helioshade.polygon2d import Point2, Polygon2, contains_many, signed_area
+from conftest import is_convex_ccw, pieces_disjoint, region_matches
+from helioshade.clip import Region, difference, intersection, region_area
+from helioshade.polygon2d import Polygon2, contains_many, signed_area
 
 
 def square(x0, y0, s):
@@ -31,35 +26,6 @@ def cycles_equal(ring, expected, tol=1e-9):
     return False
 
 
-# -- segment intersection ---------------------------------------------------
-
-
-def test_segment_symmetric_crossing():
-    hit = segment_intersection(
-        Point2(0, 0), Point2(1, 1), Point2(0, 1), Point2(1, 0)
-    )
-    assert hit is not None
-    p, ta, tb = hit
-    assert (p.x, p.y) == pytest.approx((0.5, 0.5), abs=1e-12)
-    assert (ta, tb) == pytest.approx((0.5, 0.5), abs=1e-12)
-
-
-def test_segment_disjoint_collinear():
-    assert (
-        segment_intersection(Point2(0, 0), Point2(1, 0), Point2(2, 0), Point2(3, 0))
-        is None
-    )
-
-
-def test_segment_endpoint_touch_is_not_proper():
-    # touching configurations resolve like slightly separated segments:
-    # no proper crossing is reported
-    assert (
-        segment_intersection(Point2(0, 0), Point2(1, 0), Point2(1, 0), Point2(2, 1))
-        is None
-    )
-
-
 # -- difference golden figure ----------------------------------------------
 
 
@@ -67,10 +33,11 @@ def test_difference_traced_cycle():
     a = Polygon2([(0, 0), (4, 0), (4, 4), (0, 4)])
     b = Polygon2([(3, 3), (5, 3), (5, 5), (3, 5)])
     r = difference(Region.from_polygon(a), b)
-    assert len(r.components) == 1
-    expected = [(4, 3), (3, 3), (3, 4), (0, 4), (0, 0), (4, 0)]
-    assert cycles_equal(r.components[0].ring, expected)
+    expected = Polygon2([(4, 3), (3, 3), (3, 4), (0, 4), (0, 0), (4, 0)])
     assert region_area(r) == pytest.approx(15.0, abs=1e-12)
+    assert all(is_convex_ccw(c) for c in r.components)
+    assert pieces_disjoint(r)
+    assert region_matches(r, lambda x, y: contains_many(expected, x, y), [expected])
 
 
 def test_difference_disjoint_keeps_subject():
@@ -91,11 +58,12 @@ def test_difference_hole():
     a = square(0, 0, 2)
     b = square(0.5, 0.5, 1)
     r = difference(Region.from_polygon(a), b)
-    assert len(r.components) == 2
-    areas = sorted(signed_area(c) for c in r.components)
-    assert areas[0] == pytest.approx(-1.0, abs=1e-12)  # clockwise hole
-    assert areas[1] == pytest.approx(4.0, abs=1e-12)
     assert region_area(r) == pytest.approx(3.0, abs=1e-12)
+    assert all(is_convex_ccw(c) for c in r.components)
+    assert pieces_disjoint(r)
+    assert region_matches(
+        r, lambda x, y: contains_many(a, x, y) & ~contains_many(b, x, y), [a, b]
+    )
 
 
 def test_difference_erases_identical():
@@ -165,6 +133,31 @@ def test_idempotence_and_monotonicity(rng):
         assert a2 == pytest.approx(a1, rel=1e-9, abs=1e-9)
 
 
+def test_random_quads_match_point_set(rng):
+    # many random quads are not convex, so this covers the ear-clipping cut
+    cut = overlapping = 0
+    for _ in range(100):
+        a = random_quad(rng)
+        b = random_quad(rng)
+        cut += len(Region.from_polygon(a).components) > 1
+        overlapping += region_area(intersection(a, b)) > 0.0
+
+        def in_a(x, y):
+            return contains_many(a, x, y)
+
+        def in_b(x, y):
+            return contains_many(b, x, y)
+
+        for r, in_set in (
+            (intersection(a, b), lambda x, y: in_a(x, y) & in_b(x, y)),
+            (difference(a, b), lambda x, y: in_a(x, y) & ~in_b(x, y)),
+        ):
+            assert all(is_convex_ccw(c) for c in r.components)
+            assert pieces_disjoint(r)
+            assert region_matches(r, in_set, [a, b])
+    assert cut > 10 and overlapping > 20
+
+
 def _raster_area(region_or_poly, x0, y0, x1, y1, cells=2048):
     xs = np.linspace(x0, x1, cells, endpoint=False) + (x1 - x0) / cells / 2.0
     ys = np.linspace(y0, y1, cells, endpoint=False) + (y1 - y0) / cells / 2.0
@@ -184,16 +177,16 @@ def test_raster_oracle_agreement(rng):
     for _ in range(5):
         a = random_quad(rng)
         b = random_quad(rng)
-        r = intersection(a, b)
-        pts = np.vstack([a.xy(), b.xy()])
-        x0, y0 = pts.min(axis=0) - 0.1
-        x1, y1 = pts.max(axis=0) + 0.1
-        approx, cell = _raster_area(r, x0, y0, x1, y1)
-        exact = region_area(r)
-        perim = sum(
-            float(np.sum(np.hypot(*np.diff(np.vstack([c.xy(), c.xy()[:1]]), axis=0).T)))
-            for c in r.components
-        )
-        cell_len = np.sqrt(cell)
-        tol = max(2.0 * cell_len * (perim + 4.0 * cell_len), 4.0 * cell)
-        assert abs(approx - exact) <= tol
+        for r in (intersection(a, b), difference(a, b)):
+            pts = np.vstack([a.xy(), b.xy()])
+            x0, y0 = pts.min(axis=0) - 0.1
+            x1, y1 = pts.max(axis=0) + 0.1
+            approx, cell = _raster_area(r, x0, y0, x1, y1)
+            exact = region_area(r)
+            perim = sum(
+                float(np.sum(np.hypot(*np.diff(np.vstack([c.xy(), c.xy()[:1]]), axis=0).T)))
+                for c in r.components
+            )
+            cell_len = np.sqrt(cell)
+            tol = max(2.0 * cell_len * (perim + 4.0 * cell_len), 4.0 * cell)
+            assert abs(approx - exact) <= tol

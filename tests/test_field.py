@@ -6,7 +6,14 @@ import os
 import numpy as np
 import pytest
 
-from conftest import REAL_SCENARIO, SIMPLE_PAIR, random_config, sun_at
+from conftest import (
+    REAL_SCENARIO,
+    SIMPLE_PAIR,
+    is_convex_ccw,
+    pieces_disjoint,
+    random_config,
+    sun_at,
+)
 from helioshade.field import (
     FieldLayout,
     HeliostatSpec,
@@ -280,6 +287,40 @@ def test_report_matches_golden_digest(hhmm):
     report = evaluate_field(layout, sun, workers=1, date_label=f"01-21 {hhmm}")
     text = format_report(report, include_timing=False)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS[hhmm]
+
+
+def test_residual_is_disjoint_convex_partition():
+    layout = synthetic_field(250)
+    sun = sun_at(21, _hour("16:15"), layout.latitude_deg)
+    of = OrientedField(layout, sun)
+    shaded = 0
+    for j, record in enumerate(evaluate_field(layout, sun, workers=1).records):
+        if record.efficiency == 1.0:
+            continue
+        shaded += 1
+        residual = subject_efficiency(of, j).residual
+        assert all(is_convex_ccw(c) for c in residual.components)
+        assert pieces_disjoint(residual)
+        assert abs(region_area(residual) / record.area_total - record.efficiency) <= 1e-12
+    assert shaded > 200
+
+
+@pytest.mark.parametrize("offset", [(500.0, -300.0, 20.0), (-2000.0, 1500.0, 0.0)])
+@pytest.mark.parametrize("hhmm", ["07:45", "12:00", "16:15"])
+def test_translating_plant_leaves_efficiencies_unchanged(hhmm, offset):
+    layout = synthetic_field(120)
+    shift = Vec3(*offset)
+    moved = dataclasses.replace(
+        layout,
+        receivers=tuple((rid, pos + shift) for rid, pos in layout.receivers),
+        heliostats=tuple(
+            dataclasses.replace(h, center=h.center + shift) for h in layout.heliostats
+        ),
+    )
+    sun = sun_at(21, _hour(hhmm), layout.latitude_deg)
+    base = evaluate_field(layout, sun, workers=1).records
+    for a, b in zip(base, evaluate_field(moved, sun, workers=1).records, strict=True):
+        assert abs(a.efficiency - b.efficiency) <= 1e-12, a.id
 
 
 def test_report_format(tmp_path):

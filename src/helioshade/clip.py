@@ -11,14 +11,19 @@ goes on to the next edge, and what lies inside every edge is dropped.  A
 vertex on a clip line belongs to both halves, so no configuration is
 degenerate and nothing is traced or retried.  A non-convex input polygon
 is first cut into convex pieces by ear clipping.
+
+The work happens on plain coordinate rings, lists of (x, y) tuples:
+`subtract_rings` is the core the engine calls directly, and `Polygon2`
+is built only for the pieces of a returned `Region`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .polygon2d import COINCIDENCE_TOL, Polygon2, ring_signed_area, signed_area
+from .polygon2d import COINCIDENCE_TOL, Polygon2, ring_signed_area
 
 __all__ = [
     "Region",
@@ -26,6 +31,8 @@ __all__ = [
     "difference",
     "intersection",
     "region_area",
+    "rings_area",
+    "subtract_rings",
 ]
 
 # Pieces below this area are numerical slivers and are dropped; they would
@@ -44,25 +51,32 @@ class Region:
 
     @staticmethod
     def from_polygon(p: Polygon2) -> "Region":
-        return Region(components=_convex_pieces(p))
+        return Region.from_rings(_convex_rings(_ccw(_ring(p))))
+
+    @staticmethod
+    def from_rings(rings: Iterable[Sequence[Sequence[float]]]) -> "Region":
+        """Region of disjoint convex counterclockwise rings."""
+        return Region(components=tuple(Polygon2(r) for r in rings))
 
     @staticmethod
     def empty() -> "Region":
         return Region(components=())
 
 
-def clean_ring(pts: Sequence[_Point]) -> Optional[Polygon2]:
-    """Counterclockwise polygon from a raw ring, or None if nothing is left.
+def clean_ring(pts: Iterable[Sequence[float]]) -> Optional[_Ring]:
+    """Counterclockwise ring of (x, y) tuples from a raw ring, or None if
+    nothing is left.
 
     Consecutive vertices closer than the coincidence tolerance are merged,
     and a ring with fewer than 3 vertices or less than
-    `MIN_COMPONENT_AREA` of area is dropped.
+    `MIN_COMPONENT_AREA` of area is dropped.  A non-finite coordinate
+    raises `ValueError`, as it does in `Polygon2`.
     """
     out: _Ring = []
-    for pt in pts:
-        if out and _coincident(pt, out[-1]):
+    for x, y in pts:
+        if out and _coincident((x, y), out[-1]):
             continue
-        out.append(pt)
+        out.append((x, y))
     while len(out) >= 2 and _coincident(out[0], out[-1]):
         out.pop()
     if len(out) < 3:
@@ -70,23 +84,30 @@ def clean_ring(pts: Sequence[_Point]) -> Optional[Polygon2]:
     area = ring_signed_area(out)
     if abs(area) < MIN_COMPONENT_AREA:
         return None
+    # a NaN or infinite coordinate makes the shoelace sum non-finite
+    if not math.isfinite(area):
+        raise ValueError("degenerate polygon: non-finite coordinate")
     if area < 0:
-        out = out[::-1]
-    return Polygon2(out)
+        out.reverse()
+    return out
+
+
+def rings_area(rings: Iterable[_Ring]) -> float:
+    """Total area of counterclockwise rings."""
+    return sum(ring_signed_area(r) for r in rings)
 
 
 def region_area(r: Region) -> float:
     """Total area of the pieces."""
-    return sum(signed_area(c) for c in r.components)
+    return rings_area(_ring(c) for c in r.components)
 
 
 def intersection(a: Polygon2, b: Polygon2) -> Region:
     """Region of points in both polygons: each piece of `a` clipped by the
     half-planes of each piece of `b`."""
-    out: List[Polygon2] = []
-    pieces_b = [_ring(p) for p in _convex_pieces(b)]
-    for pa in _convex_pieces(a):
-        ring_a = _ring(pa)
+    out: List[_Ring] = []
+    pieces_b = _convex_rings(_ccw(_ring(b)))
+    for ring_a in _convex_rings(_ccw(_ring(a))):
         for ring_b in pieces_b:
             if not _boxes_meet(ring_a, ring_b):
                 continue
@@ -95,20 +116,34 @@ def intersection(a: Polygon2, b: Polygon2) -> Region:
                 rest, _ = _split(rest, e0, e1)
                 if len(rest) < 3:
                     break
-            poly = clean_ring(rest)
-            if poly is not None:
-                out.append(poly)
-    return Region(components=tuple(out))
+            ring = clean_ring(rest)
+            if ring is not None:
+                out.append(ring)
+    return Region.from_rings(out)
 
 
 def difference(subject: Union[Region, Polygon2], clip: Polygon2) -> Region:
     """Set difference subject \\ clip, as disjoint convex pieces."""
     if isinstance(subject, Polygon2):
         subject = Region.from_polygon(subject)
-    pieces = subject.components
-    for c in _convex_pieces(clip):
-        pieces = _subtract_convex(pieces, _ring(c))
-    return Region(components=tuple(pieces))
+    pieces = [_ring(p) for p in subject.components]
+    return Region.from_rings(subtract_rings(pieces, [_ccw(_ring(clip))]))
+
+
+def subtract_rings(pieces: Sequence[_Ring], clips: Iterable[_Ring]) -> List[_Ring]:
+    """Disjoint convex counterclockwise rings minus each clip ring in turn,
+    as disjoint convex counterclockwise rings; stops once nothing is left.
+
+    The ring-level core of `difference`.  Clip rings are counterclockwise,
+    as `clean_ring` returns them; a non-convex one is cut by ear clipping.
+    """
+    pieces = list(pieces)
+    for clip in clips:
+        for c in _convex_rings(clip):
+            pieces = _subtract_convex(pieces, c)
+        if not pieces:
+            break
+    return pieces
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +156,10 @@ def _coincident(p: _Point, q: _Point) -> bool:
 
 def _ring(p: Polygon2) -> _Ring:
     return [(v.x, v.y) for v in p.ring]
+
+
+def _ccw(ring: _Ring) -> _Ring:
+    return ring[::-1] if ring_signed_area(ring) < 0 else ring
 
 
 def _edges(ring: _Ring):
@@ -140,19 +179,19 @@ def _boxes_meet(a: _Ring, b: _Ring) -> bool:
     )
 
 
-def _subtract_convex(pieces: Sequence[Polygon2], clip: _Ring) -> List[Polygon2]:
+def _subtract_convex(pieces: Sequence[_Ring], clip: _Ring) -> List[_Ring]:
     """Pieces minus one convex counterclockwise clip ring."""
-    out: List[Polygon2] = []
+    out: List[_Ring] = []
     for piece in pieces:
-        rest = _ring(piece)
-        if not _boxes_meet(rest, clip):
+        if not _boxes_meet(piece, clip):
             out.append(piece)
             continue
+        rest = piece
         for e0, e1 in _edges(clip):
             rest, outside = _split(rest, e0, e1)
-            poly = clean_ring(outside)
-            if poly is not None:
-                out.append(poly)
+            ring = clean_ring(outside)
+            if ring is not None:
+                out.append(ring)
             if len(rest) < 3:
                 break
     return out
@@ -197,16 +236,13 @@ def _is_convex(ring: _Ring) -> bool:
     return all(_turn(ring[i - 1], ring[i], ring[(i + 1) % n]) >= 0.0 for i in range(n))
 
 
-def _convex_pieces(p: Polygon2) -> Tuple[Polygon2, ...]:
-    """A polygon as disjoint convex counterclockwise pieces: itself
-    (reoriented if clockwise) when convex, else cut by ear clipping."""
-    ring = _ring(p)
-    if ring_signed_area(ring) < 0:
-        p = p.reversed()
-        ring.reverse()
+def _convex_rings(ring: _Ring) -> List[_Ring]:
+    """A counterclockwise ring as disjoint convex counterclockwise rings:
+    itself when convex, else cut by ear clipping."""
     if _is_convex(ring):
-        return (p,)
-    pieces: List[Polygon2] = []
+        return [ring]
+    ring = list(ring)
+    pieces: List[_Ring] = []
     while not _is_convex(ring):
         n = len(ring)
         for i in range(n):
@@ -226,4 +262,4 @@ def _convex_pieces(p: Polygon2) -> Tuple[Polygon2, ...]:
     rest = clean_ring(ring)
     if rest is not None:
         pieces.append(rest)
-    return tuple(pieces)
+    return pieces

@@ -1,11 +1,13 @@
 """Field layouts, layout file I/O, synthetic benchmark layouts and the
 batch efficiency engine.
 
-The batch engine first keeps, per subject, only the neighbours within a
-sound reach bound (see `OrientedField.candidates`), then vectorizes their
-projection and culling with numpy; only the few surviving quads go
-through the polygon clipper.  Results are deterministic and assembled
-in heliostat order regardless of the worker count.
+The batch engine evaluates the subjects a block at a time: one reach
+mask selects the block's (subject, neighbour) pairs, keeping only the
+neighbours within a sound reach bound (see `OrientedField.candidates`),
+and all of those pairs are projected and culled as flat numpy arrays.
+Only the few surviving quads go through the polygon clipper, as plain
+coordinate rings.  Results are deterministic and assembled in heliostat
+order regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .clip import Region, clean_ring, difference, region_area
+from .clip import Region, clean_ring, rings_area, subtract_rings
 from .linalg3 import Vec3
-from .polygon2d import Point2, Polygon2
+from .polygon2d import Polygon2
 from .shading import (
     EfficiencyResult,
     Heliostat,
@@ -392,13 +394,19 @@ class OrientedField:
         every corner of mirror j, the offset is unbounded and every
         neighbour is kept; so is one whose distance is not a number.
         """
-        d = self.centers[:, :2] - self.centers[j, :2]
-        limit = (self.reach[j] + self.half_diagonals) * (1.0 + _REACH_SLACK)
+        return np.flatnonzero(self._near(j, j + 1)[0])
+
+    def _near(self, j0: int, j1: int) -> np.ndarray:
+        """(j1 - j0, n) mask: row b marks the candidates of subject j0 + b."""
+        x, y = self.centers[:, 0], self.centers[:, 1]
+        dx = x - x[j0:j1, None]
+        dy = y - y[j0:j1, None]
+        limit = (self.reach[j0:j1, None] + self.half_diagonals) * (1.0 + _REACH_SLACK)
         # "not beyond" rather than "within", so NaN geometry stays in and
         # fails in the projection exactly as without the prefilter
-        near = ~(np.einsum("ij,ij->i", d, d) > limit * limit)
-        near[j] = False
-        return np.flatnonzero(near)
+        near = ~(dx * dx + dy * dy > limit * limit)
+        near[np.arange(j1 - j0), np.arange(j0, j1)] = False
+        return near
 
 
 def _rotations_zxz(alpha, beta, gamma) -> np.ndarray:
@@ -421,125 +429,179 @@ def _rotations_zxz(alpha, beta, gamma) -> np.ndarray:
     return rz_g @ rx_b @ rz_a
 
 
+# Most (subject, neighbour) pairs one kernel call may consider.  A block
+# holds as many subjects as fit with every neighbour a candidate, so each
+# (P, 4) coordinate array stays within 256 kB even with the sun at the
+# horizon, where every neighbour is one.
+_PAIR_BUDGET = 8192
+
+# One surviving occluder quad: neighbour index, "block" or "shadow", and
+# its cleaned counterclockwise ring in the subject's local plane.
+_Quad = Tuple[int, str, List[Tuple[float, float]]]
+
+
+def _blocks(of: OrientedField) -> List[Tuple[int, int]]:
+    """Consecutive subject ranges [j0, j1) of at most `_PAIR_BUDGET`
+    (subject, neighbour) pairs each."""
+    size = max(1, _PAIR_BUDGET // max(1, of.n))
+    return [(j0, min(of.n, j0 + size)) for j0 in range(0, of.n, size)]
+
+
+def _local_xy(x, y, z, c, r):
+    """Subject-plane (x, y) of plant points: rotation rows r applied to
+    the offset from the subject centre c, written out term by term so a
+    pair's numbers do not depend on the arrays it is batched with."""
+    dx, dy, dz = x - c[0], y - c[1], z - c[2]
+    return (
+        r[0][0] * dx + r[0][1] * dy + r[0][2] * dz,
+        r[1][0] * dx + r[1][1] * dy + r[1][2] * dz,
+    )
+
+
+def _block_quads(
+    of: OrientedField, j0: int, j1: int, use_culling: bool = True
+) -> List[List[_Quad]]:
+    """Surviving occluder quads of each subject j0 <= j < j1, in field
+    order (block before shadow per occluder).
+
+    All (subject, candidate) pairs of the block are projected, straddle-
+    tested and culled as flat (P, 4) coordinate arrays; `use_culling=False`
+    takes every neighbour as a candidate and keeps every quad.  A pair
+    whose occluder lies entirely inside the valid projection region is
+    projected here; the rare one straddling a region boundary is clipped
+    in 3D by the scalar `block_image`/`shadow_image`.
+    """
+    if use_culling:
+        near = of._near(j0, j1)
+    else:
+        near = np.arange(of.n) != np.arange(j0, j1)[:, None]
+    rows, cols = np.nonzero(near)  # row-major: subjects keep field order
+
+    # per-subject constants, then gathered per pair
+    nx, ny, nz = of.normals[j0:j1].T
+    cx, cy, cz = of.centers[j0:j1].T
+    ax, ay, az = of.aims[j0:j1].T
+    u_s = of.sun.u_s
+    ux, uy, uz = u_s.x, u_s.y, u_s.z
+    plane_d = nx * cx + ny * cy + nz * cz
+    denom_s = nx * ux + ny * uy + nz * uz
+    side_t = nx * ax + ny * ay + nz * az - plane_d
+    hx, hy = of.dims[j0:j1].T / 2.0
+
+    def per_pair(v):
+        return v[rows, None]
+
+    c = (per_pair(cx), per_pair(cy), per_pair(cz))
+    rot = of.rotations[j0:j1][rows]
+    r = [[rot[:, i, k, None] for k in range(3)] for i in range(2)]
+    px, py, pz = np.moveaxis(of.corners[cols], 2, 0)  # each (P, 4)
+    side = px * per_pair(nx) + py * per_pair(ny) + pz * per_pair(nz) - per_pair(plane_d)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # shadow projection along the light direction: only the part of
+        # the occluder on the front side of the subject plane casts on
+        # the mirror
+        ok_s = (np.abs(denom_s) >= _PERP_TOL)[rows]
+        front = side >= 0.0
+        shadow_full = ok_s & front.all(axis=1)
+        shadow_part = ok_s & ~shadow_full & front.any(axis=1)
+        t_s = -side / per_pair(denom_s)
+        shadow_x, shadow_y = _local_xy(px + t_s * ux, py + t_s * uy, pz + t_s * uz, c, r)
+
+        # block projection from the aim point: a corner has a finite
+        # image only inside the slab 0 < side < side(aim)
+        ok_b = (side_t > 0.0)[rows]
+        upper = per_pair(side_t * (1.0 - 1e-9))
+        block_full = ok_b & ((side > 0.0) & (side < upper)).all(axis=1)
+        block_part = (
+            ok_b
+            & ~block_full
+            & ~(side <= 0.0).all(axis=1)
+            & ~(side >= upper).all(axis=1)
+        )
+        dx, dy, dz = per_pair(ax) - px, per_pair(ay) - py, per_pair(az) - pz
+        dist = np.sqrt(dx * dx + dy * dy + dz * dz)
+        dx, dy, dz = dx / dist, dy / dist, dz / dist
+        denom_b = dx * per_pair(nx) + dy * per_pair(ny) + dz * per_pair(nz)
+        t_b = -side / denom_b
+        block_full &= (dist > 0.0).all(axis=1) & (np.abs(denom_b) >= _PERP_TOL).all(
+            axis=1
+        )
+        block_x, block_y = _local_xy(px + t_b * dx, py + t_b * dy, pz + t_b * dz, c, r)
+
+    if use_culling:
+        shadow_full &= ~_culled(shadow_x, shadow_y, per_pair(hx), per_pair(hy))
+        block_full &= ~_culled(block_x, block_y, per_pair(hx), per_pair(hy))
+
+    keep = np.flatnonzero(block_full | shadow_full | block_part | shadow_part)
+    quads: List[List[_Quad]] = [[] for _ in range(j1 - j0)]
+    for s, i, bf, sf, bp, sp, ring_b, ring_s in zip(
+        rows[keep].tolist(),
+        cols[keep].tolist(),
+        block_full[keep].tolist(),
+        shadow_full[keep].tolist(),
+        block_part[keep].tolist(),
+        shadow_part[keep].tolist(),
+        np.stack([block_x[keep], block_y[keep]], axis=-1).tolist(),
+        np.stack([shadow_x[keep], shadow_y[keep]], axis=-1).tolist(),
+    ):
+        ring_b = ring_b if bf else None
+        ring_s = ring_s if sf else None
+        if bp or sp:
+            j = j0 + s
+            cs = [Vec3(*xyz) for xyz in of.corners[i].tolist()]
+            n_c = Vec3(float(nx[s]), float(ny[s]), float(nz[s]))
+            d = float(plane_d[s])
+            if bp:
+                aim = Vec3(*of.aims[j].tolist())
+                ring_b = _straddle_ring(of, j, block_image(cs, n_c, d, aim), use_culling)
+            if sp:
+                ring_s = _straddle_ring(of, j, shadow_image(cs, n_c, d, u_s), use_culling)
+        for kind, raw in (("block", ring_b), ("shadow", ring_s)):
+            if raw is not None:
+                ring = clean_ring(raw)
+                if ring is not None:
+                    quads[s].append((i, kind, ring))
+    return quads
+
+
+def _straddle_ring(
+    of: OrientedField, j: int, pts: Optional[List[Vec3]], use_culling: bool
+) -> Optional[List[Tuple[float, float]]]:
+    """Subject-plane ring of a scalar occluder image on mirror j, or None
+    if there is no image or it is culled."""
+    if pts is None:
+        return None
+    x, y, z = np.array([(q.x, q.y, q.z) for q in pts]).T
+    xs, ys = _local_xy(x, y, z, of.centers[j], of.rotations[j])
+    hx, hy = of.dims[j] / 2.0
+    if use_culling and _culled(xs, ys, hx, hy):
+        return None
+    return list(zip(xs.tolist(), ys.tolist()))
+
+
 def subject_quads(
     of: OrientedField, j: int, use_culling: bool = True
 ) -> List[ProjectedQuad]:
     """Surviving occluder quads for subject j, in field order (block
-    before shadow per occluder), as polygons in the subject's local plane.
+    before shadow per occluder), as polygons in the subject's local plane:
+    `_block_quads` for a block of one subject.
 
     Only the neighbours within reach (`OrientedField.candidates`) are
     projected; `use_culling=False` projects every neighbour and keeps
-    every quad.  Occluders entirely inside the valid projection region go
-    through the vectorized fast path; the rare occluder straddling a
-    region boundary is clipped in 3D by the scalar projection routines.
+    every quad.
     """
-    if use_culling:
-        idx = of.candidates(j)
-    else:
-        idx = np.delete(np.arange(of.n), j)
-    k = len(idx)
-    n_c = of.normals[j]
-    x_c = of.centers[j]
-    rot = of.rotations[j]
-    hx, hy = of.dims[j] / 2.0
-    plane_d = float(n_c @ x_c)
-    u_s = of.sun.u_s.as_array()
-    corners = of.corners[idx]  # (k, 4, 3)
-    side = corners @ n_c - plane_d  # (k, 4), positive on the front side
-
-    def local_xy(pts):
-        return np.einsum("ij,naj->nai", rot, pts - x_c)[:, :, :2]
-
-    # shadow projection along the light direction: only the part of the
-    # occluder on the front side of the subject plane casts on the mirror
-    denom_s = float(n_c @ u_s)
-    if abs(denom_s) >= _PERP_TOL:
-        shadow_full = np.all(side >= 0.0, axis=1)
-        shadow_part = ~shadow_full & np.any(side >= 0.0, axis=1)
-        t_s = -side / denom_s
-        shadow_xy = local_xy(corners + t_s[:, :, None] * u_s)
-    else:
-        shadow_full = np.zeros(k, dtype=bool)
-        shadow_part = shadow_full.copy()
-        shadow_xy = np.zeros((k, 4, 2))
-
-    # block projection from the aim point: a corner has a finite image
-    # only inside the slab 0 < side < side(aim)
-    side_t = float(n_c @ of.aims[j]) - plane_d
-    if side_t > 0.0:
-        upper = side_t * (1.0 - 1e-9)
-        block_full = np.all((side > 0.0) & (side < upper), axis=1)
-        block_part = (
-            ~block_full
-            & ~np.all(side <= 0.0, axis=1)
-            & ~np.all(side >= upper, axis=1)
-        )
-        d = of.aims[j] - corners  # (k, 4, 3)
-        dist = np.linalg.norm(d, axis=2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u_ta = d / dist[:, :, None]
-            denom_b = u_ta @ n_c  # (k, 4)
-            t_b = -side / denom_b
-        block_full &= np.all(dist > 0.0, axis=1) & np.all(
-            np.abs(denom_b) >= _PERP_TOL, axis=1
-        )
-        with np.errstate(invalid="ignore"):
-            block_xy = local_xy(corners + t_b[:, :, None] * u_ta)
-    else:
-        block_full = np.zeros(k, dtype=bool)
-        block_part = block_full.copy()
-        block_xy = np.zeros((k, 4, 2))
-
-    if use_culling:
-        shadow_full &= ~_culled(shadow_xy, hx, hy)
-        block_full &= ~_culled(block_xy, hx, hy)
-
-    n_c_v = Vec3(float(n_c[0]), float(n_c[1]), float(n_c[2]))
-    target_v = Vec3(
-        float(of.aims[j][0]), float(of.aims[j][1]), float(of.aims[j][2])
-    )
-
-    def to_local(pts) -> np.ndarray:
-        arr = np.array([p.as_array() for p in pts])
-        return (arr - x_c) @ rot.T[:, :2]
-
-    quads: List[ProjectedQuad] = []
-    for r in np.flatnonzero(block_full | shadow_full | block_part | shadow_part):
-        ring_b = block_xy[r] if block_full[r] else None
-        ring_s = shadow_xy[r] if shadow_full[r] else None
-        if block_part[r] or shadow_part[r]:
-            cs = [
-                Vec3(float(c[0]), float(c[1]), float(c[2])) for c in corners[r]
-            ]
-            if block_part[r]:
-                pts = block_image(cs, n_c_v, plane_d, target_v)
-                if pts is not None:
-                    ring = to_local(pts)
-                    if not use_culling or not _culled(ring, hx, hy):
-                        ring_b = ring
-            if shadow_part[r]:
-                pts = shadow_image(cs, n_c_v, plane_d, of.sun.u_s)
-                if pts is not None:
-                    ring = to_local(pts)
-                    if not use_culling or not _culled(ring, hx, hy):
-                        ring_s = ring
-        source = of.ids[idx[r]]
-        if ring_b is not None:
-            q = _quad_poly(ring_b)
-            if q is not None:
-                quads.append(ProjectedQuad(source_id=source, kind="block", ring=q))
-        if ring_s is not None:
-            q = _quad_poly(ring_s)
-            if q is not None:
-                quads.append(ProjectedQuad(source_id=source, kind="shadow", ring=q))
-    return quads
+    return [_projected(of, q) for q in _block_quads(of, j, j + 1, use_culling)[0]]
 
 
-def _culled(xy: np.ndarray, hx: float, hy: float) -> np.ndarray:
-    """True for each ring (points on the second-to-last axis) whose points
-    all lie beyond one side of the 2hx x 2hy mirror: it cannot meet it."""
-    xs = xy[..., 0]
-    ys = xy[..., 1]
+def _projected(of: OrientedField, quad: _Quad) -> ProjectedQuad:
+    i, kind, ring = quad
+    return ProjectedQuad(source_id=of.ids[i], kind=kind, ring=Polygon2(ring))
+
+
+def _culled(xs: np.ndarray, ys: np.ndarray, hx, hy) -> np.ndarray:
+    """True for each ring (points on the last axis) whose points all lie
+    beyond one side of the 2hx x 2hy mirror: it cannot meet it."""
     return (
         np.all(xs > hx, axis=-1)
         | np.all(xs < -hx, axis=-1)
@@ -548,8 +610,14 @@ def _culled(xy: np.ndarray, hx: float, hy: float) -> np.ndarray:
     )
 
 
-def _quad_poly(xy: np.ndarray) -> Optional[Polygon2]:
-    return clean_ring([(float(x), float(y)) for x, y in xy])
+def _residual(of: OrientedField, j: int, quads: Sequence[_Quad]):
+    """(efficiency, residual rings) of subject j after subtracting its
+    quads in turn from the mirror outline."""
+    hx, hy = (of.dims[j] / 2.0).tolist()
+    outline = [(-hx, hy), (-hx, -hy), (hx, -hy), (hx, hy)]
+    pieces = subtract_rings([outline], (ring for _, _, ring in quads))
+    area = of.dims[j, 0] * of.dims[j, 1]
+    return min(1.0, max(0.0, rings_area(pieces) / area)), pieces
 
 
 def subject_efficiency(
@@ -558,21 +626,21 @@ def subject_efficiency(
     """Efficiency of subject j: its surviving quads (`subject_quads`) are
     subtracted in turn from the mirror outline, and the residual area is
     divided by the mirror area."""
-    hx, hy = of.dims[j] / 2.0
-    outline = Polygon2(
-        (Point2(-hx, hy), Point2(-hx, -hy), Point2(hx, -hy), Point2(hx, hy))
-    )
-    residual = Region.from_polygon(outline)
-    quads = subject_quads(of, j, use_culling=use_culling)
-    for quad in quads:
-        residual = difference(residual, quad.ring)
-        if not residual.components:
-            break
-    area = of.dims[j, 0] * of.dims[j, 1]
-    e = min(1.0, max(0.0, region_area(residual) / area))
+    quads = _block_quads(of, j, j + 1, use_culling)[0]
+    e, pieces = _residual(of, j, quads)
     return EfficiencyResult(
-        subject_id=of.ids[j], efficiency=e, residual=residual, quads=tuple(quads)
+        subject_id=of.ids[j],
+        efficiency=e,
+        residual=Region.from_rings(pieces),
+        quads=tuple(_projected(of, q) for q in quads),
     )
+
+
+def _block_efficiencies(
+    of: OrientedField, j0: int, j1: int, use_culling: bool
+) -> List[float]:
+    blocks = _block_quads(of, j0, j1, use_culling)
+    return [_residual(of, j, quads)[0] for j, quads in zip(range(j0, j1), blocks)]
 
 
 _POOL_FIELD: Optional[OrientedField] = None
@@ -583,9 +651,9 @@ def _pool_init(of: OrientedField) -> None:
     _POOL_FIELD = of
 
 
-def _pool_eval(args) -> float:
-    j, use_culling = args
-    return subject_efficiency(_POOL_FIELD, j, use_culling).efficiency
+def _pool_eval(args) -> List[float]:
+    j0, j1, use_culling = args
+    return _block_efficiencies(_POOL_FIELD, j0, j1, use_culling)
 
 
 def default_workers() -> int:
@@ -608,9 +676,10 @@ def evaluate_field(
 ) -> FieldReport:
     """Blocking-and-shadowing efficiency of every heliostat in the layout.
 
-    Orientation happens once for the whole field; per-subject evaluations
-    are independent and may fan out to a process pool.  Results are
-    identical for any worker count.
+    Orientation happens once for the whole field; the subjects are then
+    evaluated a block at a time (`_block_quads`), and the blocks are
+    independent and may fan out to a process pool.  Results are identical
+    for any worker count.
     """
     if workers is None:
         workers = default_workers()
@@ -621,6 +690,7 @@ def evaluate_field(
     n = of.n
     if n == 0:
         return FieldReport(sun=sun, date_label=date_label, records=(), average=1.0, duration=0.0)
+    tasks = [(j0, j1, use_culling) for j0, j1 in _blocks(of)]
     if workers > 1 and n > 1:
         import multiprocessing as mp
 
@@ -629,9 +699,10 @@ def evaluate_field(
         method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
         ctx = mp.get_context(method)
         with ctx.Pool(workers, initializer=_pool_init, initargs=(of,)) as pool:
-            effs = pool.map(_pool_eval, [(j, use_culling) for j in range(n)], chunksize=max(1, n // (4 * workers)))
+            parts = pool.map(_pool_eval, tasks, chunksize=1)
     else:
-        effs = [subject_efficiency(of, j, use_culling).efficiency for j in range(n)]
+        parts = [_block_efficiencies(of, *task) for task in tasks]
+    effs = [e for part in parts for e in part]
     duration = time.perf_counter() - start
     records = tuple(
         HeliostatRecord(

@@ -14,6 +14,7 @@ from conftest import (
     random_config,
     sun_at,
 )
+import helioshade.field as field_module
 from helioshade.field import (
     FieldLayout,
     HeliostatSpec,
@@ -29,9 +30,10 @@ from helioshade.field import (
     synthetic_field,
     write_report,
 )
-from helioshade.clip import intersection, region_area
+from helioshade.clip import intersection, region_area, subtract_rings
 from helioshade.linalg3 import Vec3
 from helioshade.shading import efficiency
+from helioshade.solar import solar_position, sun_vector
 
 
 # -- layout I/O --------------------------------------------------------------
@@ -321,6 +323,88 @@ def test_translating_plant_leaves_efficiencies_unchanged(hhmm, offset):
     base = evaluate_field(layout, sun, workers=1).records
     for a, b in zip(base, evaluate_field(moved, sun, workers=1).records, strict=True):
         assert abs(a.efficiency - b.efficiency) <= 1e-12, a.id
+
+
+@pytest.mark.parametrize("phi", [0.7, -2.1])
+@pytest.mark.parametrize("hhmm", ["07:45", "12:00", "16:15"])
+def test_rotating_plant_with_sun_leaves_efficiencies_unchanged(hhmm, phi):
+    # the field turned counterclockwise by phi about the tower axis, with
+    # the sun's azimuth turned with it; phi = -2.1 faces the field
+    # south-west
+    layout = synthetic_field(120)
+    assert all(pos.x == 0.0 and pos.y == 0.0 for _, pos in layout.receivers)
+    c, s = math.cos(phi), math.sin(phi)
+    turned = dataclasses.replace(
+        layout,
+        heliostats=tuple(
+            dataclasses.replace(
+                h,
+                center=Vec3(
+                    c * h.center.x - s * h.center.y,
+                    s * h.center.x + c * h.center.y,
+                    h.center.z,
+                ),
+            )
+            for h in layout.heliostats
+        ),
+    )
+    eta, theta = solar_position(21, _hour(hhmm), math.radians(layout.latitude_deg))
+    base = evaluate_field(layout, sun_vector(eta, theta), workers=1).records
+    moved = evaluate_field(turned, sun_vector(eta, theta - phi), workers=1).records
+    assert min(r.efficiency for r in base) < 1.0
+    for a, b in zip(base, moved, strict=True):
+        assert abs(a.efficiency - b.efficiency) <= 1e-9, a.id
+
+
+def test_pair_results_do_not_depend_on_their_block(monkeypatch):
+    # at a 1 degree sun nearly every neighbour is a candidate, so the pair
+    # budget splits the field into several blocks
+    layout = synthetic_field(300)
+    sun = sun_vector(math.radians(1.0), math.radians(250.0))
+    of = OrientedField(layout, sun)
+    assert len(field_module._blocks(of)) > 1
+
+    subtracted = []
+    straddles = []
+
+    def recording_subtract(pieces, clips):
+        clips = list(clips)
+        subtracted.append(clips)
+        return subtract_rings(pieces, clips)
+
+    def counting(image):
+        def wrapped(*args):
+            straddles.append(image.__name__)
+            return image(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(field_module, "subtract_rings", recording_subtract)
+    monkeypatch.setattr(field_module, "block_image", counting(field_module.block_image))
+    monkeypatch.setattr(field_module, "shadow_image", counting(field_module.shadow_image))
+    serial = format_report(evaluate_field(layout, sun, workers=1), include_timing=False)
+    assert straddles
+    assert len(subtracted) == of.n
+    monkeypatch.undo()
+
+    for j, clips in enumerate(subtracted):
+        alone = [[(v.x, v.y) for v in q.ring.ring] for q in subject_quads(of, j)]
+        assert [[tuple(p) for p in ring] for ring in clips] == alone, j
+    pooled = format_report(evaluate_field(layout, sun, workers=2), include_timing=False)
+    assert pooled == serial
+
+
+def test_non_finite_centre_fails_loudly():
+    # a heliostat list, unlike a layout file, can carry a NaN centre
+    helios = synthetic_field(5).to_heliostats()
+    helios[2] = dataclasses.replace(
+        helios[2], center=Vec3(math.nan, helios[2].center.y, helios[2].center.z)
+    )
+    sun = sun_at(21, 12.0, 38.23)
+    with pytest.raises(ValueError, match="non-finite coordinate"):
+        subject_efficiency(OrientedField(helios, sun), 0)
+    with pytest.raises(ValueError, match="non-finite coordinate"):
+        evaluate_field(_layout_of(helios), sun, workers=1)
 
 
 def test_report_format(tmp_path):

@@ -162,9 +162,10 @@ def cmd_bench(args) -> None:
     if args.n < 1:
         raise CliError("bench needs --n >= 1")
     layout = load_layout(args.layout) if args.layout else synthetic_field(args.n)
-    day = _day_of_year("01-21")
-    eta, theta = solar_position(day, 12.0, math.radians(layout.latitude_deg))
-    sun = sun_vector(eta, theta)
+    if args.eta is None and args.theta is None:
+        args.date = args.date or "01-21"
+        args.hour = args.hour or "12:00"
+    sun, _ = _resolve_sun(args, layout.latitude_deg)
     times = []
     average = 1.0
     for _ in range(args.reps):
@@ -240,7 +241,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output SVG path")
     p.set_defaults(func=cmd_render)
 
-    p = sub.add_parser("bench", help="time the batch engine on a synthetic field")
+    p = sub.add_parser(
+        "bench",
+        help="time the batch engine on a synthetic field; the sun defaults to 01-21 12:00",
+    )
+    _add_sun_args(p)
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--reps", type=int, default=10)
     p.add_argument("--layout", help="use this layout instead of a synthetic one")

@@ -1,13 +1,19 @@
 """Field layouts, layout file I/O, synthetic benchmark layouts and the
 batch efficiency engine.
 
-The batch engine evaluates the subjects a block at a time: one reach
-mask selects the block's (subject, neighbour) pairs, keeping only the
-neighbours within a sound reach bound (see `OrientedField.candidates`),
-and all of those pairs are projected and culled as flat numpy arrays.
-Only the few surviving quads go through the polygon clipper, as plain
-coordinate rings.  Results are deterministic and assembled in heliostat
-order regardless of the worker count.
+The batch engine keeps, for each subject, only the neighbours whose
+centres lie in one of two sound capsules: one toward the sun for
+shadows and one toward the aim point for blocking (see
+`OrientedField.candidates`); on the synthetic 1000-mirror field that is
+about 2 neighbours a subject at noon and 6 at a 6.5 degree sun.  A
+uniform grid over the mirror centres finds the capsule members without
+comparing every pair.  The (subject, neighbour) pairs stream out in
+field order and are cut into chunks of whole subjects with at most
+`_PAIR_BUDGET` actual pairs; each chunk's pairs are projected and
+culled as flat numpy arrays.  Only the few surviving quads go through
+the polygon clipper, as plain coordinate rings.  Results are
+deterministic and assembled in heliostat order regardless of the worker
+count.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,7 +52,7 @@ __all__ = [
     "write_report",
 ]
 
-# Relative widening of the reach bound, far above the rounding of the
+# Relative widening of the capsule radius, far above the rounding of the
 # projected coordinates, so a neighbour whose image just touches the
 # mirror in exact arithmetic is never dropped.
 _REACH_SLACK = 1e-9
@@ -318,6 +324,13 @@ class OrientedField:
         self.aims = np.array([h.aim.as_array() for h in helios]).reshape(n, 3)
         self.dims = np.array([[h.width, h.height] for h in helios]).reshape(n, 2)
         spins = np.array([h.spin for h in helios])
+        values = np.hstack([self.centers, self.aims, self.dims, spins[:, None]])
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+        if len(bad):
+            raise ValueError(f"heliostat {self.ids[bad[0]]!r} has a non-finite coordinate")
+        bad = np.flatnonzero(~(self.dims > 0.0).all(axis=1))
+        if len(bad):
+            raise ValueError(f"heliostat {self.ids[bad[0]]!r} has non-positive dimensions")
 
         u_s = sun.u_s.as_array()
         to_t = self.aims - self.centers
@@ -349,64 +362,172 @@ class OrientedField:
             np.einsum("nji,naj->nai", self.rotations, local) + self.centers[:, None, :]
         )
 
-        # reach prefilter constants, derived in `candidates`
+        # capsule prefilter constants, derived in `candidates`
         self.half_diagonals = 0.5 * np.hypot(self.dims[:, 0], self.dims[:, 1])
         z = self.corners[:, :, 2]
         dz = float(z.max() - z.min()) if n else 0.0
         sin_eta = -float(u_s[2])
-        shadow_reach = math.inf
-        if sin_eta > 0.0:
-            shadow_reach = dz * math.hypot(u_s[0], u_s[1]) / sin_eta
         rise = self.aims[:, 2] - z.max(axis=1)
-        run = np.hypot(to_t[:, 0], to_t[:, 1]) + self.half_diagonals
-        with np.errstate(divide="ignore", invalid="ignore"):
-            block_reach = np.where(rise > 0.0, dz * run / rise, math.inf)
-        self.reach = np.maximum(shadow_reach, block_reach) + self.half_diagonals
+        sun_up = sin_eta > 0.0 and math.isfinite(dz / sin_eta)
+        self.shadow_end = -u_s[:2] * (dz / sin_eta) if sun_up else np.zeros(2)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            block_end = np.minimum(1.0, dz / rise)[:, None] * to_t[:, :2]
+        # subjects whose every neighbour is a candidate
+        self.unbounded = ~(rise > 0.0) | ~np.isfinite(block_end).all(axis=1) | (not sun_up)
+        self.block_end = np.where(self.unbounded[:, None], 0.0, block_end)
+        self.grid = _Grid(self.centers[:, :2], 2.0 * self.half_diagonals.max()) if n else None
 
     def candidates(self, j: int) -> np.ndarray:
         """Ascending indices of the neighbours that can shadow or block
         mirror j; every other neighbour's images miss the mirror.
 
-        Let dz be the field-wide spread of corner heights and hd the
-        mirror half-diagonals.  A neighbour matters only if its shadow or
-        block image meets the mirror: some point p of the neighbour (or of
-        its part clipped to the valid side of the plane, a convex
-        combination of its corners) maps to a point q of mirror j.  Both
-        lie within the field's corner heights, so p_z - q_z <= dz.
+        Let dz be the field-wide spread of corner heights, hd the mirror
+        half-diagonals and the suffix h the horizontal part of a vector.
+        A neighbour i matters only if its shadow or block image meets
+        mirror j: some point p of i (or of its part clipped to the valid
+        side of the plane, a convex combination of its corners) maps to a
+        point q of mirror j.  Both lie within the field's corner heights,
+        and |p_h - c_i,h| <= hd_i, |q_h - c_j,h| <= hd_j.
 
         Shadow: q = p + t u_s with t >= 0, and u_s sinks at the solar
-        height eta, so p sits up-sun of q, p_z - q_z above it, at
-        horizontal offset (p_z - q_z) / tan(eta) <= dz / tan(eta).
+        height eta, so t = (p_z - q_z) / sin(eta) <= dz / sin(eta) and
+        p_h - q_h = -t u_s,h lies on the segment [0, S] with
+        S = -u_s,h dz / sin(eta), of length dz cot(eta) toward the sun
+        and the same for every subject.
 
         Block: p lies inside the slab between the mirror plane and the aim
         point T, hence on the segment from q to T: p = q + lam (T - q) with
-        0 < lam < 1.  With T above the mirror, p_z - q_z > 0 and the
-        horizontal offset is (p_z - q_z) / tan(eps), where the sight line
-        from q rises at
-        tan(eps) = (T_z - q_z) / |T_h - q_h|
-                >= (T_z - max corner z of j) / (|T_h - c_j,h| + hd_j),
-        so the offset is at most dz over that lower bound.
+        0 < lam < 1.  With rise_j = T_z - (max corner z of j) > 0,
+        lam = (p_z - q_z) / (T_z - q_z) <= dz / rise_j, and
+        p_h - c_j,h = (1 - lam)(q_h - c_j,h) + lam (T_h - c_j,h) lies
+        within hd_j of the segment [0, B_j] with
+        B_j = min(1, dz / rise_j) (T_h - c_j,h).
 
-        The horizontal distance from a mirror's centre to any of its
-        points is at most its half-diagonal, so a neighbour i can matter
-        only if |c_i,h - c_j,h| <= max(shadow, block offset) + hd_i + hd_j.
-        With the sun at or below the horizon, or the aim point not above
-        every corner of mirror j, the offset is unbounded and every
-        neighbour is kept; so is one whose distance is not a number.
+        So c_i,h - c_j,h lies within hd_i + hd_j of [0, S] (the shadow
+        capsule) or of [0, B_j] (the block capsule); the radius is widened
+        by `_REACH_SLACK`.  With the sun at or below the horizon, the aim
+        point not above every corner of mirror j, or a capsule length that
+        is not finite, every neighbour is a candidate.
         """
-        return np.flatnonzero(self._near(j, j + 1)[0])
+        return self.capsule_pairs(j, j + 1)[1]
 
-    def _near(self, j0: int, j1: int) -> np.ndarray:
-        """(j1 - j0, n) mask: row b marks the candidates of subject j0 + b."""
-        x, y = self.centers[:, 0], self.centers[:, 1]
-        dx = x - x[j0:j1, None]
-        dy = y - y[j0:j1, None]
-        limit = (self.reach[j0:j1, None] + self.half_diagonals) * (1.0 + _REACH_SLACK)
-        # "not beyond" rather than "within", so NaN geometry stays in and
-        # fails in the projection exactly as without the prefilter
-        near = ~(dx * dx + dy * dy > limit * limit)
-        near[np.arange(j1 - j0), np.arange(j0, j1)] = False
-        return near
+    def capsule_pairs(self, j0: int, j1: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Candidate pairs (subjects, neighbours) of the subjects
+        j0 <= j < j1, in row-major order with neighbours ascending: the
+        grid gathers the mirrors in the cells that cover the bounding boxes
+        of each subject's two capsules, and the exact capsule test keeps
+        the members."""
+        subjects = np.arange(j0, j1)
+        s, i = self.grid.gather(*self._capsule_boxes(subjects))
+        d_x, d_y = (self.centers[i, :2] - self.centers[s, :2]).T
+        radius = (self.half_diagonals[i] + self.half_diagonals[s]) * (1.0 + _REACH_SLACK)
+        r2 = radius * radius
+        keep = (s != i) & (
+            self.unbounded[s]
+            | (_segment_dist2(d_x, d_y, *self.shadow_end) <= r2)
+            | (_segment_dist2(d_x, d_y, *self.block_end[s].T) <= r2)
+        )
+        # sort, and drop the pairs found through both boxes of a subject
+        key = np.sort(s[keep] * self.n + i[keep])
+        key = key[np.diff(key, prepend=-1) != 0]
+        return np.divmod(key, self.n)
+
+    def _capsule_boxes(self, subjects: np.ndarray):
+        """Subjects and plant-frame bounding boxes (lo, hi) of their shadow
+        and block capsules, two entries per subject; a subject whose every
+        neighbour is a candidate gets the whole plane."""
+        # the largest radius of the subject's capsules, a little wider
+        # still, so rounding cannot put a member outside the box
+        radius = (self.half_diagonals[subjects] + self.half_diagonals.max()) * (
+            1.0 + 2.0 * _REACH_SLACK
+        )
+        ends = np.concatenate(
+            [np.broadcast_to(self.shadow_end, (len(subjects), 2)), self.block_end[subjects]]
+        )
+        c = np.tile(self.centers[subjects, :2], (2, 1))
+        r = np.tile(radius, 2)[:, None]
+        lo = c + np.minimum(ends, 0.0) - r
+        hi = c + np.maximum(ends, 0.0) + r
+        unbounded = np.tile(self.unbounded[subjects], 2)
+        lo[unbounded], hi[unbounded] = -math.inf, math.inf
+        return np.tile(subjects, 2), lo, hi
+
+    def _capsule_work(self) -> np.ndarray:
+        """Per subject, the grid rows and mirrors that `capsule_pairs`
+        visits for it: a bound on the size of its arrays."""
+        _, lo, hi = self._capsule_boxes(np.arange(self.n))
+        rows, mirrors = self.grid.box_sizes(lo, hi)
+        return (rows + mirrors).reshape(2, self.n).sum(axis=0)
+
+
+class _Grid:
+    """Uniform grid over the mirror centres: the broad phase of the
+    capsule prefilter, as in game collision detection (Ericson,
+    *Real-Time Collision Detection*, 2005, ch. 7).
+
+    A cell is `cell` wide (coarser if the field is sparse, so there are
+    at most 16 cells per mirror); the mirrors are sorted by cell, row
+    by row, ascending within a cell, and a summed-area table counts the
+    mirrors in any box of cells.
+    """
+
+    def __init__(self, xy: np.ndarray, cell: float):
+        self.origin = xy.min(axis=0)
+        span = xy.max(axis=0) - self.origin
+        while np.prod(span // cell + 1.0) > 16 * len(xy) + 64:
+            cell *= 2.0
+        self.cell = cell
+        self.nx, self.ny = self._index(xy.max(axis=0)) + 1
+        ix, iy = self._index(xy).T
+        key = iy * self.nx + ix
+        self.order = np.argsort(key, kind="stable")
+        counts = np.bincount(key, minlength=self.nx * self.ny)
+        self.start = np.concatenate([[0], np.cumsum(counts)])
+        self.table = np.zeros((self.ny + 1, self.nx + 1), dtype=np.intp)
+        self.table[1:, 1:] = counts.reshape(self.ny, self.nx).cumsum(axis=0).cumsum(axis=1)
+
+    def _index(self, xy: np.ndarray) -> np.ndarray:
+        return np.floor((xy - self.origin) / self.cell).astype(np.intp)
+
+    def _cells(self, lo: np.ndarray, hi: np.ndarray):
+        """Inclusive cell ranges (x0, y0, x1, y1) of boxes, clipped to the
+        grid; floor is monotone, so a centre inside a box lies in them."""
+        top = [self.nx - 1, self.ny - 1]
+        i0 = np.clip(np.floor((lo - self.origin) / self.cell), 0, top).astype(np.intp)
+        i1 = np.clip(np.floor((hi - self.origin) / self.cell), 0, top).astype(np.intp)
+        return i0[:, 0], i0[:, 1], i1[:, 0], i1[:, 1]
+
+    def box_sizes(self, lo: np.ndarray, hi: np.ndarray):
+        """(cell rows, mirrors) covered by each box."""
+        x0, y0, x1, y1 = self._cells(lo, hi)
+        t = self.table
+        mirrors = t[y1 + 1, x1 + 1] - t[y0, x1 + 1] - t[y1 + 1, x0] + t[y0, x0]
+        return y1 - y0 + 1, mirrors
+
+    def gather(self, owners: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        """(owner, mirror) for every mirror in the cells of each box: each
+        row of a box is one contiguous run of the sorted mirrors."""
+        x0, y0, x1, y1 = self._cells(lo, hi)
+        rows = y1 - y0 + 1
+        box = np.repeat(np.arange(len(owners)), rows)
+        base = (_ramp(rows) + y0[box]) * self.nx
+        first = self.start[base + x0[box]]
+        count = self.start[base + x1[box] + 1] - first
+        return np.repeat(owners[box], count), self.order[_ramp(count) + np.repeat(first, count)]
+
+
+def _ramp(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for each c in counts, concatenated."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _segment_dist2(x, y, vx, vy):
+    """Squared distance from points (x, y) to the segments [0, (vx, vy)]."""
+    vv = vx * vx + vy * vy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(vv > 0.0, np.clip((x * vx + y * vy) / vv, 0.0, 1.0), 0.0)
+    ex, ey = x - t * vx, y - t * vy
+    return ex * ex + ey * ey
 
 
 def _rotations_zxz(alpha, beta, gamma) -> np.ndarray:
@@ -429,22 +550,75 @@ def _rotations_zxz(alpha, beta, gamma) -> np.ndarray:
     return rz_g @ rx_b @ rz_a
 
 
-# Most (subject, neighbour) pairs one kernel call may consider.  A block
-# holds as many subjects as fit with every neighbour a candidate, so each
-# (P, 4) coordinate array stays within 256 kB even with the sun at the
-# horizon, where every neighbour is one.
-_PAIR_BUDGET = 8192
+# Most (subject, neighbour) pairs one kernel call may consider, unless one
+# subject alone has more.  A chunk's arrays and kept rings take about
+# 2 kB per pair; a budget of 8192 raised the peak RSS of a 1000-mirror
+# field at a 6.5 degree sun by 13 MB and saved no measurable time.
+_PAIR_BUDGET = 1024
+
+# Most grid rows plus gathered mirrors one selection window may visit.
+_GATHER_BUDGET = 8192
 
 # One surviving occluder quad: neighbour index, "block" or "shadow", and
 # its cleaned counterclockwise ring in the subject's local plane.
 _Quad = Tuple[int, str, List[Tuple[float, float]]]
 
+# Consecutive subjects j0 <= j < j1 and their (subject, neighbour) pairs,
+# in row-major order with neighbours ascending.
+_Chunk = Tuple[int, int, np.ndarray, np.ndarray]
 
-def _blocks(of: OrientedField) -> List[Tuple[int, int]]:
-    """Consecutive subject ranges [j0, j1) of at most `_PAIR_BUDGET`
-    (subject, neighbour) pairs each."""
-    size = max(1, _PAIR_BUDGET // max(1, of.n))
-    return [(j0, min(of.n, j0 + size)) for j0 in range(0, of.n, size)]
+
+def _pairs(of: OrientedField, j0: int, j1: int, use_culling: bool):
+    """(subjects, neighbours) of the subjects j0 <= j < j1: the capsule
+    candidates, or with `use_culling=False` every neighbour."""
+    if use_culling:
+        return of.capsule_pairs(j0, j1)
+    rows, cols = np.nonzero(np.arange(of.n) != np.arange(j0, j1)[:, None])
+    return rows + j0, cols
+
+
+def _cut(counts: np.ndarray, budget: int) -> Iterator[Tuple[int, int]]:
+    """Greedy ranges [k0, k1) of consecutive items whose counts sum to at
+    most `budget`, or of one item that alone has more."""
+    ends = np.cumsum(counts)
+    k0 = 0
+    while k0 < len(counts):
+        base = ends[k0 - 1] if k0 else 0
+        k1 = max(k0 + 1, int(np.searchsorted(ends, base + budget, side="right")))
+        yield k0, k1
+        k0 = k1
+
+
+def _blocks(of: OrientedField, use_culling: bool = True) -> Iterator[_Chunk]:
+    """The field's pair stream cut into chunks of whole consecutive
+    subjects with at most `_PAIR_BUDGET` pairs each; a subject with more
+    pairs than that is a chunk by itself.
+
+    The pairs are selected a window of subjects at a time, so the whole
+    pair list is never built; the last chunk of a window waits for the
+    next one, as it may still take more subjects.
+    """
+    if use_culling:
+        work = of._capsule_work()
+    else:
+        work = np.full(of.n, of.n)
+    subjects = neighbours = np.empty(0, dtype=np.intp)
+    j0 = 0  # first subject not yet in a chunk
+    for g0, g1 in _cut(work, _GATHER_BUDGET):
+        s, i = _pairs(of, g0, g1, use_culling)
+        subjects = np.concatenate([subjects, s])
+        neighbours = np.concatenate([neighbours, i])
+        # bounds[k]: pairs of the subjects j0 .. j0 + k - 1
+        bounds = np.searchsorted(subjects, np.arange(j0, g1 + 1))
+        ranges = list(_cut(np.diff(bounds), _PAIR_BUDGET))
+        if g1 < of.n:
+            ranges.pop()
+        for k0, k1 in ranges:
+            p0, p1 = bounds[k0], bounds[k1]
+            yield j0 + k0, j0 + k1, subjects[p0:p1], neighbours[p0:p1]
+        k = ranges[-1][1] if ranges else 0
+        subjects, neighbours = subjects[bounds[k]:], neighbours[bounds[k]:]
+        j0 += k
 
 
 def _local_xy(x, y, z, c, r):
@@ -459,23 +633,20 @@ def _local_xy(x, y, z, c, r):
 
 
 def _block_quads(
-    of: OrientedField, j0: int, j1: int, use_culling: bool = True
+    of: OrientedField, chunk: _Chunk, use_culling: bool = True
 ) -> List[List[_Quad]]:
-    """Surviving occluder quads of each subject j0 <= j < j1, in field
-    order (block before shadow per occluder).
+    """Surviving occluder quads of each subject j0 <= j < j1 of the chunk,
+    in field order (block before shadow per occluder).
 
-    All (subject, candidate) pairs of the block are projected, straddle-
+    All (subject, neighbour) pairs of the chunk are projected, straddle-
     tested and culled as flat (P, 4) coordinate arrays; `use_culling=False`
-    takes every neighbour as a candidate and keeps every quad.  A pair
-    whose occluder lies entirely inside the valid projection region is
-    projected here; the rare one straddling a region boundary is clipped
-    in 3D by the scalar `block_image`/`shadow_image`.
+    keeps every quad.  A pair whose occluder lies entirely inside the
+    valid projection region is projected here; the rare one straddling a
+    region boundary is clipped in 3D by the scalar
+    `block_image`/`shadow_image`.
     """
-    if use_culling:
-        near = of._near(j0, j1)
-    else:
-        near = np.arange(of.n) != np.arange(j0, j1)[:, None]
-    rows, cols = np.nonzero(near)  # row-major: subjects keep field order
+    j0, j1, subjects, cols = chunk
+    rows = subjects - j0  # row-major: subjects keep field order
 
     # per-subject constants, then gathered per pair
     nx, ny, nz = of.normals[j0:j1].T
@@ -585,13 +756,18 @@ def subject_quads(
 ) -> List[ProjectedQuad]:
     """Surviving occluder quads for subject j, in field order (block
     before shadow per occluder), as polygons in the subject's local plane:
-    `_block_quads` for a block of one subject.
+    `_block_quads` for a chunk of one subject.
 
-    Only the neighbours within reach (`OrientedField.candidates`) are
+    Only the capsule candidates (`OrientedField.candidates`) are
     projected; `use_culling=False` projects every neighbour and keeps
     every quad.
     """
-    return [_projected(of, q) for q in _block_quads(of, j, j + 1, use_culling)[0]]
+    return [_projected(of, q) for q in _subject_quads(of, j, use_culling)]
+
+
+def _subject_quads(of: OrientedField, j: int, use_culling: bool) -> List[_Quad]:
+    chunk = (j, j + 1, *_pairs(of, j, j + 1, use_culling))
+    return _block_quads(of, chunk, use_culling)[0]
 
 
 def _projected(of: OrientedField, quad: _Quad) -> ProjectedQuad:
@@ -626,7 +802,7 @@ def subject_efficiency(
     """Efficiency of subject j: its surviving quads (`subject_quads`) are
     subtracted in turn from the mirror outline, and the residual area is
     divided by the mirror area."""
-    quads = _block_quads(of, j, j + 1, use_culling)[0]
+    quads = _subject_quads(of, j, use_culling)
     e, pieces = _residual(of, j, quads)
     return EfficiencyResult(
         subject_id=of.ids[j],
@@ -637,10 +813,10 @@ def subject_efficiency(
 
 
 def _block_efficiencies(
-    of: OrientedField, j0: int, j1: int, use_culling: bool
+    of: OrientedField, chunk: _Chunk, use_culling: bool
 ) -> List[float]:
-    blocks = _block_quads(of, j0, j1, use_culling)
-    return [_residual(of, j, quads)[0] for j, quads in zip(range(j0, j1), blocks)]
+    blocks = _block_quads(of, chunk, use_culling)
+    return [_residual(of, j, quads)[0] for j, quads in zip(range(chunk[0], chunk[1]), blocks)]
 
 
 _POOL_FIELD: Optional[OrientedField] = None
@@ -652,8 +828,7 @@ def _pool_init(of: OrientedField) -> None:
 
 
 def _pool_eval(args) -> List[float]:
-    j0, j1, use_culling = args
-    return _block_efficiencies(_POOL_FIELD, j0, j1, use_culling)
+    return _block_efficiencies(_POOL_FIELD, *args)
 
 
 def default_workers() -> int:
@@ -677,9 +852,9 @@ def evaluate_field(
     """Blocking-and-shadowing efficiency of every heliostat in the layout.
 
     Orientation happens once for the whole field; the subjects are then
-    evaluated a block at a time (`_block_quads`), and the blocks are
-    independent and may fan out to a process pool.  Results are identical
-    for any worker count.
+    evaluated a chunk at a time (`_blocks`, `_block_quads`), and the
+    chunks are independent and may fan out to a process pool.  Results
+    are identical for any worker count.
     """
     if workers is None:
         workers = default_workers()
@@ -690,7 +865,7 @@ def evaluate_field(
     n = of.n
     if n == 0:
         return FieldReport(sun=sun, date_label=date_label, records=(), average=1.0, duration=0.0)
-    tasks = [(j0, j1, use_culling) for j0, j1 in _blocks(of)]
+    tasks = ((chunk, use_culling) for chunk in _blocks(of, use_culling))
     if workers > 1 and n > 1:
         import multiprocessing as mp
 
@@ -699,7 +874,9 @@ def evaluate_field(
         method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
         ctx = mp.get_context(method)
         with ctx.Pool(workers, initializer=_pool_init, initargs=(of,)) as pool:
-            parts = pool.map(_pool_eval, tasks, chunksize=1)
+            # imap feeds the chunks to the workers through a pipe that
+            # blocks while full, so the pair stream is never held whole
+            parts = list(pool.imap(_pool_eval, tasks))
     else:
         parts = [_block_efficiencies(of, *task) for task in tasks]
     effs = [e for part in parts for e in part]

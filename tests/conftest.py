@@ -62,8 +62,9 @@ def oriented(field, sun):
     return [orient(h, sun) for h in field]
 
 
-def random_config(rng):
-    """Random subject + 1..10 occluders near its tower sight line + sun.
+def random_config(rng, eta_deg=(8.0, 75.0)):
+    """Random subject + 1..10 occluders near its tower sight line + sun,
+    whose height is drawn from the `eta_deg` range in degrees.
 
     Occluders are dropped between the subject and the tower with lateral
     scatter so shadow/block images frequently land on (and overlap) the
@@ -95,7 +96,7 @@ def random_config(rng):
                 tower,
             )
         )
-    eta = float(rng.uniform(math.radians(8.0), math.radians(75.0)))
+    eta = float(rng.uniform(math.radians(eta_deg[0]), math.radians(eta_deg[1])))
     theta = float(rng.uniform(-math.pi, math.pi))
     return field, sun_vector(eta, theta)
 

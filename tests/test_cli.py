@@ -245,6 +245,23 @@ def test_bench_single_heliostat(capsys):
     assert "average_efficiency=1" in out
 
 
+def test_bench_takes_a_sun(capsys):
+    runs = [
+        run(capsys, "bench", "--n", "40", "--reps", "1", *sun)
+        for sun in ((), ("--hour", "16:15"), ("--date", "01-21", "--hour", "12:00"))
+    ]
+    assert all(code == 0 for code, _, _ in runs)
+    noon, low, dated = (out.split("average_efficiency=")[1] for _, out, _ in runs)
+    assert noon == dated
+    assert float(low) < float(noon)
+
+
+def test_bench_mixed_sun_forms_fail(capsys):
+    code, _, err = run(capsys, "bench", "--n", "5", "--eta", "10", "--hour", "16:15")
+    assert code != 0
+    assert err.startswith("error:") and "not both" in err
+
+
 def test_bench_invalid_n(capsys):
     code, _, err = run(capsys, "bench", "--n", "0")
     assert code != 0 and "error:" in err

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     REAL_SCENARIO,
@@ -271,6 +273,169 @@ def test_prefilter_keeps_every_overlapping_quad(rng):
     assert overlapping > 100
 
 
+def test_capsules_keep_every_overlapping_quad_at_low_sun(rng):
+    overlapping = 0
+    for _ in range(100):
+        helios, sun = random_config(rng, eta_deg=(1.0, 10.0))
+        of = OrientedField(_layout_of(helios), sun)
+        for j in range(of.n):
+            outline = helios[j].outline()
+            kept = {of.ids[i] for i in of.candidates(j)}
+            for quad in subject_quads(of, j, use_culling=False):
+                if region_area(intersection(outline, quad.ring)) > 1e-12:
+                    overlapping += 1
+                    assert quad.source_id in kept
+    assert overlapping > 100
+
+
+def _capsule_members(of):
+    """(n, n) mask of the capsule test over every (subject, neighbour)
+    pair, without the grid."""
+    d = of.centers[None, :, :2] - of.centers[:, None, :2]
+    r = (of.half_diagonals[None, :] + of.half_diagonals[:, None]) * (
+        1.0 + field_module._REACH_SLACK
+    )
+
+    def within(ends):
+        v = np.broadcast_to(ends, (of.n, 2))[:, None, :]
+        vv = (v * v).sum(axis=-1)
+        t = np.clip((d * v).sum(axis=-1) / np.where(vv > 0.0, vv, 1.0), 0.0, 1.0)
+        e = d - t[..., None] * v
+        return (e * e).sum(axis=-1) <= r * r
+
+    mask = of.unbounded[:, None] | within(of.shadow_end) | within(of.block_end)
+    np.fill_diagonal(mask, False)
+    return mask
+
+
+def _far_flung(n):
+    """synthetic_field(n) with every tenth mirror moved 20 km away, so the
+    grid has to coarsen its cells."""
+    layout = synthetic_field(n)
+    return dataclasses.replace(
+        layout,
+        heliostats=tuple(
+            dataclasses.replace(h, center=h.center + Vec3(20000.0 * (k % 10 == 0), 0.0, 0.0))
+            for k, h in enumerate(layout.heliostats)
+        ),
+    )
+
+
+def _low_aims(n):
+    """synthetic_field(n) as heliostats, every seventh aimed just above its
+    centre: below its top corner, so its every neighbour is a candidate."""
+    helios = synthetic_field(n).to_heliostats()
+    return [
+        dataclasses.replace(h, aim=Vec3(0.0, 0.0, h.center.z + 1.0)) if k % 7 == 0 else h
+        for k, h in enumerate(helios)
+    ]
+
+
+@pytest.mark.parametrize(
+    "layout,eta,theta,unbounded",
+    [
+        (synthetic_field(300), 1.0, 250.0, False),
+        (synthetic_field(300), 6.5, 244.0, False),
+        (synthetic_field(300), 31.6, 180.0, False),
+        (_low_aims(120), 6.5, 244.0, True),
+        (_far_flung(120), 1.0, 90.0, False),
+    ],
+    ids=["1deg", "6.5deg", "31.6deg", "low-aims", "far-flung"],
+)
+def test_grid_finds_exactly_the_capsule_members(layout, eta, theta, unbounded):
+    of = OrientedField(layout, sun_vector(math.radians(eta), math.radians(theta)))
+    assert of.unbounded.any() == unbounded
+    members = _capsule_members(of)
+    assert 0 < members.sum()
+    for j in range(of.n):
+        assert np.array_equal(of.candidates(j), np.flatnonzero(members[j])), j
+    subjects, neighbours = of.capsule_pairs(0, of.n)
+    assert np.array_equal(subjects * of.n + neighbours, np.flatnonzero(members))
+
+
+def test_random_configs_find_exactly_the_capsule_members(rng):
+    for _ in range(50):
+        helios, sun = random_config(rng, eta_deg=(1.0, 75.0))
+        of = OrientedField(helios, sun)
+        subjects, neighbours = of.capsule_pairs(0, of.n)
+        assert np.array_equal(subjects * of.n + neighbours, np.flatnonzero(_capsule_members(of)))
+
+
+@pytest.mark.parametrize("gather", [None, 300])
+@pytest.mark.parametrize("budget", [None, 8192, 700, 1])
+@pytest.mark.parametrize(
+    "sun",
+    [
+        sun_vector(math.radians(1.0), math.radians(250.0)),
+        sun_at(21, 16.25, RadialStaggerSpec().latitude_deg),
+    ],
+    ids=["1deg", "16:15"],
+)
+def test_chunks_hold_whole_subjects_within_budget(monkeypatch, sun, budget, gather):
+    # a small gather budget makes the selection windows end inside chunks
+    if budget is None:
+        budget = field_module._PAIR_BUDGET
+    monkeypatch.setattr(field_module, "_PAIR_BUDGET", budget)
+    if gather is not None:
+        monkeypatch.setattr(field_module, "_GATHER_BUDGET", gather)
+    of = OrientedField(synthetic_field(300), sun)
+    counts = [len(of.candidates(j)) for j in range(of.n)]
+    chunks = list(field_module._blocks(of))
+    assert [c[0] for c in chunks] == [0] + [c[1] for c in chunks[:-1]]
+    assert chunks[-1][1] == of.n
+    for k, (j0, j1, subjects, neighbours) in enumerate(chunks):
+        assert j0 < j1
+        assert np.array_equal(subjects, np.repeat(np.arange(j0, j1), counts[j0:j1]))
+        assert np.array_equal(
+            neighbours, np.concatenate([of.candidates(j) for j in range(j0, j1)])
+        )
+        assert len(subjects) <= budget or j1 - j0 == 1
+        if k + 1 < len(chunks):
+            # greedy: the next subject would not have fitted
+            assert len(subjects) + counts[j1] > budget
+
+
+_coord = st.floats(-40.0, 40.0)
+
+
+@st.composite
+def small_layouts(draw):
+    """1..12 mirrors scattered near a point of the plant, the receiver
+    above all of them."""
+    cx = draw(st.floats(-300.0, 300.0))
+    cy = draw(st.floats(-300.0, 300.0))
+    helios = tuple(
+        HeliostatSpec(
+            id=f"m{k}",
+            center=Vec3(cx + draw(_coord), cy + draw(_coord), draw(st.floats(0.0, 10.0))),
+            width=draw(st.floats(1.0, 15.0)),
+            height=draw(st.floats(1.0, 15.0)),
+            receiver="t",
+            spin=draw(st.floats(-math.pi, math.pi)),
+        )
+        for k in range(draw(st.integers(1, 12)))
+    )
+    tower = Vec3(0.0, 0.0, draw(st.floats(30.0, 200.0)))
+    return FieldLayout(latitude_deg=38.0, receivers=(("t", tower),), heliostats=helios)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    layout=small_layouts(),
+    eta=st.floats(2.0, 80.0),
+    theta=st.floats(-180.0, 180.0),
+)
+def test_random_layouts_give_one_valid_efficiency(layout, eta, theta):
+    layout.validate()
+    sun = sun_vector(math.radians(eta), math.radians(theta))
+    report = evaluate_field(layout, sun, workers=1)
+    of = OrientedField(layout, sun)
+    for j, record in enumerate(report.records):
+        assert math.isfinite(record.efficiency)
+        assert 0.0 <= record.efficiency <= 1.0
+        assert subject_efficiency(of, j).efficiency == record.efficiency
+
+
 # sha256 of the --no-timing report of synthetic_field(250) on 01-21, as
 # produced by the engine before the reach prefilter existed
 GOLDEN_REPORTS = {
@@ -357,12 +522,12 @@ def test_rotating_plant_with_sun_leaves_efficiencies_unchanged(hhmm, phi):
 
 
 def test_pair_results_do_not_depend_on_their_block(monkeypatch):
-    # at a 1 degree sun nearly every neighbour is a candidate, so the pair
-    # budget splits the field into several blocks
+    # at a 1 degree sun the shadow capsules are long, so the pair budget
+    # splits the field into several chunks
     layout = synthetic_field(300)
     sun = sun_vector(math.radians(1.0), math.radians(250.0))
     of = OrientedField(layout, sun)
-    assert len(field_module._blocks(of)) > 1
+    assert len(list(field_module._blocks(of))) > 1
 
     subtracted = []
     straddles = []
@@ -405,6 +570,16 @@ def test_non_finite_centre_fails_loudly():
         subject_efficiency(OrientedField(helios, sun), 0)
     with pytest.raises(ValueError, match="non-finite coordinate"):
         evaluate_field(_layout_of(helios), sun, workers=1)
+    # the mirror itself, named, rather than e = 1 from all-NaN geometry
+    with pytest.raises(ValueError, match="'h0002' has a non-finite coordinate"):
+        subject_efficiency(OrientedField(helios, sun), 2)
+    wide = synthetic_field(5).to_heliostats()
+    wide[4] = dataclasses.replace(wide[4], width=math.inf)
+    with pytest.raises(ValueError, match="'h0004' has a non-finite coordinate"):
+        OrientedField(wide, sun)
+    wide[4] = dataclasses.replace(wide[4], width=0.0)
+    with pytest.raises(ValueError, match="'h0004' has non-positive dimensions"):
+        OrientedField(wide, sun)
 
 
 def test_report_format(tmp_path):

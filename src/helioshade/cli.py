@@ -112,6 +112,9 @@ def cmd_efficiency(args) -> None:
 
 
 def cmd_sweep(args) -> None:
+    # also rejects nan; a step that does not advance would never end
+    if not args.step > 0.0:
+        raise CliError(f"--step must be positive, got {_fmt(args.step)}")
     layout = load_layout(args.layout)
     start = _parse_hhmm(args.start)
     end = _parse_hhmm(args.end)
@@ -161,6 +164,8 @@ def cmd_render(args) -> None:
 def cmd_bench(args) -> None:
     if args.n < 1:
         raise CliError("bench needs --n >= 1")
+    if args.reps < 1:
+        raise CliError("bench needs --reps >= 1")
     layout = load_layout(args.layout) if args.layout else synthetic_field(args.n)
     if args.eta is None and args.theta is None:
         args.date = args.date or "01-21"
@@ -184,6 +189,8 @@ def cmd_bench(args) -> None:
 
 
 def cmd_oracle_check(args) -> None:
+    if args.samples < 1:
+        raise CliError("oracle-check needs --samples >= 1")
     layout = load_layout(args.layout)
     sun, _ = _resolve_sun(args, layout.latitude_deg)
     # the 3D-ray oracle checks against the scalar mirror frames

@@ -10,10 +10,12 @@ uniform grid over the mirror centres finds the capsule members without
 comparing every pair.  The (subject, neighbour) pairs stream out in
 field order and are cut into chunks of whole subjects with at most
 `_PAIR_BUDGET` actual pairs; each chunk's pairs are projected and
-culled as flat numpy arrays.  Only the few surviving quads go through
-the polygon clipper, as plain coordinate rings.  Results are
-deterministic and assembled in heliostat order regardless of the worker
-count.
+culled as flat numpy arrays.  The few surviving quads are cleaned into
+plain coordinate rings, and one call of `clip.covered_areas` per chunk
+gives the shaded area of every subject in it, from the parts of the
+polygon edges that bound it, without building a residual polygon.
+Results are deterministic and assembled in heliostat order regardless
+of the worker count.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .clip import Region, clean_ring, rings_area, subtract_rings
+from .clip import Region, clean_ring, covered_areas, subtract_rings
 from .linalg3 import Vec3
 from .polygon2d import Polygon2
 from .shading import (
@@ -552,8 +554,9 @@ def _rotations_zxz(alpha, beta, gamma) -> np.ndarray:
 
 # Most (subject, neighbour) pairs one kernel call may consider, unless one
 # subject alone has more.  A chunk's arrays and kept rings take about
-# 2 kB per pair; a budget of 8192 raised the peak RSS of a 1000-mirror
-# field at a 6.5 degree sun by 13 MB and saved no measurable time.
+# 2 kB per pair, and `covered_areas` about 4 kB more at a 6.5 degree sun;
+# a budget of 8192 raised the peak RSS of a 1000-mirror field at that sun
+# by 13 MB (before `covered_areas`) and saved no measurable time.
 _PAIR_BUDGET = 1024
 
 # Most grid rows plus gathered mirrors one selection window may visit.
@@ -786,28 +789,29 @@ def _culled(xs: np.ndarray, ys: np.ndarray, hx, hy) -> np.ndarray:
     )
 
 
-def _residual(of: OrientedField, j: int, quads: Sequence[_Quad]):
-    """(efficiency, residual rings) of subject j after subtracting its
-    quads in turn from the mirror outline."""
-    hx, hy = (of.dims[j] / 2.0).tolist()
-    outline = [(-hx, hy), (-hx, -hy), (hx, -hy), (hx, hy)]
-    pieces = subtract_rings([outline], (ring for _, _, ring in quads))
-    area = of.dims[j, 0] * of.dims[j, 1]
-    return min(1.0, max(0.0, rings_area(pieces) / area)), pieces
+def _efficiencies(of: OrientedField, j0: int, blocks: Sequence[Sequence[_Quad]]) -> List[float]:
+    """Efficiency of each subject j0 <= j < j0 + len(blocks) from its
+    surviving quads: one `covered_areas` call for them all."""
+    j1 = j0 + len(blocks)
+    rings = [[ring for _, _, ring in quads] for quads in blocks]
+    covered = covered_areas(rings, of.dims[j0:j1] / 2.0)
+    area = of.dims[j0:j1, 0] * of.dims[j0:j1, 1]
+    return np.clip((area - covered) / area, 0.0, 1.0).tolist()
 
 
 def subject_efficiency(
     of: OrientedField, j: int, use_culling: bool = True
 ) -> EfficiencyResult:
-    """Efficiency of subject j: its surviving quads (`subject_quads`) are
-    subtracted in turn from the mirror outline, and the residual area is
-    divided by the mirror area."""
+    """Efficiency of subject j: one minus the fraction of the mirror that
+    its surviving quads (`subject_quads`) cover.  The residual is the
+    mirror outline minus each quad in turn."""
     quads = _subject_quads(of, j, use_culling)
-    e, pieces = _residual(of, j, quads)
+    hx, hy = (of.dims[j] / 2.0).tolist()
+    outline = [(-hx, hy), (-hx, -hy), (hx, -hy), (hx, hy)]
     return EfficiencyResult(
         subject_id=of.ids[j],
-        efficiency=e,
-        residual=Region.from_rings(pieces),
+        efficiency=_efficiencies(of, j, [quads])[0],
+        residual=Region.from_rings(subtract_rings([outline], (ring for _, _, ring in quads))),
         quads=tuple(_projected(of, q) for q in quads),
     )
 
@@ -815,8 +819,7 @@ def subject_efficiency(
 def _block_efficiencies(
     of: OrientedField, chunk: _Chunk, use_culling: bool
 ) -> List[float]:
-    blocks = _block_quads(of, chunk, use_culling)
-    return [_residual(of, j, quads)[0] for j, quads in zip(range(chunk[0], chunk[1]), blocks)]
+    return _efficiencies(of, chunk[0], _block_quads(of, chunk, use_culling))
 
 
 _POOL_FIELD: Optional[OrientedField] = None

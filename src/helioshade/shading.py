@@ -3,11 +3,11 @@ straddle case, and the single-subject entry points.
 
 For a subject mirror the occluders are projected corner by corner: along
 the light direction for shadowing, toward the subject's aim point for
-blocking.  The projected quads are culled cheaply, then subtracted one by
-one from the subject outline; the efficiency is the surviving area over
-the total mirror area.  `efficiency` and `candidate_quads` run that
-pipeline through the array engine in `field`; `orient` keeps the scalar
-mirror frames that the 3D-ray oracle uses as its independent reference.
+blocking.  The projected quads are culled cheaply; the efficiency is one
+minus the fraction of the mirror that they cover.  `efficiency` and
+`candidate_quads` run that pipeline through the array engine in `field`;
+`orient` keeps the scalar mirror frames that the 3D-ray oracle uses as
+its independent reference.
 """
 
 from __future__ import annotations
@@ -229,11 +229,11 @@ def efficiency(
 ) -> EfficiencyResult:
     """Blocking-and-shadowing efficiency of `subject` against `field`.
 
-    The residual region starts as the mirror outline and every surviving
-    quad is subtracted in turn; the efficiency is its area over the mirror
-    area.  The subject is looked up by id in `field` as in
-    `candidate_quads`, and the result equals the subject's record in
-    `field.evaluate_field`.
+    The efficiency is one minus the fraction of the mirror that the
+    surviving quads cover (`clip.covered_areas`); the residual region is
+    the mirror outline with every quad subtracted in turn.  The subject is
+    looked up by id in `field` as in `candidate_quads`, and the result
+    equals the subject's record in `field.evaluate_field`.
     """
     from .field import subject_efficiency
 

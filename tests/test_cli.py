@@ -298,3 +298,28 @@ def test_oracle_check_corrupted_fails(capsys):
     assert "FAIL" in out
     assert "diff" in out
     assert "error:" in err
+
+
+# -- argument checks ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("sweep", SIMPLE_PAIR, "--date", "01-21", "--start", "08:00",
+          "--end", "09:00", "--subject", "c", "--step", "0"), "--step"),
+        (("sweep", SIMPLE_PAIR, "--date", "01-21", "--start", "08:00",
+          "--end", "09:00", "--subject", "c", "--step", "-5"), "--step"),
+        (("bench", "--n", "5", "--reps", "0"), "--reps"),
+        (("oracle-check", SIMPLE_PAIR, "--date", "01-21", "--hour", "12:00",
+          "--subject", "c", "--samples", "0"), "--samples"),
+    ],
+    ids=["step-0", "step-neg", "reps-0", "samples-0"],
+)
+def test_non_positive_counts_fail_with_one_error_line(capsys, argv, flag):
+    # the step check comes before the sweep loop, which a step that does
+    # not advance would never leave
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and flag in err

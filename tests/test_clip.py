@@ -2,7 +2,17 @@ import numpy as np
 import pytest
 
 from conftest import is_convex_ccw, pieces_disjoint, region_matches
-from helioshade.clip import Region, difference, intersection, region_area
+from helioshade.clip import (
+    Region,
+    clean_ring,
+    covered_areas,
+    difference,
+    intersection,
+    region_area,
+    rings_area,
+    subtract_rings,
+)
+from helioshade.clip import _edge_intervals
 from helioshade.polygon2d import Polygon2, contains_many, signed_area
 
 
@@ -199,3 +209,143 @@ def test_raster_oracle_agreement(rng):
         if rastered == 5:
             break
     assert rastered == 5
+
+
+# -- covered_areas against subtraction ---------------------------------------
+
+# Mirror half sizes of the kernel cases; a 0.5 grid puts ring edges on the
+# mirror's edges as well as on each other's.
+HX, HY = 2.0, 1.5
+
+
+def rect(x0, y0, x1, y1):
+    return [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+
+
+KERNEL_CASES = {
+    "two identical": [rect(-1, -1, 1, 1)] * 2,
+    "three identical": [rect(-1, -1, 1, 1)] * 3,
+    "larger than the mirror": [rect(-5, -4, 5, 4)],
+    "edge on the mirror boundary": [rect(0, -1.5, 3, 0)],
+    "the mirror itself": [rect(-HX, -HY, HX, HY)],
+    "touching from outside": [rect(HX, -1, 3, 1)],
+    "shared edge": [rect(-1, -1, 0, 1), rect(0, -1, 1, 1)],
+    "partial collinear overlap": [rect(-1, -1, 0.5, 0.5), rect(0, -1, 1.5, 0.3)],
+    "opposite edges on the boundary": [rect(-1, -HY, 1, 0), rect(-1, -3, 1, -HY)],
+    "padded pentagon": [[(-1, -1), (1, -1), (1.5, 0), (1, 1), (-1, 1)], rect(0, 0, 3, 3)],
+    "padded hexagon": [
+        [(-1, -1), (0, -1.5), (1, -1), (1, 1), (0, 1.5), (-1, 1)],
+        rect(-3, 0, 0, 3),
+    ],
+    "nested, inner last": [rect(-1, -1, 1, 1), rect(-0.5, -0.5, 0.5, 0.5)],
+    "nested, inner first": [rect(-0.5, -0.5, 0.5, 0.5), rect(-1, -1, 1, 1)],
+    "vertex touch": [rect(-1, -1, 0, 0), rect(0, 0, 1, 1)],
+    "non-convex": [[(-1.5, -1.5), (1.5, -1.5), (0, 0), (1.5, 1.5), (-1.5, 1.5)]],
+}
+
+
+def convex_hull(points):
+    """Counterclockwise hull of points, collinear points dropped."""
+    pts = sorted(set(points))
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and (
+                (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])
+            ) <= 0.0:
+                out.pop()
+            out.append(p)
+        return out
+
+    return half(pts)[:-1] + half(pts[::-1])[:-1]
+
+
+def random_convex_sets(rng, count):
+    """`count` sets of 1..7 convex rings (triangles to hexagons) around the
+    mirror; every third set has its vertices snapped to a 0.5 grid."""
+    sets = []
+    for k in range(count):
+        rings = []
+        for _ in range(int(rng.integers(1, 8))):
+            ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, int(rng.integers(3, 7))))
+            pts = rng.uniform(-2.5, 2.5, 2) + rng.uniform(0.5, 2.5) * np.stack(
+                [np.cos(ang), np.sin(ang)], axis=1
+            )
+            if k % 3 == 0:
+                pts = np.round(2.0 * pts) / 2.0
+            hull = convex_hull(map(tuple, pts.tolist()))
+            ring = clean_ring(hull) if len(hull) >= 3 else None
+            if ring is not None:
+                rings.append(ring)
+        sets.append(rings)
+    return sets
+
+
+def subtracted_area(rings, hx=HX, hy=HY):
+    outline = rect(-hx, -hy, hx, hy)
+    return 4.0 * hx * hy - rings_area(subtract_rings([outline], rings))
+
+
+def _edges_of(ring):
+    return list(zip(ring, ring[1:] + ring[:1]))
+
+
+def shares_an_edge_stretch(polygons):
+    """True if an edge of one polygon overlaps, with positive length, an
+    edge of another on the same line."""
+    for k, p in enumerate(polygons):
+        for q in polygons[k + 1:]:
+            for (a, b) in _edges_of(p):
+                for (c, d) in _edges_of(q):
+                    ex, ey = d[0] - c[0], d[1] - c[1]
+                    if any(ex * (y - c[1]) - ey * (x - c[0]) != 0.0 for x, y in (a, b)):
+                        continue
+                    ee = ex * ex + ey * ey
+                    t0, t1 = sorted(((x - c[0]) * ex + (y - c[1]) * ey) / ee for x, y in (a, b))
+                    if min(t1, 1.0) > max(t0, 0.0):
+                        return True
+    return False
+
+
+@pytest.mark.parametrize("name", list(KERNEL_CASES))
+def test_covered_area_of_hand_built_cases(name):
+    rings = [clean_ring(r) for r in KERNEL_CASES[name]]
+    got = covered_areas([rings], [(HX, HY)])[0]
+    assert abs(got - subtracted_area(rings)) <= 1e-12 * 4.0 * HX * HY
+
+
+def test_covered_areas_match_subtraction_on_random_sets(rng):
+    sets = random_convex_sets(rng, 1200)
+    half = rng.uniform(1.0, 2.0, (len(sets), 2))
+    # every third set keeps the 0.5-grid mirror, so the snapped rings can
+    # lie on its edges
+    half[::3] = HX, HY
+    got = covered_areas(sets, half)
+    coincident = 0
+    for k, rings in enumerate(sets):
+        hx, hy = half[k]
+        area = 4.0 * hx * hy
+        assert abs(got[k] - subtracted_area(rings, hx, hy)) <= 1e-12 * area, k
+        # a subject's area does not depend on the others of its call
+        assert covered_areas([rings], [half[k]])[0] == got[k]
+        coincident += shares_an_edge_stretch([rect(-hx, -hy, hx, hy)] + rings)
+    assert coincident >= 120
+
+
+def test_edge_intervals_follow_the_collinear_rule():
+    # an opposite stretch bounds the union on both sides and cancels in
+    # the area whether both edges count or neither, so the rule is pinned
+    # here, on the bottom edge (0, 0) -> (2, 0) of p
+    p = rect(0, 0, 2, 1)
+    below = rect(0, -1, 2, 0)  # its top edge runs the opposite way
+    above = rect(0, 0, 2, 2)  # its bottom edge runs the same way
+    # padded by repeating the last vertex: two zero-length edges
+    around = rect(-5, -5, 5, 5) + [(-5, 5)] * 2
+    cases = [(below, True, 1.0), (below, False, 1.0), (above, True, 0.0), (above, False, 1.0)]
+    for q, later, covered in cases:
+        lo, hi = _edge_intervals(np.array([p]), np.array([q]), np.array([later]))
+        assert hi[0, 0] - lo[0, 0] == covered, (q, later)
+    lo, hi = _edge_intervals(np.array([p + p[-1:] * 2]), np.array([around]), np.array([True]))
+    assert np.array_equal(hi - lo, np.ones((1, 6)))

@@ -32,7 +32,7 @@ from helioshade.field import (
     synthetic_field,
     write_report,
 )
-from helioshade.clip import intersection, region_area, subtract_rings
+from helioshade.clip import covered_areas, intersection, region_area
 from helioshade.linalg3 import Vec3
 from helioshade.shading import efficiency
 from helioshade.solar import solar_position, sun_vector
@@ -436,6 +436,22 @@ def test_random_layouts_give_one_valid_efficiency(layout, eta, theta):
         assert subject_efficiency(of, j).efficiency == record.efficiency
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    layout=small_layouts(),
+    eta=st.floats(2.0, 80.0),
+    theta=st.floats(-180.0, 180.0),
+)
+def test_removing_any_heliostat_never_lowers_another_on_random_layouts(layout, eta, theta):
+    sun = sun_vector(math.radians(eta), math.radians(theta))
+    full = _efficiencies(layout, sun)
+    helios = layout.heliostats
+    for i in range(len(helios)):
+        reduced = dataclasses.replace(layout, heliostats=helios[:i] + helios[i + 1:])
+        for hid, e in _efficiencies(reduced, sun).items():
+            assert e >= full[hid] - 1e-9, (helios[i].id, hid)
+
+
 # sha256 of the --no-timing report of synthetic_field(250) on 01-21, as
 # produced by the engine before the reach prefilter existed
 GOLDEN_REPORTS = {
@@ -529,13 +545,12 @@ def test_pair_results_do_not_depend_on_their_block(monkeypatch):
     of = OrientedField(layout, sun)
     assert len(list(field_module._blocks(of))) > 1
 
-    subtracted = []
+    measured = []
     straddles = []
 
-    def recording_subtract(pieces, clips):
-        clips = list(clips)
-        subtracted.append(clips)
-        return subtract_rings(pieces, clips)
+    def recording_covered_areas(subjects, half_sizes):
+        measured.extend(subjects)
+        return covered_areas(subjects, half_sizes)
 
     def counting(image):
         def wrapped(*args):
@@ -544,19 +559,23 @@ def test_pair_results_do_not_depend_on_their_block(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(field_module, "subtract_rings", recording_subtract)
+    monkeypatch.setattr(field_module, "covered_areas", recording_covered_areas)
     monkeypatch.setattr(field_module, "block_image", counting(field_module.block_image))
     monkeypatch.setattr(field_module, "shadow_image", counting(field_module.shadow_image))
     serial = format_report(evaluate_field(layout, sun, workers=1), include_timing=False)
     assert straddles
-    assert len(subtracted) == of.n
+    assert len(measured) == of.n
     monkeypatch.undo()
 
-    for j, clips in enumerate(subtracted):
+    for j, rings in enumerate(measured):
         alone = [[(v.x, v.y) for v in q.ring.ring] for q in subject_quads(of, j)]
-        assert [[tuple(p) for p in ring] for ring in clips] == alone, j
+        assert [[tuple(p) for p in ring] for ring in rings] == alone, j
     pooled = format_report(evaluate_field(layout, sun, workers=2), include_timing=False)
     assert pooled == serial
+    for budget in (1, 8192):
+        monkeypatch.setattr(field_module, "_PAIR_BUDGET", budget)
+        text = format_report(evaluate_field(layout, sun, workers=1), include_timing=False)
+        assert text == serial, budget
 
 
 def test_non_finite_centre_fails_loudly():

@@ -54,7 +54,7 @@ def main() -> None:
             )
             for hour, name in snapshots.items():
                 if abs(t - hour) < 1e-9:
-                    render_svg(subject, result, os.path.join(args.outdir, name))
+                    render_svg(result, os.path.join(args.outdir, name))
                     rendered += 1
             t += args.step_min / 60.0
     print(f"wrote {series_path} and {rendered} SVG snapshots to {args.outdir}/")

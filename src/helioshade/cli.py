@@ -15,12 +15,19 @@ import datetime
 import math
 import sys
 import time
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .field import evaluate_field, format_report, load_layout, synthetic_field
+from .field import (
+    OrientedField,
+    evaluate_field,
+    format_report,
+    load_layout,
+    subject_efficiency,
+    synthetic_field,
+)
 from .oracle import OracleConfig, sample_efficiency
 from .render import render_svg
-from .shading import Heliostat, efficiency, orient
+from .shading import efficiency, orient
 from .solar import SunState, solar_position, sun_vector
 
 __all__ = ["main"]
@@ -36,10 +43,13 @@ def _fmt(v: float) -> str:
 
 def _parse_hhmm(text: str) -> float:
     try:
-        hh, mm = text.split(":")
-        return int(hh) + int(mm) / 60.0
+        hh, mm = (int(part) for part in text.split(":"))
+        valid = 0 <= hh <= 23 and 0 <= mm <= 59
     except ValueError:
-        raise CliError(f"malformed time {text!r}, expected HH:MM") from None
+        valid = False
+    if not valid:
+        raise CliError(f"malformed time {text!r}, expected HH:MM")
+    return hh + mm / 60.0
 
 
 def _day_of_year(date_text: str) -> int:
@@ -66,6 +76,11 @@ def _resolve_sun(args, latitude_deg: float) -> Tuple[SunState, str]:
     if direct:
         if args.eta is None or args.theta is None:
             raise CliError("--eta and --theta must be given together")
+        for flag, value in (("--eta", args.eta), ("--theta", args.theta)):
+            if not math.isfinite(value):
+                raise CliError(f"{flag} must be a finite number of degrees, got {_fmt(value)}")
+        if args.eta > 90.0:
+            raise CliError(f"--eta must be at most 90 degrees, got {_fmt(args.eta)}")
         sun = sun_vector(math.radians(args.eta), math.radians(args.theta))
         return sun, f"eta={_fmt(args.eta)} theta={_fmt(args.theta)}"
     if args.date is None or args.hour is None:
@@ -79,11 +94,11 @@ def _resolve_sun(args, latitude_deg: float) -> Tuple[SunState, str]:
     return sun_vector(eta, theta), f"{args.date} {args.hour}"
 
 
-def _find_subject(field: List[Heliostat], subject_id: str) -> Heliostat:
-    for h in field:
-        if h.id == subject_id:
-            return h
-    raise CliError(f"unknown heliostat id {subject_id!r}")
+def _subject_index(ids: Sequence[str], subject_id: str) -> int:
+    try:
+        return ids.index(subject_id)
+    except ValueError:
+        raise CliError(f"unknown heliostat id {subject_id!r}") from None
 
 
 def _write_or_print(text: str, out: Optional[str]) -> None:
@@ -98,14 +113,12 @@ def cmd_efficiency(args) -> None:
     layout = load_layout(args.layout)
     sun, label = _resolve_sun(args, layout.latitude_deg)
     if args.subject:
-        field = layout.to_heliostats()
-        subject = _find_subject(field, args.subject)
-        result = efficiency(subject, field, sun)
-        line = (
-            f"{subject.id} {_fmt(result.efficiency)} "
-            f"{_fmt(result.efficiency * subject.area)} {_fmt(subject.area)}\n"
-        )
-        _write_or_print(line, args.out)
+        of = OrientedField(layout, sun)
+        j = _subject_index(of.ids, args.subject)
+        e = subject_efficiency(of, j).efficiency
+        width, height = of.dims[j].tolist()
+        area = width * height
+        _write_or_print(f"{args.subject} {_fmt(e)} {_fmt(e * area)} {_fmt(area)}\n", args.out)
         return
     report = evaluate_field(layout, sun, workers=args.workers, date_label=label)
     _write_or_print(format_report(report, include_timing=not args.no_timing), args.out)
@@ -122,8 +135,7 @@ def cmd_sweep(args) -> None:
         raise CliError("--start must precede --end")
     day = _day_of_year(args.date)
     lat = math.radians(layout.latitude_deg)
-    field = layout.to_heliostats()
-    subject = _find_subject(field, args.subject)
+    j = _subject_index(layout.ids, args.subject)
     lines = [
         f"# sweep subject={args.subject} date={args.date} "
         f"start={args.start} end={args.end} step={_fmt(args.step)} min",
@@ -142,7 +154,7 @@ def cmd_sweep(args) -> None:
             lines.append(f"# {stamp} sun below horizon, skipped")
             t += args.step / 60.0
             continue
-        e = efficiency(subject, field, sun_vector(eta, theta)).efficiency
+        e = subject_efficiency(OrientedField(layout, sun_vector(eta, theta)), j).efficiency
         lines.append(
             f"{stamp} {_fmt(math.degrees(eta))} "
             f"{_fmt(math.degrees(theta))} {_fmt(e)}"
@@ -154,11 +166,10 @@ def cmd_sweep(args) -> None:
 def cmd_render(args) -> None:
     layout = load_layout(args.layout)
     sun, _ = _resolve_sun(args, layout.latitude_deg)
-    field = layout.to_heliostats()
-    subject = _find_subject(field, args.subject)
-    result = efficiency(subject, field, sun)
-    render_svg(subject, result, args.out)
-    print(f"{args.out}: subject {subject.id} e = {_fmt(result.efficiency)}")
+    of = OrientedField(layout, sun)
+    result = subject_efficiency(of, _subject_index(of.ids, args.subject))
+    render_svg(result, args.out)
+    print(f"{args.out}: subject {result.subject_id} e = {_fmt(result.efficiency)}")
 
 
 def cmd_bench(args) -> None:
@@ -182,7 +193,7 @@ def cmd_bench(args) -> None:
         average = report.average
     mean = sum(times) / len(times)
     print(
-        f"n={len(layout.heliostats)} reps={args.reps} "
+        f"n={layout.n} reps={args.reps} "
         f"mean={_fmt(mean)} s min={_fmt(min(times))} s "
         f"average_efficiency={_fmt(average)}"
     )
@@ -195,7 +206,7 @@ def cmd_oracle_check(args) -> None:
     sun, _ = _resolve_sun(args, layout.latitude_deg)
     # the 3D-ray oracle checks against the scalar mirror frames
     field = [orient(h, sun) for h in layout.to_heliostats()]
-    subject = _find_subject(field, args.subject)
+    subject = field[_subject_index(layout.ids, args.subject)]
     e_clip = efficiency(subject, field, sun).efficiency
     if args.corrupt:
         # negative-control hook: bias the clipping value so the check fails

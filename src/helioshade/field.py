@@ -28,7 +28,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .clip import Region, clean_ring, covered_areas, subtract_rings
+from .clip import clean_ring, covered_areas
 from .linalg3 import Vec3
 from .polygon2d import Polygon2
 from .shading import (
@@ -42,7 +42,6 @@ from .shading import (
 from .solar import SunState
 
 __all__ = [
-    "HeliostatSpec",
     "FieldLayout",
     "FieldReport",
     "LayoutError",
@@ -64,60 +63,115 @@ class LayoutError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class HeliostatSpec:
-    id: str
-    center: Vec3
-    width: float
-    height: float
-    receiver: str
-    spin: float = 0.0
+# the columns of a layout, and the numbers of a heliostat line in file order
+_COLUMNS = ("centers", "dims", "spins")
+_HELIOSTAT_NUMBERS = ("x", "y", "z", "w", "h")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldLayout:
+    """A plant: its latitude, receivers, and heliostats as immutable columns.
+
+    Row k of the columns is heliostat k, in file order: `ids[k]`, the id
+    of the receiver it aims at `receiver_ids[k]`, its centre `centers[k]`
+    (m), its width and height `dims[k]` (m) and its spin `spins[k]` (rad).
+    The arrays are read-only float copies of what was passed in.
+    """
+
     latitude_deg: float
     receivers: Tuple[Tuple[str, Vec3], ...]
-    heliostats: Tuple[HeliostatSpec, ...]
+    ids: Tuple[str, ...]
+    receiver_ids: Tuple[str, ...]
+    centers: np.ndarray  # (n, 3)
+    dims: np.ndarray  # (n, 2)
+    spins: np.ndarray  # (n,)
+
+    def __post_init__(self) -> None:
+        n = len(self.ids)
+        object.__setattr__(self, "ids", tuple(self.ids))
+        object.__setattr__(self, "receiver_ids", tuple(self.receiver_ids))
+        if len(self.receiver_ids) != n:
+            raise ValueError(f"{n} heliostat ids but {len(self.receiver_ids)} receiver ids")
+        for name, shape in zip(_COLUMNS, ((n, 3), (n, 2), (n,))):
+            column = np.array(getattr(self, name), dtype=float).reshape(shape)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FieldLayout):
+            return NotImplemented
+        return (self.latitude_deg, self.receivers, self.ids, self.receiver_ids) == (
+            other.latitude_deg,
+            other.receivers,
+            other.ids,
+            other.receiver_ids,
+        ) and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in _COLUMNS)
+
+    @property
+    def n(self) -> int:
+        return len(self.ids)
 
     def receiver_map(self) -> Dict[str, Vec3]:
         return dict(self.receivers)
 
+    def aims(self) -> np.ndarray:
+        """(n, 3) aim point of each heliostat: its receiver's position, or
+        NaN for a receiver id that `receivers` lacks."""
+        positions = [(p.x, p.y, p.z) for _, p in self.receivers] + [(math.nan,) * 3]
+        return np.array(positions)[self._receiver_rows()]
+
+    def _receiver_rows(self) -> np.ndarray:
+        """Index into `receivers` of each heliostat's receiver (the last
+        one of a repeated id, as in `receiver_map`), or -1 if there is
+        none."""
+        slot = {rid: k for k, (rid, _) in enumerate(self.receivers)}
+        return np.array([slot.get(rid, -1) for rid in self.receiver_ids], dtype=np.intp)
+
     def to_heliostats(self) -> List[Heliostat]:
+        """One `Heliostat` object per row, for scalar and library callers."""
         recv = self.receiver_map()
         return [
-            Heliostat(
-                id=h.id,
-                center=h.center,
-                width=h.width,
-                height=h.height,
-                aim=recv[h.receiver],
-                spin=h.spin,
+            Heliostat(id=hid, center=Vec3(*c), width=w, height=h, aim=recv[rid], spin=spin)
+            for hid, rid, c, (w, h), spin in zip(
+                self.ids,
+                self.receiver_ids,
+                self.centers.tolist(),
+                self.dims.tolist(),
+                self.spins.tolist(),
             )
-            for h in self.heliostats
         ]
 
     def validate(self) -> None:
-        recv = {}
-        for rid, pos in self.receivers:
-            if rid in recv:
-                raise LayoutError(f"duplicate receiver id: {rid!r}")
-            recv[rid] = pos
+        """Raise `LayoutError` for a duplicate receiver id, else for the
+        first heliostat, in row order, that repeats an earlier id, names
+        an unknown receiver, has a non-positive dimension or is not below
+        its receiver (checked in that order)."""
         seen = set()
-        for h in self.heliostats:
-            if h.id in seen:
-                raise LayoutError(f"duplicate heliostat id: {h.id!r}")
-            seen.add(h.id)
-            if h.receiver not in recv:
-                raise LayoutError(
-                    f"heliostat {h.id!r} references unknown receiver {h.receiver!r}"
-                )
-            if h.width <= 0 or h.height <= 0:
-                raise LayoutError(f"heliostat {h.id!r} has non-positive dimensions")
-            if recv[h.receiver].z <= h.center.z:
-                raise LayoutError(
-                    f"heliostat {h.id!r}: receiver {h.receiver!r} not above center"
-                )
+        for rid, _ in self.receivers:
+            if rid in seen:
+                raise LayoutError(f"duplicate receiver id: {rid!r}")
+            seen.add(rid)
+        repeated = np.zeros(self.n, dtype=bool)
+        if len(set(self.ids)) < self.n:
+            repeated[:] = True
+            repeated[np.unique(np.array(self.ids, dtype=str), return_index=True)[1]] = False
+        rows = self._receiver_rows()
+        # an unknown receiver (row -1) is at height NaN, so only its own check fires
+        heights = np.array([p.z for _, p in self.receivers] + [math.nan])[rows]
+        small = (self.dims <= 0.0).any(axis=1)
+        faults = np.stack([repeated, rows < 0, small, heights <= self.centers[:, 2]])
+        bad = np.flatnonzero(faults.any(axis=0))
+        if not len(bad):
+            return
+        k = int(bad[0])
+        hid, rid = self.ids[k], self.receiver_ids[k]
+        messages = (
+            f"duplicate heliostat id: {hid!r}",
+            f"heliostat {hid!r} references unknown receiver {rid!r}",
+            f"heliostat {hid!r} has non-positive dimensions",
+            f"heliostat {hid!r}: receiver {rid!r} not above center",
+        )
+        raise LayoutError(messages[int(np.argmax(faults[:, k]))])
 
 
 @dataclass(frozen=True)
@@ -141,54 +195,47 @@ class FieldReport:
 # layout file format
 
 
-def _parse_fields(parts: Sequence[str], lineno: int) -> Dict[str, str]:
-    out = {}
-    for part in parts:
-        if "=" not in part:
-            raise LayoutError(f"line {lineno}: malformed field {part!r}")
-        key, value = part.split("=", 1)
-        out[key] = value
-    return out
+def _number(fields: Dict[str, str], key: str, lineno: int) -> float:
+    value = float(fields[key])
+    if not math.isfinite(value):
+        raise LayoutError(f"line {lineno}: {key}={fields[key]} is not a finite number")
+    return value
 
 
 def load_layout(path: str) -> FieldLayout:
-    """Read a layout file; see the package README for the line format."""
+    """Read a layout file; see the package README for the line format.
+
+    Every number goes through `float` and must be finite; a fault names
+    its line.  The heliostat lines fill the layout's columns directly.
+    """
     latitude: Optional[float] = None
     receivers: List[Tuple[str, Vec3]] = []
-    heliostats: List[HeliostatSpec] = []
+    ids: List[str] = []
+    receiver_ids: List[str] = []
+    rows: List[List[float]] = []
+    spins: List[float] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
                 continue
-            parts = line.split()
             kind = parts[0]
             try:
-                fields = _parse_fields(parts[1:], lineno)
-
-                def num(key: str) -> float:
-                    value = float(fields[key])
-                    if not math.isfinite(value):
-                        raise LayoutError(
-                            f"line {lineno}: {key}={fields[key]} is not a finite number"
-                        )
-                    return value
-
-                if kind == "plant":
-                    latitude = num("lat")
+                fields = dict(part.split("=", 1) for part in parts[1:])
+            except ValueError:
+                bad = next(part for part in parts[1:] if "=" not in part)
+                raise LayoutError(f"line {lineno}: malformed field {bad!r}") from None
+            try:
+                if kind == "heliostat":
+                    ids.append(fields["id"])
+                    rows.append([_number(fields, key, lineno) for key in _HELIOSTAT_NUMBERS])
+                    receiver_ids.append(fields["receiver"])
+                    spins.append(_number(fields, "phi", lineno) if "phi" in fields else 0.0)
                 elif kind == "receiver":
-                    receivers.append((fields["id"], Vec3(num("x"), num("y"), num("z"))))
-                elif kind == "heliostat":
-                    heliostats.append(
-                        HeliostatSpec(
-                            id=fields["id"],
-                            center=Vec3(num("x"), num("y"), num("z")),
-                            width=num("w"),
-                            height=num("h"),
-                            receiver=fields["receiver"],
-                            spin=num("phi") if "phi" in fields else 0.0,
-                        )
-                    )
+                    rid = fields["id"]
+                    receivers.append((rid, Vec3(*(_number(fields, k, lineno) for k in "xyz"))))
+                elif kind == "plant":
+                    latitude = _number(fields, "lat", lineno)
                 else:
                     raise LayoutError(f"line {lineno}: unknown record type {kind!r}")
             except KeyError as exc:
@@ -199,29 +246,40 @@ def load_layout(path: str) -> FieldLayout:
                 raise LayoutError(f"line {lineno}: {exc}") from None
     if latitude is None:
         raise LayoutError("missing 'plant lat=...' line")
+    values = np.array(rows, dtype=float).reshape(-1, 5)
     layout = FieldLayout(
-        latitude_deg=latitude, receivers=tuple(receivers), heliostats=tuple(heliostats)
+        latitude_deg=latitude,
+        receivers=tuple(receivers),
+        ids=ids,
+        receiver_ids=receiver_ids,
+        centers=values[:, :3],
+        dims=values[:, 3:],
+        spins=spins,
     )
     layout.validate()
     return layout
 
 
 def save_layout(layout: FieldLayout, path: str) -> None:
+    lines = [f"plant lat={layout.latitude_deg:.9g}\n"]
+    for rid, pos in layout.receivers:
+        lines.append(f"receiver id={rid} x={pos.x:.9g} y={pos.y:.9g} z={pos.z:.9g}\n")
+    for hid, rid, (x, y, z), (w, h), spin in zip(
+        layout.ids,
+        layout.receiver_ids,
+        layout.centers.tolist(),
+        layout.dims.tolist(),
+        layout.spins.tolist(),
+    ):
+        line = (
+            f"heliostat id={hid} x={x:.9g} y={y:.9g} z={z:.9g} "
+            f"w={w:.9g} h={h:.9g} receiver={rid}"
+        )
+        if spin != 0.0:
+            line += f" phi={spin:.9g}"
+        lines.append(line + "\n")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"plant lat={layout.latitude_deg:.9g}\n")
-        for rid, pos in layout.receivers:
-            fh.write(
-                f"receiver id={rid} x={pos.x:.9g} y={pos.y:.9g} z={pos.z:.9g}\n"
-            )
-        for h in layout.heliostats:
-            line = (
-                f"heliostat id={h.id} x={h.center.x:.9g} y={h.center.y:.9g} "
-                f"z={h.center.z:.9g} w={h.width:.9g} h={h.height:.9g} "
-                f"receiver={h.receiver}"
-            )
-            if h.spin != 0.0:
-                line += f" phi={h.spin:.9g}"
-            fh.write(line + "\n")
+        fh.write("".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -286,20 +344,14 @@ def synthetic_field(n: int, spec: RadialStaggerSpec = RadialStaggerSpec()) -> Fi
         np.fill_diagonal(d2, np.inf)
         if d2.min() <= diag * diag:
             raise LayoutError("infeasible spacing: generated mirrors overlap")
-    heliostats = tuple(
-        HeliostatSpec(
-            id=f"h{i:04d}",
-            center=Vec3(float(x), float(y), spec.pivot_height),
-            width=spec.mirror_width,
-            height=spec.mirror_height,
-            receiver="tower",
-        )
-        for i, (x, y) in enumerate(centers)
-    )
     layout = FieldLayout(
         latitude_deg=spec.latitude_deg,
         receivers=(("tower", Vec3(0.0, 0.0, spec.tower_height)),),
-        heliostats=heliostats,
+        ids=[f"h{i:04d}" for i in range(n)],
+        receiver_ids=("tower",) * n,
+        centers=np.column_stack([pts, np.full(n, spec.pivot_height)]),
+        dims=np.tile([spec.mirror_width, spec.mirror_height], (n, 1)),
+        spins=np.zeros(n),
     )
     layout.validate()
     return layout
@@ -312,20 +364,34 @@ def synthetic_field(n: int, spec: RadialStaggerSpec = RadialStaggerSpec()) -> Fi
 class OrientedField:
     """Immutable array view of a whole oriented field for one sun state.
 
-    `field` is a layout or a heliostat sequence; any orientation cached on
-    the heliostats is ignored and recomputed here for `sun`.
+    `field` is a layout, whose columns are read as they are, or a
+    heliostat sequence, turned into the same columns here; any orientation
+    cached on the heliostats is ignored and recomputed for `sun`.
     """
 
     def __init__(self, field: Union[FieldLayout, Sequence[Heliostat]], sun: SunState):
-        helios = field.to_heliostats() if isinstance(field, FieldLayout) else field
-        self.ids = [h.id for h in helios]
+        if isinstance(field, FieldLayout):
+            self.ids = field.ids
+            self.centers, self.aims, self.dims = field.centers, field.aims(), field.dims
+            spins = field.spins
+        else:
+            self.ids = tuple(h.id for h in field)
+            values = np.array(
+                [
+                    (h.center.x, h.center.y, h.center.z, h.aim.x, h.aim.y, h.aim.z)
+                    + (h.width, h.height, h.spin)
+                    for h in field
+                ],
+                dtype=float,
+            ).reshape(-1, 9)
+            self.centers, self.aims, self.dims = values[:, :3], values[:, 3:6], values[:, 6:8]
+            spins = values[:, 8]
         self.sun = sun
-        n = len(helios)
+        n = len(self.ids)
         self.n = n
-        self.centers = np.array([h.center.as_array() for h in helios]).reshape(n, 3)
-        self.aims = np.array([h.aim.as_array() for h in helios]).reshape(n, 3)
-        self.dims = np.array([[h.width, h.height] for h in helios]).reshape(n, 2)
-        spins = np.array([h.spin for h in helios])
+        u_s = sun.u_s.as_array()
+        if not np.isfinite(u_s).all():
+            raise ValueError(f"sun direction is not finite: eta={sun.eta!r}, theta={sun.theta!r}")
         values = np.hstack([self.centers, self.aims, self.dims, spins[:, None]])
         bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
         if len(bad):
@@ -334,7 +400,6 @@ class OrientedField:
         if len(bad):
             raise ValueError(f"heliostat {self.ids[bad[0]]!r} has non-positive dimensions")
 
-        u_s = sun.u_s.as_array()
         to_t = self.aims - self.centers
         dist = np.linalg.norm(to_t, axis=1)
         if np.any(dist == 0.0):
@@ -803,16 +868,14 @@ def subject_efficiency(
     of: OrientedField, j: int, use_culling: bool = True
 ) -> EfficiencyResult:
     """Efficiency of subject j: one minus the fraction of the mirror that
-    its surviving quads (`subject_quads`) cover.  The residual is the
-    mirror outline minus each quad in turn."""
+    its surviving quads (`subject_quads`) cover.  The result builds its
+    residual only when it is read."""
     quads = _subject_quads(of, j, use_culling)
-    hx, hy = (of.dims[j] / 2.0).tolist()
-    outline = [(-hx, hy), (-hx, -hy), (hx, -hy), (hx, hy)]
     return EfficiencyResult(
         subject_id=of.ids[j],
         efficiency=_efficiencies(of, j, [quads])[0],
-        residual=Region.from_rings(subtract_rings([outline], (ring for _, _, ring in quads))),
         quads=tuple(_projected(of, q) for q in quads),
+        half_size=tuple((of.dims[j] / 2.0).tolist()),
     )
 
 

@@ -16,7 +16,7 @@ from typing import List
 
 from .clip import Region
 from .polygon2d import Polygon2
-from .shading import EfficiencyResult, Heliostat
+from .shading import EfficiencyResult
 
 __all__ = ["source_color", "render_svg"]
 
@@ -47,9 +47,9 @@ def _region_paths(region: Region, to_px) -> str:
     return " ".join(_path(p, to_px) for p in region.components)
 
 
-def render_svg(subject: Heliostat, result: EfficiencyResult, path: str) -> None:
+def render_svg(result: EfficiencyResult, path: str) -> None:
     """Write an SVG 1.1 picture of the subject plane for one evaluation."""
-    hx, hy = subject.width / 2.0, subject.height / 2.0
+    hx, hy = result.half_size
     span = 2.0 * max(hx, hy) * (1.0 + 2.0 * _MARGIN_FRAC)
     scale = _CANVAS / span
     w_px = 2.0 * hx * (1.0 + 2.0 * _MARGIN_FRAC) * scale
@@ -93,12 +93,12 @@ def render_svg(subject: Heliostat, result: EfficiencyResult, path: str) -> None:
         out.append("</g>")
 
     out.append(
-        f'<path d="{_path(subject.outline(), to_px)}" fill="none" '
+        f'<path d="{_path(result.outline(), to_px)}" fill="none" '
         'stroke="black" stroke-width="2"/>'
     )
 
     caption = (
-        f"subject {subject.id}  e = {_fmt(result.efficiency)}  "
+        f"subject {result.subject_id}  e = {_fmt(result.efficiency)}  "
         f"sources: {len({q.source_id for q in result.quads})}"
     )
     cx, cy = to_px(-hx, -hy * (1.0 + 1.2 * _MARGIN_FRAC))

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
-from .clip import Region
+from .clip import Region, subtract_rings
 from .linalg3 import HeliostatFrame, Vec3, frame_from_normal, from_frame
 from .polygon2d import Point2, Polygon2
 from .solar import SunState
@@ -81,10 +82,25 @@ class ProjectedQuad:
 
 @dataclass(frozen=True)
 class EfficiencyResult:
+    """One subject's efficiency, its surviving quads and its mirror's half
+    width and height; the residual is built from them on first use."""
+
     subject_id: str
     efficiency: float
-    residual: Region
     quads: Tuple[ProjectedQuad, ...]
+    half_size: Tuple[float, float]
+
+    def outline(self) -> Polygon2:
+        """The mirror in its own plane (counterclockwise)."""
+        hx, hy = self.half_size
+        return Polygon2([(-hx, hy), (-hx, -hy), (hx, -hy), (hx, hy)])
+
+    @cached_property
+    def residual(self) -> Region:
+        """The reflecting part: the outline minus each quad in turn."""
+        outline = [tuple(p) for p in self.outline().ring]
+        rings = ([tuple(p) for p in q.ring.ring] for q in self.quads)
+        return Region.from_rings(subtract_rings([outline], rings))
 
 
 def orient(h: Heliostat, sun: SunState) -> Heliostat:
@@ -230,10 +246,11 @@ def efficiency(
     """Blocking-and-shadowing efficiency of `subject` against `field`.
 
     The efficiency is one minus the fraction of the mirror that the
-    surviving quads cover (`clip.covered_areas`); the residual region is
-    the mirror outline with every quad subtracted in turn.  The subject is
-    looked up by id in `field` as in `candidate_quads`, and the result
-    equals the subject's record in `field.evaluate_field`.
+    surviving quads cover (`clip.covered_areas`); the residual region,
+    the mirror outline with every quad subtracted in turn, is built when
+    it is first read.  The subject is looked up by id in `field` as in
+    `candidate_quads`, and the result equals the subject's record in
+    `field.evaluate_field`.
     """
     from .field import subject_efficiency
 

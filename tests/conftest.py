@@ -1,6 +1,7 @@
 """Shared fixtures: the two bundled demonstration layouts and helpers for
-building heliostats and random test configurations."""
+building heliostats, layouts and random test configurations."""
 
+import dataclasses
 import math
 import os
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from helioshade.clip import intersection, region_area
+from helioshade.field import FieldLayout
 from helioshade.linalg3 import Vec3
 from helioshade.polygon2d import contains_many, signed_area
 from helioshade.shading import Heliostat, orient
@@ -22,6 +24,35 @@ JAN_21 = 21
 
 def make_heliostat(hid, x, y, z, w, h, aim):
     return Heliostat(id=hid, center=Vec3(x, y, z), width=w, height=h, aim=aim)
+
+
+def layout_of(helios):
+    """A layout of these heliostats, all aimed at one receiver 't' placed
+    at the first one's aim point."""
+    return FieldLayout(
+        latitude_deg=38.0,
+        receivers=(("t", helios[0].aim),),
+        ids=[h.id for h in helios],
+        receiver_ids=["t"] * len(helios),
+        centers=[(h.center.x, h.center.y, h.center.z) for h in helios],
+        dims=[(h.width, h.height) for h in helios],
+        spins=[h.spin for h in helios],
+    )
+
+
+def without(layout, k):
+    """The layout with heliostat row k (negative counts from the end)
+    removed."""
+    ids, receiver_ids = list(layout.ids), list(layout.receiver_ids)
+    del ids[k], receiver_ids[k]
+    return dataclasses.replace(
+        layout,
+        ids=ids,
+        receiver_ids=receiver_ids,
+        centers=np.delete(layout.centers, k, axis=0),
+        dims=np.delete(layout.dims, k, axis=0),
+        spins=np.delete(layout.spins, k),
+    )
 
 
 def simple_trio():

@@ -323,3 +323,123 @@ def test_non_positive_counts_fail_with_one_error_line(capsys, argv, flag):
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error:") and flag in err
+
+
+@pytest.mark.parametrize(
+    "sun,flag",
+    [
+        (("--eta", "nan", "--theta", "180"), "--eta"),
+        (("--eta", "inf", "--theta", "0"), "--eta"),
+        (("--eta", "45", "--theta", "inf"), "--theta"),
+        (("--eta", "45", "--theta", "NaN"), "--theta"),
+        (("--eta", "95", "--theta", "0"), "--eta"),
+    ],
+    ids=["eta-nan", "eta-inf", "theta-inf", "theta-nan", "eta-95"],
+)
+@pytest.mark.parametrize("command", ["field", "subject", "render", "bench"])
+def test_bad_sun_angle_fails_with_one_error_line(tmp_path, capsys, command, sun, flag):
+    argv = {
+        "field": ("efficiency", SIMPLE_PAIR, "--no-timing"),
+        "subject": ("efficiency", SIMPLE_PAIR, "--subject", "c"),
+        "render": ("render", SIMPLE_PAIR, "--subject", "c", "--out", str(tmp_path / "x.svg")),
+        "bench": ("bench", "--n", "5", "--reps", "1"),
+    }[command]
+    code, out, err = run(capsys, *argv, *sun)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error:") and flag in err
+    assert not (tmp_path / "x.svg").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("efficiency", SIMPLE_PAIR, "--date", "01-21", "--hour", "12:75"),
+        ("efficiency", SIMPLE_PAIR, "--date", "01-21", "--hour", "12:60"),
+        ("efficiency", SIMPLE_PAIR, "--date", "01-21", "--hour", "24:00"),
+        ("efficiency", SIMPLE_PAIR, "--date", "01-21", "--hour=-1:30"),
+        ("efficiency", SIMPLE_PAIR, "--date", "01-21", "--hour", "12:-5"),
+        ("sweep", SIMPLE_PAIR, "--date", "01-21", "--start", "11:75", "--end", "13:00",
+         "--subject", "c"),
+        ("sweep", SIMPLE_PAIR, "--date", "01-21", "--start", "11:00", "--end", "13:99",
+         "--subject", "c"),
+    ],
+    ids=["hour-75", "hour-60", "hour-24", "hour-neg", "minute-neg", "start-75", "end-99"],
+)
+def test_out_of_range_time_fails(capsys, argv):
+    # a minute past 59 must not roll over into the next hour
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "malformed time" in err
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_tiny_layouts_run_through_every_query(tmp_path, capsys, n):
+    p = tmp_path / "tiny.txt"
+    p.write_text(
+        "plant lat=40\nreceiver id=t x=0 y=0 z=100\n"
+        + "heliostat id=only x=50 y=0 z=5 w=10 h=10 receiver=t\n" * n
+    )
+    sun = ("--date", "01-21", "--hour", "12:00")
+    code, out, _ = run(capsys, "efficiency", str(p), *sun, "--no-timing")
+    assert code == 0
+    rows = [ln for ln in out.splitlines() if not ln.startswith("#")]
+    assert rows == ["only 1 100 100"] * n
+    assert out.splitlines()[-1] == "# average 1"
+    code, out, err = run(capsys, "efficiency", str(p), *sun, "--subject", "only")
+    sweep = ("sweep", str(p), "--date", "01-21", "--start", "11:00", "--end", "13:00",
+             "--step", "60", "--subject", "only")
+    code_sweep, out_sweep, err_sweep = run(capsys, *sweep)
+    if n == 0:
+        assert (code, out) == (1, "") and "unknown heliostat id 'only'" in err
+        assert (code_sweep, out_sweep) == (1, "") and "unknown heliostat id" in err_sweep
+    else:
+        assert (code, out) == (0, "only 1 100 100\n")
+        assert code_sweep == 0
+        rows = [ln for ln in out_sweep.splitlines() if not ln.startswith("#")]
+        assert [row.split()[3] for row in rows] == ["1", "1", "1"]
+
+
+def test_subject_queries_build_no_per_mirror_objects(tmp_path, capsys, monkeypatch):
+    import helioshade.field as field_module
+    import helioshade.shading as shading_module
+
+    sun = ("--date", "01-21", "--hour", "16:15")
+    queries = [
+        ("efficiency", REAL_SCENARIO, *sun, "--no-timing"),
+        ("efficiency", REAL_SCENARIO, *sun, "--subject", "s"),
+        ("sweep", REAL_SCENARIO, "--date", "01-21", "--start", "08:00", "--end", "16:30",
+         "--step", "30", "--subject", "s"),
+        ("render", REAL_SCENARIO, *sun, "--subject", "s", "--out", str(tmp_path / "s.svg")),
+    ]
+    expected = [run(capsys, *argv) for argv in queries]
+    svg = (tmp_path / "s.svg").read_text()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-mirror object was built")
+
+    monkeypatch.setattr(field_module.FieldLayout, "to_heliostats", refuse)
+    monkeypatch.setattr(shading_module.Heliostat, "__init__", refuse)
+    for argv, before in zip(queries, expected):
+        assert run(capsys, *argv) == before
+        assert before[0] == 0
+    assert (tmp_path / "s.svg").read_text() == svg
+
+
+def test_queries_that_print_e_build_no_residual(capsys, monkeypatch):
+    import helioshade.shading as shading_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a residual was built")
+
+    monkeypatch.setattr(shading_module, "subtract_rings", refuse)
+    sun = ("--date", "01-21", "--hour", "16:15")
+    for argv in [
+        ("efficiency", REAL_SCENARIO, *sun, "--subject", "s"),
+        ("sweep", REAL_SCENARIO, "--date", "01-21", "--start", "08:00", "--end", "16:30",
+         "--step", "30", "--subject", "s"),
+        ("oracle-check", REAL_SCENARIO, *sun, "--subject", "s", "--samples", "10000"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv

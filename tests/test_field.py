@@ -12,14 +12,15 @@ from conftest import (
     REAL_SCENARIO,
     SIMPLE_PAIR,
     is_convex_ccw,
+    layout_of,
     pieces_disjoint,
     random_config,
     sun_at,
+    without,
 )
 import helioshade.field as field_module
 from helioshade.field import (
     FieldLayout,
-    HeliostatSpec,
     LayoutError,
     OrientedField,
     RadialStaggerSpec,
@@ -44,23 +45,23 @@ from helioshade.solar import solar_position, sun_vector
 def test_load_simple_pair_layout():
     layout = load_layout(SIMPLE_PAIR)
     assert layout.latitude_deg == 40.08
-    assert len(layout.heliostats) == 3
+    assert layout.n == 3
     assert layout.receiver_map()["tower"] == Vec3(0.0, 0.0, 100.0)
 
 
 def test_load_real_scenario_layout():
     layout = load_layout(REAL_SCENARIO)
-    assert len(layout.heliostats) == 25
+    assert layout.n == 25
     assert layout.receiver_map()["tower"] == Vec3(0.0, 0.0, 150.0)
-    assert layout.heliostats[0].width == 12.88
-    assert layout.heliostats[0].height == 9.489
+    assert layout.dims[0, 0] == 12.88
+    assert layout.dims[0, 1] == 9.489
 
 
 def test_empty_heliostat_list_is_valid(tmp_path):
     p = tmp_path / "empty.txt"
     p.write_text("plant lat=40\nreceiver id=t x=0 y=0 z=100\n")
     layout = load_layout(str(p))
-    assert layout.heliostats == ()
+    assert layout.ids == ()
     report = evaluate_field(layout, sun_at(21, 12.0, 40.0))
     assert report.average == 1.0
 
@@ -123,6 +124,36 @@ def test_layout_diagnostics(tmp_path, body, message):
         load_layout(str(p))
 
 
+_RECEIVER = "plant lat=40\nreceiver id=t x=0 y=0 z=100\n"
+_SMALL_A = "heliostat id=a x=0 y=0 z=5 w=-1 h=10 receiver=t\n"
+_ORPHAN_B = "heliostat id=b x=30 y=0 z=5 w=10 h=10 receiver=zz\n"
+_SMALL_B = "heliostat id=b x=30 y=0 z=5 w=10 h=0 receiver=t\n"
+_ORPHAN_A = "heliostat id=a x=0 y=0 z=5 w=10 h=10 receiver=zz\n"
+
+
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        (_RECEIVER + _SMALL_A + _ORPHAN_B, "heliostat 'a' has non-positive dimensions"),
+        (_RECEIVER + _ORPHAN_A + _SMALL_B, "heliostat 'a' references unknown"),
+        (
+            "plant lat=40\n" + _SMALL_A + _ORPHAN_B + "receiver id=t x=0 y=0 z=100\n",
+            "heliostat 'a' has non-positive dimensions",
+        ),
+        (
+            "plant lat=40\n" + _ORPHAN_A + _SMALL_B + "receiver id=t x=0 y=0 z=100\n",
+            "heliostat 'a' references unknown",
+        ),
+    ],
+    ids=["small-then-orphan", "orphan-then-small", "receiver-last", "receiver-last-orphan"],
+)
+def test_layout_with_several_faults_names_the_first_heliostat(tmp_path, body, message):
+    p = tmp_path / "bad.txt"
+    p.write_text(body)
+    with pytest.raises(LayoutError, match=message):
+        load_layout(str(p))
+
+
 def test_save_load_roundtrip(tmp_path):
     layout = load_layout(REAL_SCENARIO)
     p = tmp_path / "copy.txt"
@@ -131,12 +162,60 @@ def test_save_load_roundtrip(tmp_path):
     assert again == layout
 
 
+# sha256 of save_layout's output for these layouts, which must not drift;
+# the bundled files themselves carry comments and trailing zeros that a
+# saved layout drops
+SAVED_LAYOUTS = {
+    "simple_pair": "77aca63e714e3bdea47bedf5fa1c9ada35180effa5e5d65a0a866451ea0413ed",
+    "real_scenario": "ad0fb71116871fb7add43ebd35bb17830943864af2ed0481616165775fef1e35",
+    "synthetic_250": "964a14ee35a5a699b656c32202c978d01439089d862ce7c7110d240ce6a05364",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAVED_LAYOUTS))
+def test_saved_layout_bytes_are_stable(tmp_path, name):
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    if name == "synthetic_250":
+        save_layout(synthetic_field(250), str(first))
+    else:
+        save_layout(load_layout(SIMPLE_PAIR if name == "simple_pair" else REAL_SCENARIO), str(first))
+    assert hashlib.sha256(first.read_bytes()).hexdigest() == SAVED_LAYOUTS[name]
+    # a saved layout loads and saves back to the same bytes
+    save_layout(load_layout(str(first)), str(second))
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_canonical_layout_text_round_trips(tmp_path):
+    text = (
+        "plant lat=-23.5\n"
+        "receiver id=north x=0 y=0 z=120\n"
+        "receiver id=south x=-400 y=0.5 z=95.25\n"
+        "heliostat id=a x=50.125 y=-3 z=4.5 w=10 h=8 receiver=north phi=0.25\n"
+        "heliostat id=b x=-350 y=12.75 z=6 w=7.5 h=7.5 receiver=south\n"
+        "heliostat id=c x=70 y=1e-05 z=5 w=10 h=8 receiver=north phi=-3.14159265\n"
+    )
+    src, dst = tmp_path / "src.txt", tmp_path / "dst.txt"
+    src.write_text(text)
+    layout = load_layout(str(src))
+    assert layout.receiver_ids == ("north", "south", "north")
+    assert layout.spins.tolist() == [0.25, 0.0, -3.14159265]
+    save_layout(layout, str(dst))
+    assert dst.read_text() == text
+
+
+def test_layout_columns_are_read_only():
+    layout = synthetic_field(3)
+    for column in (layout.centers, layout.dims, layout.spins):
+        with pytest.raises(ValueError):
+            column[0] = 1.0
+
+
 # -- synthetic generator -----------------------------------------------------
 
 
 def test_synthetic_single_heliostat():
     layout = synthetic_field(1)
-    assert len(layout.heliostats) == 1
+    assert layout.n == 1
     report = evaluate_field(layout, sun_at(21, 12.0, layout.latitude_deg))
     assert report.average == 1.0
 
@@ -153,7 +232,7 @@ def test_synthetic_deterministic_hash(tmp_path):
 def test_synthetic_no_overlaps():
     layout = synthetic_field(500)
     diag = math.hypot(12.88, 9.489)
-    pts = [(h.center.x, h.center.y) for h in layout.heliostats]
+    pts = layout.centers[:, :2].tolist()
     for i in range(0, len(pts), 25):  # spot-check rows against all others
         for k in range(len(pts)):
             if k == i:
@@ -195,20 +274,6 @@ def test_subject_mode_matches_field_report(path):
             assert efficiency(subject, field, sun).efficiency == record.efficiency
 
 
-def _layout_of(helios):
-    return FieldLayout(
-        latitude_deg=38.0,
-        receivers=(("t", helios[0].aim),),
-        heliostats=tuple(
-            HeliostatSpec(
-                id=h.id, center=h.center, width=h.width, height=h.height,
-                receiver="t",
-            )
-            for h in helios
-        ),
-    )
-
-
 def _efficiencies(layout, sun):
     return {r.id: r.efficiency for r in evaluate_field(layout, sun).records}
 
@@ -216,9 +281,9 @@ def _efficiencies(layout, sun):
 def test_removing_heliostat_never_hurts_others(rng):
     for _ in range(10):
         helios, sun = random_config(rng)
-        layout = _layout_of(helios)
+        layout = layout_of(helios)
         full = _efficiencies(layout, sun)
-        reduced_layout = dataclasses.replace(layout, heliostats=layout.heliostats[:-1])
+        reduced_layout = without(layout, -1)
         for hid, e in _efficiencies(reduced_layout, sun).items():
             assert e >= full[hid] - 1e-9
 
@@ -232,11 +297,10 @@ def test_removing_any_heliostat_never_hurts_others_low_sun(hour):
     sun = sun_at(21, hour, layout.latitude_deg)
     full = _efficiencies(layout, sun)
     assert min(full.values()) < 1.0
-    helios = layout.heliostats
-    for i in range(len(helios)):
-        reduced = dataclasses.replace(layout, heliostats=helios[:i] + helios[i + 1:])
+    for i in range(layout.n):
+        reduced = without(layout, i)
         for hid, e in _efficiencies(reduced, sun).items():
-            assert e >= full[hid] - 1e-9, (helios[i].id, hid)
+            assert e >= full[hid] - 1e-9, (layout.ids[i], hid)
 
 
 # 01-21 at these hours spans solar heights from 3.97 to 31.6 degrees
@@ -262,7 +326,7 @@ def test_prefilter_keeps_every_overlapping_quad(rng):
     overlapping = 0
     for _ in range(100):
         helios, sun = random_config(rng)
-        of = OrientedField(_layout_of(helios), sun)
+        of = OrientedField(layout_of(helios), sun)
         for j in range(of.n):
             outline = helios[j].outline()
             kept = {of.ids[i] for i in of.candidates(j)}
@@ -277,7 +341,7 @@ def test_capsules_keep_every_overlapping_quad_at_low_sun(rng):
     overlapping = 0
     for _ in range(100):
         helios, sun = random_config(rng, eta_deg=(1.0, 10.0))
-        of = OrientedField(_layout_of(helios), sun)
+        of = OrientedField(layout_of(helios), sun)
         for j in range(of.n):
             outline = helios[j].outline()
             kept = {of.ids[i] for i in of.candidates(j)}
@@ -312,13 +376,9 @@ def _far_flung(n):
     """synthetic_field(n) with every tenth mirror moved 20 km away, so the
     grid has to coarsen its cells."""
     layout = synthetic_field(n)
-    return dataclasses.replace(
-        layout,
-        heliostats=tuple(
-            dataclasses.replace(h, center=h.center + Vec3(20000.0 * (k % 10 == 0), 0.0, 0.0))
-            for k, h in enumerate(layout.heliostats)
-        ),
-    )
+    shift = np.zeros((n, 3))
+    shift[::10, 0] = 20000.0
+    return dataclasses.replace(layout, centers=layout.centers + shift)
 
 
 def _low_aims(n):
@@ -404,19 +464,30 @@ def small_layouts(draw):
     above all of them."""
     cx = draw(st.floats(-300.0, 300.0))
     cy = draw(st.floats(-300.0, 300.0))
-    helios = tuple(
-        HeliostatSpec(
-            id=f"m{k}",
-            center=Vec3(cx + draw(_coord), cy + draw(_coord), draw(st.floats(0.0, 10.0))),
-            width=draw(st.floats(1.0, 15.0)),
-            height=draw(st.floats(1.0, 15.0)),
-            receiver="t",
-            spin=draw(st.floats(-math.pi, math.pi)),
+    # one row per mirror: x, y, z, width, height, spin
+    rows = [
+        (
+            cx + draw(_coord),
+            cy + draw(_coord),
+            draw(st.floats(0.0, 10.0)),
+            draw(st.floats(1.0, 15.0)),
+            draw(st.floats(1.0, 15.0)),
+            draw(st.floats(-math.pi, math.pi)),
         )
-        for k in range(draw(st.integers(1, 12)))
-    )
+        for _ in range(draw(st.integers(1, 12)))
+    ]
+    n = len(rows)
+    values = np.array(rows)
     tower = Vec3(0.0, 0.0, draw(st.floats(30.0, 200.0)))
-    return FieldLayout(latitude_deg=38.0, receivers=(("t", tower),), heliostats=helios)
+    return FieldLayout(
+        latitude_deg=38.0,
+        receivers=(("t", tower),),
+        ids=[f"m{k}" for k in range(n)],
+        receiver_ids=["t"] * n,
+        centers=values[:, :3],
+        dims=values[:, 3:5],
+        spins=values[:, 5],
+    )
 
 
 @settings(max_examples=150, deadline=None)
@@ -445,11 +516,10 @@ def test_random_layouts_give_one_valid_efficiency(layout, eta, theta):
 def test_removing_any_heliostat_never_lowers_another_on_random_layouts(layout, eta, theta):
     sun = sun_vector(math.radians(eta), math.radians(theta))
     full = _efficiencies(layout, sun)
-    helios = layout.heliostats
-    for i in range(len(helios)):
-        reduced = dataclasses.replace(layout, heliostats=helios[:i] + helios[i + 1:])
+    for i in range(layout.n):
+        reduced = without(layout, i)
         for hid, e in _efficiencies(reduced, sun).items():
-            assert e >= full[hid] - 1e-9, (helios[i].id, hid)
+            assert e >= full[hid] - 1e-9, (layout.ids[i], hid)
 
 
 # sha256 of the --no-timing report of synthetic_field(250) on 01-21, as
@@ -496,9 +566,7 @@ def test_translating_plant_leaves_efficiencies_unchanged(hhmm, offset):
     moved = dataclasses.replace(
         layout,
         receivers=tuple((rid, pos + shift) for rid, pos in layout.receivers),
-        heliostats=tuple(
-            dataclasses.replace(h, center=h.center + shift) for h in layout.heliostats
-        ),
+        centers=layout.centers + offset,
     )
     sun = sun_at(21, _hour(hhmm), layout.latitude_deg)
     base = evaluate_field(layout, sun, workers=1).records
@@ -515,19 +583,9 @@ def test_rotating_plant_with_sun_leaves_efficiencies_unchanged(hhmm, phi):
     layout = synthetic_field(120)
     assert all(pos.x == 0.0 and pos.y == 0.0 for _, pos in layout.receivers)
     c, s = math.cos(phi), math.sin(phi)
+    x, y, z = layout.centers.T
     turned = dataclasses.replace(
-        layout,
-        heliostats=tuple(
-            dataclasses.replace(
-                h,
-                center=Vec3(
-                    c * h.center.x - s * h.center.y,
-                    s * h.center.x + c * h.center.y,
-                    h.center.z,
-                ),
-            )
-            for h in layout.heliostats
-        ),
+        layout, centers=np.column_stack([c * x - s * y, s * x + c * y, z])
     )
     eta, theta = solar_position(21, _hour(hhmm), math.radians(layout.latitude_deg))
     base = evaluate_field(layout, sun_vector(eta, theta), workers=1).records
@@ -578,6 +636,24 @@ def test_pair_results_do_not_depend_on_their_block(monkeypatch):
         assert text == serial, budget
 
 
+@pytest.mark.parametrize("eta,theta", [(math.nan, 1.0), (0.5, math.nan), (math.nan, math.nan)])
+def test_non_finite_sun_fails_loudly(eta, theta):
+    # sun_vector accepts a NaN angle, and an all-NaN light direction
+    # would give e = 1 for every mirror
+    layout = load_layout(SIMPLE_PAIR)
+    sun = sun_vector(eta, theta)
+    with pytest.raises(ValueError, match="sun direction is not finite"):
+        evaluate_field(layout, sun, workers=1)
+    with pytest.raises(ValueError, match="sun direction is not finite"):
+        OrientedField(layout, sun)
+    field = layout.to_heliostats()
+    with pytest.raises(ValueError, match="sun direction is not finite"):
+        efficiency(field[0], field, sun)
+    empty = dataclasses.replace(layout, ids=(), receiver_ids=(), centers=(), dims=(), spins=())
+    with pytest.raises(ValueError, match="sun direction is not finite"):
+        evaluate_field(empty, sun, workers=1)
+
+
 def test_non_finite_centre_fails_loudly():
     # a heliostat list, unlike a layout file, can carry a NaN centre
     helios = synthetic_field(5).to_heliostats()
@@ -588,7 +664,7 @@ def test_non_finite_centre_fails_loudly():
     with pytest.raises(ValueError, match="non-finite coordinate"):
         subject_efficiency(OrientedField(helios, sun), 0)
     with pytest.raises(ValueError, match="non-finite coordinate"):
-        evaluate_field(_layout_of(helios), sun, workers=1)
+        evaluate_field(layout_of(helios), sun, workers=1)
     # the mirror itself, named, rather than e = 1 from all-NaN geometry
     with pytest.raises(ValueError, match="'h0002' has a non-finite coordinate"):
         subject_efficiency(OrientedField(helios, sun), 2)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import math
 import sys
 import time
@@ -224,7 +225,10 @@ def cmd_oracle_check(args) -> None:
         raise CliError(f"oracle disagreement: |diff| = {_fmt(diff)} > {_fmt(tol)}")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: `parse_args` leaves
+    it unchanged."""
     parser = argparse.ArgumentParser(
         prog="helioshade",
         description="Heliostat blocking-and-shadowing efficiency via polygon clipping",

@@ -9,11 +9,13 @@ about 2 neighbours a subject at noon and 6 at a 6.5 degree sun.  A
 uniform grid over the mirror centres finds the capsule members without
 comparing every pair.  The (subject, neighbour) pairs stream out in
 field order and are cut into chunks of whole subjects with at most
-`_PAIR_BUDGET` actual pairs; each chunk's pairs are projected and
-culled as flat numpy arrays.  The few surviving quads are cleaned into
-plain coordinate rings, and one call of `clip.covered_areas` per chunk
-gives the shaded area of every subject in it, from the parts of the
-polygon edges that bound it, without building a residual polygon.
+`_PAIR_BUDGET` actual pairs; each chunk's pairs are clipped to the
+valid projection region (`_clip`, for the few occluders that cross its
+planes), projected and culled as flat numpy arrays.  The few surviving
+quads are cleaned into plain coordinate rings, and one call of
+`clip.covered_areas` per chunk gives the shaded area of every subject in
+it, from the parts of the polygon edges that bound it, without building
+a residual polygon.
 Results are deterministic and assembled in heliostat order regardless
 of the worker count.
 """
@@ -28,17 +30,10 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .clip import clean_ring, covered_areas
+from .clip import _ramp, clean_ring, covered_areas
 from .linalg3 import Vec3
 from .polygon2d import Polygon2
-from .shading import (
-    EfficiencyResult,
-    Heliostat,
-    ProjectedQuad,
-    _PERP_TOL,
-    block_image,
-    shadow_image,
-)
+from .shading import EfficiencyResult, Heliostat, ProjectedQuad
 from .solar import SunState
 
 __all__ = [
@@ -52,6 +47,10 @@ __all__ = [
     "format_report",
     "write_report",
 ]
+
+# Projections with |n . u| below this are treated as perpendicular: the
+# occluder edge-on to the subject casts no area.
+_PERP_TOL = 1e-12
 
 # Relative widening of the capsule radius, far above the rounding of the
 # projected coordinates, so a neighbour whose image just touches the
@@ -583,11 +582,6 @@ class _Grid:
         return np.repeat(owners[box], count), self.order[_ramp(count) + np.repeat(first, count)]
 
 
-def _ramp(counts: np.ndarray) -> np.ndarray:
-    """0, 1, ..., c - 1 for each c in counts, concatenated."""
-    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
 def _segment_dist2(x, y, vx, vy):
     """Squared distance from points (x, y) to the segments [0, (vx, vy)]."""
     vv = vx * vx + vy * vy
@@ -706,12 +700,13 @@ def _block_quads(
     """Surviving occluder quads of each subject j0 <= j < j1 of the chunk,
     in field order (block before shadow per occluder).
 
-    All (subject, neighbour) pairs of the chunk are projected, straddle-
-    tested and culled as flat (P, 4) coordinate arrays; `use_culling=False`
-    keeps every quad.  A pair whose occluder lies entirely inside the
-    valid projection region is projected here; the rare one straddling a
-    region boundary is clipped in 3D by the scalar
-    `block_image`/`shadow_image`.
+    All (subject, neighbour) pairs of the chunk are clipped to the valid
+    projection region, projected and culled as flat (P, V) coordinate
+    arrays; `use_culling=False` keeps every quad.  The valid region is the
+    front of the subject plane for shadows and the slab between the
+    subject plane and the aim point for blocks; `_clip` cuts only the rare
+    occluders that straddle one of those planes, so a chunk without such
+    a pair keeps its 4-vertex rows.
     """
     j0, j1, subjects, cols = chunk
     rows = subjects - j0  # row-major: subjects keep field order
@@ -733,70 +728,51 @@ def _block_quads(
     c = (per_pair(cx), per_pair(cy), per_pair(cz))
     rot = of.rotations[j0:j1][rows]
     r = [[rot[:, i, k, None] for k in range(3)] for i in range(2)]
-    px, py, pz = np.moveaxis(of.corners[cols], 2, 0)  # each (P, 4)
+    corners = np.moveaxis(of.corners[cols], 2, 0)  # (3, P, 4)
+    px, py, pz = corners
     side = px * per_pair(nx) + py * per_pair(ny) + pz * per_pair(nz) - per_pair(plane_d)
+    count = np.full(len(cols), 4)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         # shadow projection along the light direction: only the part of
         # the occluder on the front side of the subject plane casts on
         # the mirror
-        ok_s = (np.abs(denom_s) >= _PERP_TOL)[rows]
         front = side >= 0.0
-        shadow_full = ok_s & front.all(axis=1)
-        shadow_part = ok_s & ~shadow_full & front.any(axis=1)
-        t_s = -side / per_pair(denom_s)
+        shadow = (np.abs(denom_s) >= _PERP_TOL)[rows] & front.any(axis=1)
+        (px, py, pz), side_s, count_s = _clip(corners, side, count, shadow & ~front.all(axis=1))
+        shadow &= count_s >= 3
+        t_s = -side_s / per_pair(denom_s)
         shadow_x, shadow_y = _local_xy(px + t_s * ux, py + t_s * uy, pz + t_s * uz, c, r)
 
-        # block projection from the aim point: a corner has a finite
-        # image only inside the slab 0 < side < side(aim)
-        ok_b = (side_t > 0.0)[rows]
+        # block projection from the aim point: a point has a finite image
+        # only inside the slab 0 < side < side(aim)
         upper = per_pair(side_t * (1.0 - 1e-9))
-        block_full = ok_b & ((side > 0.0) & (side < upper)).all(axis=1)
-        block_part = (
-            ok_b
-            & ~block_full
-            & ~(side <= 0.0).all(axis=1)
-            & ~(side >= upper).all(axis=1)
-        )
+        block = (side_t > 0.0)[rows] & ~(side <= 0.0).all(axis=1) & ~(side >= upper).all(axis=1)
+        pts, side_b, count_b = _clip(corners, side, count, block & (side < 0.0).any(axis=1))
+        beyond = block & (side_b > upper).any(axis=1)
+        (px, py, pz), side_b, count_b = _clip(pts, side_b, count_b, beyond, upper)
+        block &= (count_b >= 3) & ~(side_b <= 0.0).all(axis=1)
         dx, dy, dz = per_pair(ax) - px, per_pair(ay) - py, per_pair(az) - pz
         dist = np.sqrt(dx * dx + dy * dy + dz * dz)
         dx, dy, dz = dx / dist, dy / dist, dz / dist
         denom_b = dx * per_pair(nx) + dy * per_pair(ny) + dz * per_pair(nz)
-        t_b = -side / denom_b
-        block_full &= (dist > 0.0).all(axis=1) & (np.abs(denom_b) >= _PERP_TOL).all(
-            axis=1
-        )
+        t_b = -side_b / denom_b
+        block &= (dist > 0.0).all(axis=1) & (np.abs(denom_b) >= _PERP_TOL).all(axis=1)
         block_x, block_y = _local_xy(px + t_b * dx, py + t_b * dy, pz + t_b * dz, c, r)
 
     if use_culling:
-        shadow_full &= ~_culled(shadow_x, shadow_y, per_pair(hx), per_pair(hy))
-        block_full &= ~_culled(block_x, block_y, per_pair(hx), per_pair(hy))
+        shadow &= ~_culled(shadow_x, shadow_y, per_pair(hx), per_pair(hy))
+        block &= ~_culled(block_x, block_y, per_pair(hx), per_pair(hy))
 
-    keep = np.flatnonzero(block_full | shadow_full | block_part | shadow_part)
+    keep = np.flatnonzero(block | shadow)
     quads: List[List[_Quad]] = [[] for _ in range(j1 - j0)]
-    for s, i, bf, sf, bp, sp, ring_b, ring_s in zip(
+    for s, i, raw_b, raw_s in zip(
         rows[keep].tolist(),
         cols[keep].tolist(),
-        block_full[keep].tolist(),
-        shadow_full[keep].tolist(),
-        block_part[keep].tolist(),
-        shadow_part[keep].tolist(),
-        np.stack([block_x[keep], block_y[keep]], axis=-1).tolist(),
-        np.stack([shadow_x[keep], shadow_y[keep]], axis=-1).tolist(),
+        _raw_rings(block_x[keep], block_y[keep], block[keep], count_b[keep]),
+        _raw_rings(shadow_x[keep], shadow_y[keep], shadow[keep], count_s[keep]),
     ):
-        ring_b = ring_b if bf else None
-        ring_s = ring_s if sf else None
-        if bp or sp:
-            j = j0 + s
-            cs = [Vec3(*xyz) for xyz in of.corners[i].tolist()]
-            n_c = Vec3(float(nx[s]), float(ny[s]), float(nz[s]))
-            d = float(plane_d[s])
-            if bp:
-                aim = Vec3(*of.aims[j].tolist())
-                ring_b = _straddle_ring(of, j, block_image(cs, n_c, d, aim), use_culling)
-            if sp:
-                ring_s = _straddle_ring(of, j, shadow_image(cs, n_c, d, u_s), use_culling)
-        for kind, raw in (("block", ring_b), ("shadow", ring_s)):
+        for kind, raw in (("block", raw_b), ("shadow", raw_s)):
             if raw is not None:
                 ring = clean_ring(raw)
                 if ring is not None:
@@ -804,19 +780,52 @@ def _block_quads(
     return quads
 
 
-def _straddle_ring(
-    of: OrientedField, j: int, pts: Optional[List[Vec3]], use_culling: bool
-) -> Optional[List[Tuple[float, float]]]:
-    """Subject-plane ring of a scalar occluder image on mirror j, or None
-    if there is no image or it is culled."""
-    if pts is None:
-        return None
-    x, y, z = np.array([(q.x, q.y, q.z) for q in pts]).T
-    xs, ys = _local_xy(x, y, z, of.centers[j], of.rotations[j])
-    hx, hy = of.dims[j] / 2.0
-    if use_culling and _culled(xs, ys, hx, hy):
-        return None
-    return list(zip(xs.tolist(), ys.tolist()))
+def _raw_rings(xs: np.ndarray, ys: np.ndarray, ok: np.ndarray, count: np.ndarray) -> list:
+    """Each row's first count points as [x, y] lists, or None where `ok`
+    is False."""
+    pts = np.stack([xs, ys], axis=-1).tolist()
+    if (count < xs.shape[1]).any():
+        pts = [p[:n] for p, n in zip(pts, count.tolist())]
+    return [p if k else None for p, k in zip(pts, ok.tolist())]
+
+
+def _clip(xyz: np.ndarray, side: np.ndarray, count: np.ndarray, rows: np.ndarray, upper=None):
+    """One Sutherland-Hodgman pass: the flagged polygons cut to the part
+    with side >= 0, or with side <= upper if `upper` (P, 1) is given.
+
+    `xyz` (3, P, V) holds P planar polygons of count[p] vertices each,
+    padded with copies of the first vertex, and `side` (P, V) their
+    signed plane distances.  A cut edge a -> b gets the vertex
+    a + t (b - a), t = sa / (sa - sb), on the plane.  Returns new
+    (xyz, side, count), wider if a polygon gained vertices; rows that
+    are not flagged keep their vertices.
+    """
+    q = np.flatnonzero(rows)
+    if not len(q):
+        return xyz, side, count
+    width = side.shape[1]
+    a = xyz[:, q]
+    sa = side[q] if upper is None else upper[q] - side[q]
+    b, sb = np.roll(a, -1, axis=2), np.roll(sa, -1, axis=1)
+    valid = np.arange(width) < count[q, None]
+    cross = ((sa > 0.0) & (sb < 0.0)) | ((sa < 0.0) & (sb > 0.0))
+    # slot 2k: vertex k if inside, slot 2k + 1: the cut of edge k
+    slots = np.stack([valid & (sa >= 0.0), valid & cross], axis=-1).reshape(len(q), -1)
+    cand = np.stack([a, a + sa / (sa - sb) * (b - a)], axis=-1).reshape(3, len(q), -1)
+    cand_s = np.stack([sa, np.zeros_like(sa)], axis=-1).reshape(len(q), -1)
+    kept = slots.sum(axis=1)
+    grown = max(width, int(kept.max()))
+    order = np.argsort(~slots, axis=1, kind="stable")[:, :grown]
+    order = np.where(np.arange(grown) < kept[:, None], order, order[:, :1])
+    cut_s = np.take_along_axis(cand_s, order, axis=1)
+    pad = grown - width
+    xyz = np.concatenate([xyz, np.repeat(xyz[:, :, :1], pad, axis=2)], axis=2)
+    side = np.concatenate([side, np.repeat(side[:, :1], pad, axis=1)], axis=1)
+    xyz[:, q] = np.take_along_axis(cand, order[None], axis=2)
+    side[q] = cut_s if upper is None else upper[q] - cut_s
+    count = count.copy()
+    count[q] = kept
+    return xyz, side, count
 
 
 def subject_quads(

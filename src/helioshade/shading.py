@@ -1,13 +1,13 @@
-"""Heliostat records, scalar orientation, occluder images for the
-straddle case, and the single-subject entry points.
+"""Heliostat records, scalar orientation and the single-subject entry
+points.
 
-For a subject mirror the occluders are projected corner by corner: along
-the light direction for shadowing, toward the subject's aim point for
-blocking.  The projected quads are culled cheaply; the efficiency is one
-minus the fraction of the mirror that they cover.  `efficiency` and
-`candidate_quads` run that pipeline through the array engine in `field`;
-`orient` keeps the scalar mirror frames that the 3D-ray oracle uses as
-its independent reference.
+For a subject mirror the occluders are clipped to the valid side of the
+subject plane and projected: along the light direction for shadowing,
+toward the subject's aim point for blocking.  The projected quads are
+culled cheaply; the efficiency is one minus the fraction of the mirror
+that they cover.  `efficiency` and `candidate_quads` run that pipeline
+through the array engine in `field`; `orient` keeps the scalar mirror
+frames that the 3D-ray oracle uses as its independent reference.
 """
 
 from __future__ import annotations
@@ -30,10 +30,6 @@ __all__ = [
     "candidate_quads",
     "efficiency",
 ]
-
-# Projections with |n . u| below this are treated as perpendicular: the
-# occluder edge-on to the subject casts no area.
-_PERP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -113,97 +109,6 @@ def orient(h: Heliostat, sun: SunState) -> Heliostat:
     frame = frame_from_normal(n, h.spin, h.center)
     corners = tuple(from_frame(frame, c) for c in h.local_corners())
     return dataclasses.replace(h, normal=n, frame=frame, corners=corners)
-
-
-def _clip_to_halfspace(
-    pts: Sequence[Vec3], sides: Sequence[float]
-) -> Tuple[List[Vec3], List[float]]:
-    """Keep the part of a planar polygon with side value >= 0.
-
-    `sides` are signed plane distances (up to a common factor); clipped
-    edge crossings are interpolated.  Used when an occluder straddles the
-    subject plane, where projecting the raw corners is meaningless.
-    """
-    out_p: List[Vec3] = []
-    out_s: List[float] = []
-    n = len(pts)
-    for i in range(n):
-        a, sa = pts[i], sides[i]
-        b, sb = pts[(i + 1) % n], sides[(i + 1) % n]
-        if sa >= 0.0:
-            out_p.append(a)
-            out_s.append(sa)
-        if (sa > 0.0 and sb < 0.0) or (sa < 0.0 and sb > 0.0):
-            t = sa / (sa - sb)
-            out_p.append(a + t * (b - a))
-            out_s.append(0.0)
-    return out_p, out_s
-
-
-def shadow_image(
-    corners: Sequence[Vec3], n_c: Vec3, plane_d: float, u_s: Vec3
-) -> Optional[List[Vec3]]:
-    """Plant-frame image of an occluder polygon along the light direction.
-
-    None when the subject plane is edge-on to the light or the occluder
-    sits entirely downstream of the subject (its shadow falls away from
-    the mirror, never on it).
-    """
-    denom = n_c.dot(u_s)
-    if abs(denom) < _PERP_TOL:
-        return None
-    sides = [n_c.dot(p) - plane_d for p in corners]
-    if all(s < 0.0 for s in sides):
-        return None
-    if any(s < 0.0 for s in sides):
-        # occluder straddles the subject plane: only the upstream part
-        # casts a shadow on the mirror
-        corners, sides = _clip_to_halfspace(corners, sides)
-        if len(corners) < 3:
-            return None
-    return [p + (-s / denom) * u_s for p, s in zip(corners, sides)]
-
-
-def block_image(
-    corners: Sequence[Vec3], n_c: Vec3, plane_d: float, target: Vec3
-) -> Optional[List[Vec3]]:
-    """Plant-frame image of an occluder polygon projected from the aim point.
-
-    The subject's reflected rays converge on the aim point, so an occluder
-    can only intercept them between the subject plane and that point.
-    A point q casts a finite image only inside the slab
-    0 < side(q) < side(target): behind the subject plane it cannot block,
-    and at or beyond the aim point's plane distance the image runs to
-    infinity behind the projection center.  The occluder is clipped to
-    that slab before projecting.
-    """
-    side_t = n_c.dot(target) - plane_d
-    if side_t <= 0.0:
-        return None
-    upper = side_t * (1.0 - 1e-9)
-    sides = [n_c.dot(p) - plane_d for p in corners]
-    if any(s < 0.0 for s in sides):
-        corners, sides = _clip_to_halfspace(corners, sides)
-    if any(s > upper for s in sides):
-        flipped = [upper - s for s in sides]
-        corners, flipped = _clip_to_halfspace(list(corners), flipped)
-        sides = [upper - s for s in flipped]
-    if len(corners) < 3:
-        return None
-    if all(s <= 0.0 for s in sides):
-        return None
-    pts = []
-    for p, s in zip(corners, sides):
-        d = target - p
-        dist = d.norm()
-        if dist == 0.0:
-            return None
-        u_ta = d * (1.0 / dist)
-        denom = n_c.dot(u_ta)
-        if abs(denom) < _PERP_TOL:
-            return None
-        pts.append(p + (-s / denom) * u_ta)
-    return pts
 
 
 def _oriented_subject(subject: Heliostat, field: Sequence[Heliostat], sun: SunState):

@@ -27,9 +27,18 @@ class SunState:
 
 
 def sun_vector(eta: float, theta: float) -> SunState:
-    """Sun state from solar height and azimuth, both in radians."""
+    """Sun state from solar height and azimuth, both in radians.
+
+    Raises `ValueError` for a non-finite angle, a sun at or below the
+    horizon, or a height past the zenith (eta > pi / 2), which would
+    give the direction of another sun.
+    """
+    if not (math.isfinite(eta) and math.isfinite(theta)):
+        raise ValueError(f"sun angles must be finite, got eta={eta!r}, theta={theta!r}")
     if eta <= 0.0:
         raise ValueError("sun below horizon")
+    if eta > math.pi / 2.0:
+        raise ValueError(f"solar height {eta!r} rad is past the zenith")
     u = Vec3(
         -math.cos(eta) * math.cos(theta),
         math.cos(eta) * math.sin(theta),

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from conftest import make_heliostat, oriented, random_config, simple_trio, sun_at
+from helioshade.field import OrientedField, subject_quads
 from helioshade.linalg3 import Vec3
 from helioshade.oracle import OracleConfig, sample_efficiency
 from helioshade.shading import efficiency, orient
@@ -74,6 +75,83 @@ def test_independent_3d_mode_agrees_on_random_fields(rng):
         assert abs(est - e_clip) <= max(0.002, 4.0 * se)
         shaded += e_clip < 1.0
     assert shaded >= 5
+
+
+# A subject s at the origin and one occluder o that does not touch the
+# mirror but crosses a plane of the valid projection region, so its kept
+# quads come from a clipped polygon: the subject plane ("plane") or the
+# parallel plane through the aim point ("top").  Each case is the subject
+# (width, height, aim), the occluder (centre, width, height, aim), the sun
+# (height, azimuth) in degrees, the crossed planes and the kept kinds.
+STRADDLES = {
+    "shadow-low-sun": (
+        (6.9, 11.4, (44.7, -19.7, 7.0)),
+        ((-6.7, -1.3, -0.2), 11.4, 10.3, (-31.4, -59.2, 28.1)),
+        (16.0, -166.3),
+        {"plane"},
+        ["shadow"],
+    ),
+    "shadow-high-sun": (
+        (6.8, 7.0, (47.7, -17.4, 10.0)),
+        ((-5.7, -2.7, 5.3), 13.9, 5.0, (-37.6, -39.2, 29.8)),
+        (73.5, 142.5),
+        {"plane"},
+        ["shadow"],
+    ),
+    "block-and-shadow": (
+        (7.4, 10.0, (-8.4, 34.7, 7.8)),
+        ((-3.8, -2.6, 5.4), 10.0, 9.7, (-15.2, -37.6, 111.5)),
+        (43.7, -122.4),
+        {"plane"},
+        ["block", "shadow"],
+    ),
+    "block-top": (
+        (10.0, 7.5, (-3.3, -3.0, 6.6)),
+        ((-4.2, -1.9, 7.2), 9.4, 8.8, (68.9, 44.8, 28.7)),
+        (42.6, -158.7),
+        {"top"},
+        ["block", "shadow"],
+    ),
+    "block-top-far": (
+        (7.3, 9.4, (-6.3, -32.7, 5.3)),
+        ((-9.2, -9.6, 3.6), 11.7, 10.1, (45.9, -6.1, 38.3)),
+        (21.9, -114.8),
+        {"top"},
+        ["block"],
+    ),
+    "block-both-planes": (
+        (7.5, 7.8, (-4.7, 5.7, 5.1)),
+        ((0.1, 9.9, 2.4), 13.3, 10.0, (77.7, 55.3, 148.8)),
+        (51.8, 125.5),
+        {"plane", "top"},
+        ["block"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRADDLES))
+def test_independent_3d_mode_agrees_on_clipped_straddles(case):
+    (sw, sh, aim), (centre, ow, oh, occ_aim), (eta, theta), planes, kinds = STRADDLES[case]
+    field = [
+        make_heliostat("s", 0.0, 0.0, 0.0, sw, sh, Vec3(*aim)),
+        make_heliostat("o", *centre, ow, oh, Vec3(*occ_aim)),
+    ]
+    sun = sun_vector(math.radians(eta), math.radians(theta))
+    of = OrientedField(field, sun)
+    n, c = of.normals[0], of.centers[0]
+    side = of.corners[1] @ n - n @ c
+    levels = {"plane": 0.0, "top": n @ of.aims[0] - n @ c}
+    crossed = {k for k, v in levels.items() if side.min() < v < side.max()}
+    assert crossed == planes
+    assert [q.kind for q in subject_quads(of, 0)] == kinds
+
+    f = oriented(field, sun)
+    e_clip = efficiency(f[0], f, sun).efficiency
+    est, se = sample_efficiency(
+        f[0], f, sun, OracleConfig(samples=250_000, independent=True)
+    )
+    assert e_clip < 0.95
+    assert abs(est - e_clip) <= max(0.002, 4.0 * se)
 
 
 def test_grid_mode_converges_with_resolution():

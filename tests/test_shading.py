@@ -6,7 +6,7 @@ import pytest
 from conftest import make_heliostat, random_config, simple_trio, sun_at
 from helioshade.field import OrientedField, subject_quads
 from helioshade.linalg3 import Vec3, from_frame, to_frame
-from helioshade.shading import candidate_quads, efficiency, orient, shadow_image
+from helioshade.shading import candidate_quads, efficiency, orient
 from helioshade.solar import sun_vector
 
 
@@ -78,9 +78,6 @@ def test_shadow_perpendicular_discarded():
     assert kinds() == ["block", "shadow"]
     of.sun = sun_vector(1e-13, 0.0)
     assert kinds() == ["block"]
-    corners = [Vec3(*c) for c in of.corners[1]]
-    n_c = Vec3(*of.normals[0])
-    assert shadow_image(corners, n_c, 0.0, of.sun.u_s) is None
 
 
 def test_shadow_downstream_occluder_discarded():

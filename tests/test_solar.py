@@ -30,6 +30,24 @@ def test_below_horizon_rejected():
         sun_vector(-0.1, 0.0)
 
 
+@pytest.mark.parametrize(
+    "eta,theta",
+    [(math.nan, 0.0), (0.5, math.nan), (math.inf, 0.0), (0.5, math.inf), (0.5, -math.inf)],
+)
+def test_non_finite_angles_rejected(eta, theta):
+    with pytest.raises(ValueError, match="sun angles must be finite"):
+        sun_vector(eta, theta)
+
+
+def test_height_past_zenith_rejected():
+    # 100 degrees would give the direction of an 80 degree sun opposite
+    with pytest.raises(ValueError, match="past the zenith"):
+        sun_vector(math.radians(100.0), 0.0)
+    with pytest.raises(ValueError, match="past the zenith"):
+        sun_vector(math.nextafter(math.pi / 2.0, 4.0), 0.0)
+    assert sun_vector(math.radians(90.0), 0.0).eta == math.pi / 2.0
+
+
 def test_unit_norm():
     for eta in (0.1, 0.5, 1.0, 1.5):
         for theta in (-3.0, -1.0, 0.0, 2.0):

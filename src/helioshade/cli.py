@@ -187,9 +187,7 @@ def cmd_bench(args) -> None:
     average = 1.0
     for _ in range(args.reps):
         t0 = time.perf_counter()
-        report = evaluate_field(
-            layout, sun, workers=args.workers, use_culling=not args.no_culling
-        )
+        report = evaluate_field(layout, sun, workers=args.workers)
         times.append(time.perf_counter() - t0)
         average = report.average
     mean = sum(times) / len(times)
@@ -272,7 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=10)
     p.add_argument("--layout", help="use this layout instead of a synthetic one")
     p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--no-culling", action="store_true")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("oracle-check", help="compare clipping against dense sampling")

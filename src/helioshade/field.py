@@ -7,12 +7,13 @@ shadows and one toward the aim point for blocking (see
 `OrientedField.candidates`); on the synthetic 1000-mirror field that is
 about 2 neighbours a subject at noon and 6 at a 6.5 degree sun.  A
 uniform grid over the mirror centres finds the capsule members without
-comparing every pair.  The (subject, neighbour) pairs stream out in
-field order and are cut into chunks of whole subjects with at most
-`_PAIR_BUDGET` actual pairs; each chunk's pairs are clipped to the
-valid projection region (`_clip`, for the few occluders that cross its
-planes), projected and culled as flat numpy arrays.  The few surviving
-quads are cleaned into plain coordinate rings, and one call of
+comparing every pair.  The field is cut once, into chunks of whole
+consecutive subjects whose selection visits at most `_GATHER_BUDGET`
+grid rows and mirrors, which also bounds their pairs; each chunk
+selects its own (subject, neighbour) pairs, clips them to the valid
+projection region (`_clip`, for the few occluders that cross its
+planes), and projects and culls them as flat numpy arrays.  The few
+surviving quads are cleaned into plain coordinate rings, and one call of
 `clip.covered_areas` per chunk gives the shaded area of every subject in
 it, from the parts of the polygon edges that bound it, without building
 a residual polygon.
@@ -65,6 +66,13 @@ class LayoutError(ValueError):
 # the columns of a layout, and the numbers of a heliostat line in file order
 _COLUMNS = ("centers", "dims", "spins")
 _HELIOSTAT_NUMBERS = ("x", "y", "z", "w", "h")
+
+# the fields each record type takes; a heliostat's phi is optional
+_FIELDS = {
+    "heliostat": ("id", "receiver", "phi") + _HELIOSTAT_NUMBERS,
+    "receiver": ("id", "x", "y", "z"),
+    "plant": ("lat",),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,8 +151,9 @@ class FieldLayout:
     def validate(self) -> None:
         """Raise `LayoutError` for a duplicate receiver id, else for the
         first heliostat, in row order, that repeats an earlier id, names
-        an unknown receiver, has a non-positive dimension or is not below
-        its receiver (checked in that order)."""
+        an unknown receiver, has a non-positive dimension, is not below
+        its receiver or has the centre of an earlier heliostat (checked in
+        that order)."""
         seen = set()
         for rid, _ in self.receivers:
             if rid in seen:
@@ -158,7 +167,17 @@ class FieldLayout:
         # an unknown receiver (row -1) is at height NaN, so only its own check fires
         heights = np.array([p.z for _, p in self.receivers] + [math.nan])[rows]
         small = (self.dims <= 0.0).any(axis=1)
-        faults = np.stack([repeated, rows < 0, small, heights <= self.centers[:, 2]])
+        # twin[k]: an earlier row with the centre of row k, or -1; only
+        # rows that share an x can share a centre, and the stable sort
+        # keeps equal centres in row order
+        twin = np.full(self.n, -1)
+        x = np.sort(self.centers[:, 0])
+        if (x[1:] == x[:-1]).any():
+            order = np.lexsort(self.centers.T[::-1])
+            ordered = self.centers[order]
+            same = (ordered[1:] == ordered[:-1]).all(axis=1)
+            twin[order[1:][same]] = order[:-1][same]
+        faults = np.stack([repeated, rows < 0, small, heights <= self.centers[:, 2], twin >= 0])
         bad = np.flatnonzero(faults.any(axis=0))
         if not len(bad):
             return
@@ -169,6 +188,7 @@ class FieldLayout:
             f"heliostat {hid!r} references unknown receiver {rid!r}",
             f"heliostat {hid!r} has non-positive dimensions",
             f"heliostat {hid!r}: receiver {rid!r} not above center",
+            f"heliostat {hid!r} has the same center as {self.ids[twin[k]]!r}",
         )
         raise LayoutError(messages[int(np.argmax(faults[:, k]))])
 
@@ -201,11 +221,23 @@ def _number(fields: Dict[str, str], key: str, lineno: int) -> float:
     return value
 
 
+def _stray_field(parts: List[str], allowed: Tuple[str, ...]) -> str:
+    """What is wrong with `key=value` parts that are not each a field
+    from `allowed`, given once."""
+    keys = [part.split("=", 1)[0] for part in parts]
+    for m, key in enumerate(keys):
+        if key in keys[:m]:
+            return f"repeated field {key!r}"
+    return f"unknown field {next(k for k in keys if k not in allowed)!r}"
+
+
 def load_layout(path: str) -> FieldLayout:
     """Read a layout file; see the package README for the line format.
 
-    Every number goes through `float` and must be finite; a fault names
-    its line.  The heliostat lines fill the layout's columns directly.
+    Every number goes through `float` and must be finite, and a field
+    may appear once and only where its record type takes it; a fault
+    names its line.  The heliostat lines fill the layout's columns
+    directly.
     """
     latitude: Optional[float] = None
     receivers: List[Tuple[str, Vec3]] = []
@@ -230,11 +262,14 @@ def load_layout(path: str) -> FieldLayout:
                     rows.append([_number(fields, key, lineno) for key in _HELIOSTAT_NUMBERS])
                     receiver_ids.append(fields["receiver"])
                     spins.append(_number(fields, "phi", lineno) if "phi" in fields else 0.0)
+                    used = 8 if "phi" in fields else 7
                 elif kind == "receiver":
                     rid = fields["id"]
                     receivers.append((rid, Vec3(*(_number(fields, k, lineno) for k in "xyz"))))
+                    used = 4
                 elif kind == "plant":
                     latitude = _number(fields, "lat", lineno)
+                    used = 1
                 else:
                     raise LayoutError(f"line {lineno}: unknown record type {kind!r}")
             except KeyError as exc:
@@ -243,6 +278,10 @@ def load_layout(path: str) -> FieldLayout:
                 if isinstance(exc, LayoutError):
                     raise
                 raise LayoutError(f"line {lineno}: {exc}") from None
+            # the `used` fields were all read, so any other part repeats one
+            # of them or is a field the record does not take
+            if len(parts) - 1 != used:
+                raise LayoutError(f"line {lineno}: {_stray_field(parts[1:], _FIELDS[kind])}")
     if latitude is None:
         raise LayoutError("missing 'plant lat=...' line")
     values = np.array(rows, dtype=float).reshape(-1, 5)
@@ -401,8 +440,9 @@ class OrientedField:
 
         to_t = self.aims - self.centers
         dist = np.linalg.norm(to_t, axis=1)
-        if np.any(dist == 0.0):
-            raise ValueError("heliostat at receiver")
+        bad = np.flatnonzero(dist == 0.0)
+        if len(bad):
+            raise ValueError(f"heliostat {self.ids[bad[0]]!r} is at its receiver")
         u_t = to_t / dist[:, None]
         n_raw = u_t - u_s
         self.normals = n_raw / np.linalg.norm(n_raw, axis=1)[:, None]
@@ -611,76 +651,41 @@ def _rotations_zxz(alpha, beta, gamma) -> np.ndarray:
     return rz_g @ rx_b @ rz_a
 
 
-# Most (subject, neighbour) pairs one kernel call may consider, unless one
-# subject alone has more.  A chunk's arrays and kept rings take about
-# 2 kB per pair, and `covered_areas` about 4 kB more at a 6.5 degree sun;
-# a budget of 8192 raised the peak RSS of a 1000-mirror field at that sun
-# by 13 MB (before `covered_areas`) and saved no measurable time.
-_PAIR_BUDGET = 1024
-
-# Most grid rows plus gathered mirrors one selection window may visit.
-_GATHER_BUDGET = 8192
+# Most grid rows plus gathered mirrors the capsule selection of one chunk
+# of subjects may visit, unless one subject alone needs more.  A chunk's
+# pairs are at most its gathered mirrors; its arrays and kept rings take
+# about 2 kB per pair, and `covered_areas` about 4 kB more at a 6.5
+# degree sun, where this budget gives the 1000-mirror field chunks of at
+# most about 1040 pairs (8192 gave 1350 and 1 MB more peak RSS).
+_GATHER_BUDGET = 6144
 
 # One surviving occluder quad: neighbour index, "block" or "shadow", and
 # its cleaned counterclockwise ring in the subject's local plane.
 _Quad = Tuple[int, str, List[Tuple[float, float]]]
 
-# Consecutive subjects j0 <= j < j1 and their (subject, neighbour) pairs,
-# in row-major order with neighbours ascending.
-_Chunk = Tuple[int, int, np.ndarray, np.ndarray]
-
 
 def _pairs(of: OrientedField, j0: int, j1: int, use_culling: bool):
-    """(subjects, neighbours) of the subjects j0 <= j < j1: the capsule
-    candidates, or with `use_culling=False` every neighbour."""
+    """(subjects, neighbours) of the subjects j0 <= j < j1, in row-major
+    order with neighbours ascending: the capsule candidates, or with
+    `use_culling=False` every neighbour."""
     if use_culling:
         return of.capsule_pairs(j0, j1)
     rows, cols = np.nonzero(np.arange(of.n) != np.arange(j0, j1)[:, None])
     return rows + j0, cols
 
 
-def _cut(counts: np.ndarray, budget: int) -> Iterator[Tuple[int, int]]:
-    """Greedy ranges [k0, k1) of consecutive items whose counts sum to at
-    most `budget`, or of one item that alone has more."""
-    ends = np.cumsum(counts)
-    k0 = 0
-    while k0 < len(counts):
-        base = ends[k0 - 1] if k0 else 0
-        k1 = max(k0 + 1, int(np.searchsorted(ends, base + budget, side="right")))
-        yield k0, k1
-        k0 = k1
-
-
-def _blocks(of: OrientedField, use_culling: bool = True) -> Iterator[_Chunk]:
-    """The field's pair stream cut into chunks of whole consecutive
-    subjects with at most `_PAIR_BUDGET` pairs each; a subject with more
-    pairs than that is a chunk by itself.
-
-    The pairs are selected a window of subjects at a time, so the whole
-    pair list is never built; the last chunk of a window waits for the
-    next one, as it may still take more subjects.
-    """
-    if use_culling:
-        work = of._capsule_work()
-    else:
-        work = np.full(of.n, of.n)
-    subjects = neighbours = np.empty(0, dtype=np.intp)
-    j0 = 0  # first subject not yet in a chunk
-    for g0, g1 in _cut(work, _GATHER_BUDGET):
-        s, i = _pairs(of, g0, g1, use_culling)
-        subjects = np.concatenate([subjects, s])
-        neighbours = np.concatenate([neighbours, i])
-        # bounds[k]: pairs of the subjects j0 .. j0 + k - 1
-        bounds = np.searchsorted(subjects, np.arange(j0, g1 + 1))
-        ranges = list(_cut(np.diff(bounds), _PAIR_BUDGET))
-        if g1 < of.n:
-            ranges.pop()
-        for k0, k1 in ranges:
-            p0, p1 = bounds[k0], bounds[k1]
-            yield j0 + k0, j0 + k1, subjects[p0:p1], neighbours[p0:p1]
-        k = ranges[-1][1] if ranges else 0
-        subjects, neighbours = subjects[bounds[k]:], neighbours[bounds[k]:]
-        j0 += k
+def _blocks(of: OrientedField) -> Iterator[Tuple[int, int]]:
+    """The field cut greedily into chunks [j0, j1) of whole consecutive
+    subjects whose capsule selection visits at most `_GATHER_BUDGET` grid
+    rows and mirrors; a subject that alone visits more is a chunk by
+    itself.  So the whole pair list is never built."""
+    ends = np.cumsum(of._capsule_work())
+    j0 = 0
+    while j0 < of.n:
+        base = ends[j0 - 1] if j0 else 0
+        j1 = max(j0 + 1, int(np.searchsorted(ends, base + _GATHER_BUDGET, side="right")))
+        yield j0, j1
+        j0 = j1
 
 
 def _local_xy(x, y, z, c, r):
@@ -695,20 +700,20 @@ def _local_xy(x, y, z, c, r):
 
 
 def _block_quads(
-    of: OrientedField, chunk: _Chunk, use_culling: bool = True
+    of: OrientedField, j0: int, j1: int, use_culling: bool = True
 ) -> List[List[_Quad]]:
-    """Surviving occluder quads of each subject j0 <= j < j1 of the chunk,
-    in field order (block before shadow per occluder).
+    """Surviving occluder quads of each subject j0 <= j < j1, in field
+    order (block before shadow per occluder).
 
-    All (subject, neighbour) pairs of the chunk are clipped to the valid
-    projection region, projected and culled as flat (P, V) coordinate
-    arrays; `use_culling=False` keeps every quad.  The valid region is the
-    front of the subject plane for shadows and the slab between the
-    subject plane and the aim point for blocks; `_clip` cuts only the rare
-    occluders that straddle one of those planes, so a chunk without such
-    a pair keeps its 4-vertex rows.
+    The subjects' (subject, neighbour) pairs (`_pairs`) are clipped to
+    the valid projection region, projected and culled as flat (P, V)
+    coordinate arrays; `use_culling=False` keeps every neighbour and
+    every quad.  The valid region is the front of the subject plane for
+    shadows and the slab between the subject plane and the aim point for
+    blocks; `_clip` cuts only the rare occluders that straddle one of
+    those planes, so a chunk without such a pair keeps its 4-vertex rows.
     """
-    j0, j1, subjects, cols = chunk
+    subjects, cols = _pairs(of, j0, j1, use_culling)
     rows = subjects - j0  # row-major: subjects keep field order
 
     # per-subject constants, then gathered per pair
@@ -839,12 +844,7 @@ def subject_quads(
     projected; `use_culling=False` projects every neighbour and keeps
     every quad.
     """
-    return [_projected(of, q) for q in _subject_quads(of, j, use_culling)]
-
-
-def _subject_quads(of: OrientedField, j: int, use_culling: bool) -> List[_Quad]:
-    chunk = (j, j + 1, *_pairs(of, j, j + 1, use_culling))
-    return _block_quads(of, chunk, use_culling)[0]
+    return [_projected(of, q) for q in _block_quads(of, j, j + 1, use_culling)[0]]
 
 
 def _projected(of: OrientedField, quad: _Quad) -> ProjectedQuad:
@@ -879,7 +879,7 @@ def subject_efficiency(
     """Efficiency of subject j: one minus the fraction of the mirror that
     its surviving quads (`subject_quads`) cover.  The result builds its
     residual only when it is read."""
-    quads = _subject_quads(of, j, use_culling)
+    quads = _block_quads(of, j, j + 1, use_culling)[0]
     return EfficiencyResult(
         subject_id=of.ids[j],
         efficiency=_efficiencies(of, j, [quads])[0],
@@ -888,10 +888,8 @@ def subject_efficiency(
     )
 
 
-def _block_efficiencies(
-    of: OrientedField, chunk: _Chunk, use_culling: bool
-) -> List[float]:
-    return _efficiencies(of, chunk[0], _block_quads(of, chunk, use_culling))
+def _block_efficiencies(of: OrientedField, j0: int, j1: int) -> List[float]:
+    return _efficiencies(of, j0, _block_quads(of, j0, j1))
 
 
 _POOL_FIELD: Optional[OrientedField] = None
@@ -902,8 +900,8 @@ def _pool_init(of: OrientedField) -> None:
     _POOL_FIELD = of
 
 
-def _pool_eval(args) -> List[float]:
-    return _block_efficiencies(_POOL_FIELD, *args)
+def _pool_eval(chunk: Tuple[int, int]) -> List[float]:
+    return _block_efficiencies(_POOL_FIELD, *chunk)
 
 
 def default_workers() -> int:
@@ -921,15 +919,14 @@ def evaluate_field(
     layout: FieldLayout,
     sun: SunState,
     workers: Optional[int] = None,
-    use_culling: bool = True,
     date_label: str = "",
 ) -> FieldReport:
     """Blocking-and-shadowing efficiency of every heliostat in the layout.
 
     Orientation happens once for the whole field; the subjects are then
-    evaluated a chunk at a time (`_blocks`, `_block_quads`), and the
-    chunks are independent and may fan out to a process pool.  Results
-    are identical for any worker count.
+    evaluated a chunk of subjects at a time (`_blocks`, `_block_quads`),
+    and the chunks are independent and may fan out to a process pool.
+    Results are identical for any worker count.
     """
     if workers is None:
         workers = default_workers()
@@ -940,7 +937,7 @@ def evaluate_field(
     n = of.n
     if n == 0:
         return FieldReport(sun=sun, date_label=date_label, records=(), average=1.0, duration=0.0)
-    tasks = ((chunk, use_culling) for chunk in _blocks(of, use_culling))
+    chunks = list(_blocks(of))
     if workers > 1 and n > 1:
         import multiprocessing as mp
 
@@ -949,11 +946,9 @@ def evaluate_field(
         method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
         ctx = mp.get_context(method)
         with ctx.Pool(workers, initializer=_pool_init, initargs=(of,)) as pool:
-            # imap feeds the chunks to the workers through a pipe that
-            # blocks while full, so the pair stream is never held whole
-            parts = list(pool.imap(_pool_eval, tasks))
+            parts = pool.map(_pool_eval, chunks)
     else:
-        parts = [_block_efficiencies(of, *task) for task in tasks]
+        parts = [_block_efficiencies(of, j0, j1) for j0, j1 in chunks]
     effs = [e for part in parts for e in part]
     duration = time.perf_counter() - start
     records = tuple(

@@ -83,6 +83,27 @@ def test_non_finite_layout_value_fails(tmp_path, capsys, value):
 
 
 @pytest.mark.parametrize(
+    "line,message",
+    [
+        ("heliostat id=b x=0 y=20 z=5 w=10 h=10 receiver=t ph=1", "line 4: unknown field 'ph'"),
+        ("heliostat id=b x=0 y=20 z=5 w=10 h=10 receiver=t y=30", "line 4: repeated field 'y'"),
+        ("heliostat id=b x=50 y=0 z=5 w=8 h=8 receiver=t", "'b' has the same center as 'a'"),
+    ],
+    ids=["unknown", "repeated", "same-center"],
+)
+def test_layout_field_faults_fail_with_one_error_line(tmp_path, capsys, line, message):
+    p = tmp_path / "bad.txt"
+    p.write_text(
+        "plant lat=40\nreceiver id=t x=0 y=0 z=100\n"
+        f"heliostat id=a x=50 y=0 z=5 w=10 h=10 receiver=t\n{line}\n"
+    )
+    for argv in (["efficiency", str(p)], ["efficiency", str(p), "--subject", "a"]):
+        code, out, err = run(capsys, *argv, "--eta", "30", "--theta", "180")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize(
     "path", [SIMPLE_PAIR, REAL_SCENARIO], ids=["simple_pair", "real_scenario"]
 )
 def test_subject_line_equals_report_line(capsys, path):

@@ -115,6 +115,39 @@ def test_empty_heliostat_list_is_valid(tmp_path):
             "line 2: z=inf is not a finite number",
         ),
         ("plant lat=nan\n", "line 1: lat=nan is not a finite number"),
+        (
+            "plant lat=40\nreceiver id=t x=0 y=0 z=100\n"
+            "heliostat id=a x=0 y=0 z=5 w=10 h=10 receiver=t ph=0.5\n",
+            "line 3: unknown field 'ph'",
+        ),
+        (
+            "plant lat=40\nreceiver id=t x=0 y=0 z=100\n"
+            "heliostat id=a x=0 y=0 z=5 w=10 h=10 receiver=t phi=0.5 spin=1\n",
+            "line 3: unknown field 'spin'",
+        ),
+        (
+            "plant lat=40\nreceiver id=t x=0 y=0 z=100 w=3\n",
+            "line 2: unknown field 'w'",
+        ),
+        ("plant lat=40 lon=2\n", "line 1: unknown field 'lon'"),
+        (
+            "plant lat=40\nreceiver id=t x=0 y=0 z=100\n"
+            "heliostat id=a x=100 y=0 z=5 w=10 h=10 receiver=t x=200\n",
+            "line 3: repeated field 'x'",
+        ),
+        (
+            "plant lat=40\nreceiver id=t x=0 y=0 z=100\n"
+            "heliostat id=a x=0 y=0 z=5 w=10 h=10 receiver=t phi=1 phi=1\n",
+            "line 3: repeated field 'phi'",
+        ),
+        ("plant lat=40 lat=41\n", "line 1: repeated field 'lat'"),
+        (
+            "plant lat=40\nreceiver id=t x=0 y=0 z=100\n"
+            "heliostat id=a x=9 y=0 z=5 w=10 h=10 receiver=t\n"
+            "heliostat id=b x=9 y=-20 z=5 w=10 h=10 receiver=t\n"
+            "heliostat id=c x=9 y=0 z=5 w=8 h=8 receiver=t\n",
+            "heliostat 'c' has the same center as 'a'",
+        ),
     ],
 )
 def test_layout_diagnostics(tmp_path, body, message):
@@ -421,8 +454,7 @@ def test_random_configs_find_exactly_the_capsule_members(rng):
         assert np.array_equal(subjects * of.n + neighbours, np.flatnonzero(_capsule_members(of)))
 
 
-@pytest.mark.parametrize("gather", [None, 300])
-@pytest.mark.parametrize("budget", [None, 8192, 700, 1])
+@pytest.mark.parametrize("budget", [None, 100_000, 8192, 3000, 700, 300, 30, 1])
 @pytest.mark.parametrize(
     "sun",
     [
@@ -431,28 +463,32 @@ def test_random_configs_find_exactly_the_capsule_members(rng):
     ],
     ids=["1deg", "16:15"],
 )
-def test_chunks_hold_whole_subjects_within_budget(monkeypatch, sun, budget, gather):
-    # a small gather budget makes the selection windows end inside chunks
+def test_chunks_hold_whole_subjects_within_budget(monkeypatch, sun, budget):
     if budget is None:
-        budget = field_module._PAIR_BUDGET
-    monkeypatch.setattr(field_module, "_PAIR_BUDGET", budget)
-    if gather is not None:
-        monkeypatch.setattr(field_module, "_GATHER_BUDGET", gather)
+        budget = field_module._GATHER_BUDGET
+    monkeypatch.setattr(field_module, "_GATHER_BUDGET", budget)
     of = OrientedField(synthetic_field(300), sun)
-    counts = [len(of.candidates(j)) for j in range(of.n)]
+    work = of._capsule_work()
+    owners, _ = of.grid.gather(*of._capsule_boxes(np.arange(of.n)))
+    gathered = np.bincount(owners, minlength=of.n)
+    assert (gathered <= work).all()
+    pairs = [len(of.candidates(j)) for j in range(of.n)]
     chunks = list(field_module._blocks(of))
     assert [c[0] for c in chunks] == [0] + [c[1] for c in chunks[:-1]]
     assert chunks[-1][1] == of.n
-    for k, (j0, j1, subjects, neighbours) in enumerate(chunks):
+    for k, (j0, j1) in enumerate(chunks):
         assert j0 < j1
-        assert np.array_equal(subjects, np.repeat(np.arange(j0, j1), counts[j0:j1]))
+        subjects, neighbours = of.capsule_pairs(j0, j1)
+        assert np.array_equal(subjects, np.repeat(np.arange(j0, j1), pairs[j0:j1]))
         assert np.array_equal(
             neighbours, np.concatenate([of.candidates(j) for j in range(j0, j1)])
         )
-        assert len(subjects) <= budget or j1 - j0 == 1
+        # the memory bound: pairs <= gathered mirrors <= work <= budget
+        assert len(subjects) <= gathered[j0:j1].sum()
+        assert work[j0:j1].sum() <= budget or j1 - j0 == 1
         if k + 1 < len(chunks):
             # greedy: the next subject would not have fitted
-            assert len(subjects) + counts[j1] > budget
+            assert work[j0 : j1 + 1].sum() > budget
 
 
 _coord = st.floats(-40.0, 40.0)
@@ -609,16 +645,15 @@ def test_rotating_plant_with_sun_leaves_efficiencies_unchanged(hhmm, phi):
 
 
 def test_pair_results_do_not_depend_on_their_block(monkeypatch):
-    # at a 1 degree sun the shadow capsules are long, so the pair budget
+    # at a 1 degree sun the shadow capsules are long, so the gather budget
     # splits the field into several chunks
     layout = synthetic_field(300)
     sun = sun_vector(math.radians(1.0), math.radians(250.0))
     of = OrientedField(layout, sun)
-    chunks = list(field_module._blocks(of))
-    assert len(chunks) > 1
+    assert len(list(field_module._blocks(of))) > 1
     # some pairs need a clip: the occluder has corners on both sides of
     # the subject plane, or of the parallel plane through the aim point
-    subjects, neighbours = (np.concatenate([c[k] for c in chunks]) for k in (2, 3))
+    subjects, neighbours = of.capsule_pairs(0, of.n)
     normals = of.normals[subjects]
     offset = np.einsum("pk,pk->p", normals, of.centers[subjects])
     side = np.einsum("pvk,pk->pv", of.corners[neighbours], normals) - offset[:, None]
@@ -645,8 +680,8 @@ def test_pair_results_do_not_depend_on_their_block(monkeypatch):
         assert [[tuple(p) for p in ring] for ring in rings] == alone, j
     pooled = format_report(evaluate_field(layout, sun, workers=2), include_timing=False)
     assert pooled == serial
-    for budget in (1, 8192):
-        monkeypatch.setattr(field_module, "_PAIR_BUDGET", budget)
+    for budget in (1, 1_000_000):
+        monkeypatch.setattr(field_module, "_GATHER_BUDGET", budget)
         text = format_report(evaluate_field(layout, sun, workers=1), include_timing=False)
         assert text == serial, budget
 
@@ -696,6 +731,17 @@ def test_non_finite_centre_fails_loudly():
     wide[4] = dataclasses.replace(wide[4], width=0.0)
     with pytest.raises(ValueError, match="'h0004' has non-positive dimensions"):
         OrientedField(wide, sun)
+
+
+def test_heliostat_at_its_receiver_is_named():
+    # a heliostat list, unlike a layout file, can put a mirror at its aim
+    helios = synthetic_field(3).to_heliostats()
+    helios[1] = dataclasses.replace(helios[1], center=helios[1].aim)
+    sun = sun_at(21, 12.0, 38.23)
+    with pytest.raises(ValueError, match="heliostat 'h0001' is at its receiver"):
+        OrientedField(helios, sun)
+    with pytest.raises(ValueError, match="heliostat 'h0001' is at its receiver"):
+        efficiency(helios[0], helios, sun)
 
 
 def test_report_format(tmp_path):

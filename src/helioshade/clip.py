@@ -23,13 +23,14 @@ halves, so no configuration is degenerate and nothing is traced or
 retried.  A non-convex input polygon is first cut into convex pieces by
 ear clipping.
 
-Both work on plain coordinate rings, lists of (x, y) tuples; `Polygon2`
-is built only for the pieces of a returned `Region`.
+`covered_areas` takes its rings as one padded (K, V, 2) coordinate
+array, as `clean_rows` cleans them straight from the projection kernel;
+`subtract_rings` works on plain coordinate rings, lists of (x, y)
+tuples.  `Polygon2` is built only for the pieces of a returned `Region`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
@@ -41,6 +42,7 @@ from .polygon2d import COINCIDENCE_TOL, Polygon2, ring_signed_area
 __all__ = [
     "Region",
     "clean_ring",
+    "clean_rows",
     "covered_areas",
     "difference",
     "intersection",
@@ -88,10 +90,10 @@ def clean_ring(pts: Iterable[Sequence[float]]) -> Optional[_Ring]:
     """
     out: _Ring = []
     for x, y in pts:
-        if out and _coincident((x, y), out[-1]):
+        if out and _coincident(x, y, *out[-1]):
             continue
         out.append((x, y))
-    while len(out) >= 2 and _coincident(out[0], out[-1]):
+    while len(out) >= 2 and _coincident(*out[0], *out[-1]):
         out.pop()
     if len(out) < 3:
         return None
@@ -104,6 +106,58 @@ def clean_ring(pts: Iterable[Sequence[float]]) -> Optional[_Ring]:
     if area < 0:
         out.reverse()
     return out
+
+
+def clean_rows(x: np.ndarray, y: np.ndarray, count: np.ndarray):
+    """`clean_ring` of the rings in rows of `x` and `y` (K, W), row k's
+    first count[k] vertices: (kept, ring_xy, lengths), the rows it keeps
+    and their rings padded to V = max(4, the longest) vertices by
+    repeating the last one, as `covered_areas` takes them.
+
+    The drop and the reversal come from a plain sum of the 2V' shoelace
+    products t of the ring padded to V' vertices, within V' eps sum|t| / 2
+    of `clean_ring`'s exactly rounded sum (`math.fsum`; the padding's
+    products cancel).  A row whose area is within four times that of 0
+    or of `MIN_COMPONENT_AREA`, or is not finite, goes through
+    `clean_ring` itself, which also raises its `ValueError`.
+    """
+    rows, w = np.arange(len(x)), x.shape[1]
+    points = np.stack([x, y], axis=-1).reshape(-1, 2)
+    keep = np.arange(w) < count[:, None]
+    with np.errstate(invalid="ignore", over="ignore"):
+        # until a vertex merges, the last kept one is the previous vertex,
+        # so only rows with a vertex near the previous one need the scan
+        near = _coincident(x[:, 1:], y[:, 1:], x[:, :-1], y[:, :-1]) & keep[:, 1:]
+        scan = np.flatnonzero(near.any(axis=1))
+        for c in range(1, w if len(scan) else 1):
+            last = c - 1 - np.argmax(keep[scan, c - 1 :: -1], axis=1)
+            keep[scan, c] &= ~_coincident(x[scan, c], y[scan, c], x[scan, last], y[scan, last])
+        # index in `points` of each kept vertex, in order
+        order = np.argsort(~keep, axis=1, kind="stable") + w * rows[:, None]
+        m = keep.sum(axis=1)
+        pop = m >= 2
+        while pop.any():  # a closing vertex that coincides with the first
+            pop = (m >= 2) & _coincident(*points[order[rows, m - 1]].T, x[:, 0], y[:, 0])
+            m = m - pop
+        slot = np.arange(max(4, int(m.max(initial=0))))
+        ring_xy = points[order[rows[:, None], np.minimum(slot, m[:, None] - 1)]]
+        rx, ry = np.moveaxis(ring_xy, 2, 0)
+        nx, ny = np.moveaxis(ring_xy[:, (slot + 1) % len(slot)], 2, 0)
+        ahead, behind = rx * ny, nx * ry
+        area = 0.5 * (ahead.sum(axis=1) - behind.sum(axis=1))
+        margin = 2.0 * len(slot) * np.finfo(float).eps * (abs(ahead) + abs(behind)).sum(axis=1)
+        sure = (abs(area) > margin) & (abs(abs(area) - MIN_COMPONENT_AREA) > margin)
+    ok = (m >= 3) & sure & (abs(area) >= MIN_COMPONENT_AREA)
+    flip = np.flatnonzero(ok & (area < 0.0))
+    if len(flip):
+        ring_xy[flip] = points[order[flip[:, None], np.maximum(m[flip, None] - 1 - slot, 0)]]
+    for k in np.flatnonzero((m >= 3) & ~sure):
+        ring = clean_ring(zip(x[k, : count[k]].tolist(), y[k, : count[k]].tolist()))
+        ok[k] = ring is not None
+        if ok[k]:
+            ring_xy[k] = (ring + ring[-1:] * len(slot))[: len(slot)]
+    kept = np.flatnonzero(ok)
+    return kept, ring_xy[kept, : max(4, int(m[kept].max(initial=0)))], m[kept]
 
 
 def rings_area(rings: Iterable[_Ring]) -> float:
@@ -160,15 +214,20 @@ def subtract_rings(pieces: Sequence[_Ring], clips: Iterable[_Ring]) -> List[_Rin
     return pieces
 
 
-def covered_areas(subjects: Sequence[Sequence[_Ring]], half_sizes) -> np.ndarray:
+def covered_areas(
+    owner: np.ndarray, ring_xy: np.ndarray, lengths: np.ndarray, half_sizes
+) -> np.ndarray:
     """Area of each subject's mirror rectangle R = [-hx, hx] x [-hy, hy]
     that the union U of the subject's rings covers, for all subjects in
     one pass of array operations.
 
-    `subjects[s]` holds subject s's counterclockwise rings in subtraction
-    order, as `clean_ring` returns them, and `half_sizes[s]` is its
-    (hx, hy).  A subject's area does not depend on the other subjects of
-    the call: every sum runs over that subject's terms in a fixed order.
+    Ring k has lengths[k] counterclockwise vertices, padded in
+    `ring_xy[k]` (K, V, 2) by repeating its last one, as `clean_rows`
+    returns them, and belongs to subject owner[k]; owners do not
+    decrease, so each subject's rings are consecutive, in subtraction
+    order.  `half_sizes[s]` is subject s's (hx, hy).  A subject's area
+    does not depend on the other subjects of the call: every sum runs
+    over that subject's terms in a fixed order.
 
     Boundary formula.  The boundary of R & U is the part of U's boundary
     inside R plus the part of R's boundary inside U.  By Green's theorem
@@ -198,20 +257,19 @@ def covered_areas(subjects: Sequence[Sequence[_Ring]], half_sizes) -> np.ndarray
     is first cut into convex pieces by ear clipping.
     """
     half_sizes = np.asarray(half_sizes, dtype=float).reshape(-1, 2)
-    covered = np.zeros(len(subjects))
-    rings = [ring for quads in subjects for ring in quads]
-    owner = np.repeat(np.arange(len(subjects)), [len(quads) for quads in subjects])
-    if not rings:
+    covered = np.zeros(len(half_sizes))
+    if not len(owner):
         return covered
-    ring_xy, lengths = _padded(rings)
     concave = _concave(ring_xy, lengths)
     if concave.any():
+        rings = [r[:n] for r, n in zip(ring_xy.tolist(), lengths.tolist())]
         cut = [_convex_rings(r) if c else [r] for r, c in zip(rings, concave.tolist())]
         owner = np.repeat(owner, [len(pieces) for pieces in cut])
         rings = [piece for pieces in cut for piece in pieces]
         if not rings:
             return covered
-        ring_xy, _ = _padded(rings)
+        v = max(4, max(map(len, rings)))
+        ring_xy = np.array([list(r) + [r[-1]] * (v - len(r)) for r in rings], dtype=float)
     v = ring_xy.shape[1]
 
     # polygons subject by subject: R, then the subject's rings in order
@@ -263,17 +321,6 @@ def covered_areas(subjects: Sequence[Sequence[_Ring]], half_sizes) -> np.ndarray
 def _ramp(counts: np.ndarray) -> np.ndarray:
     """0, 1, ..., c - 1 for each c in counts, concatenated."""
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
-def _padded(rings: Sequence[_Ring]):
-    """(N, V, 2) array of rings, padded to V >= 4 vertices by repeating
-    each ring's last vertex, and the ring lengths."""
-    lengths = np.fromiter(map(len, rings), dtype=np.intp, count=len(rings))
-    flat = itertools.chain.from_iterable(itertools.chain.from_iterable(rings))
-    points = np.fromiter(flat, dtype=float, count=2 * lengths.sum()).reshape(-1, 2)
-    v = max(4, lengths.max())
-    first = np.cumsum(lengths) - lengths
-    return points[first[:, None] + np.minimum(np.arange(v), lengths[:, None] - 1)], lengths
 
 
 def _concave(xy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -335,8 +382,10 @@ def _union_lengths(group: np.ndarray, lo: np.ndarray, hi: np.ndarray, n: int) ->
     return np.bincount(group, weights=np.maximum(hi - start, 0.0), minlength=n)
 
 
-def _coincident(p: _Point, q: _Point) -> bool:
-    return abs(p[0] - q[0]) <= COINCIDENCE_TOL and abs(p[1] - q[1]) <= COINCIDENCE_TOL
+def _coincident(ax, ay, bx, by):
+    """Points (ax, ay) and (bx, by) within `COINCIDENCE_TOL` in x and y;
+    elementwise for arrays."""
+    return (abs(ax - bx) <= COINCIDENCE_TOL) & (abs(ay - by) <= COINCIDENCE_TOL)
 
 
 def _ring(p: Polygon2) -> _Ring:

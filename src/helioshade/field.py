@@ -13,10 +13,12 @@ grid rows and mirrors, which also bounds their pairs; each chunk
 selects its own (subject, neighbour) pairs, clips them to the valid
 projection region (`_clip`, for the few occluders that cross its
 planes), and projects and culls them as flat numpy arrays.  The few
-surviving quads are cleaned into plain coordinate rings, and one call of
-`clip.covered_areas` per chunk gives the shaded area of every subject in
-it, from the parts of the polygon edges that bound it, without building
-a residual polygon.
+surviving quads stay in those arrays: `clip.clean_rows` cleans them as
+padded coordinate rows, and one call of `clip.covered_areas` per chunk
+gives the shaded area of every subject in it, from the parts of the
+polygon edges that bound it, without building a residual polygon.
+`ProjectedQuad` and `Polygon2` are built only for a single-subject
+query (`subject_quads`, `subject_efficiency`).
 Results are deterministic and assembled in heliostat order regardless
 of the worker count.
 """
@@ -31,7 +33,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .clip import _ramp, clean_ring, covered_areas
+from .clip import _ramp, clean_rows, covered_areas
 from .linalg3 import Vec3
 from .polygon2d import Polygon2
 from .shading import EfficiencyResult, Heliostat, ProjectedQuad
@@ -167,16 +169,7 @@ class FieldLayout:
         # an unknown receiver (row -1) is at height NaN, so only its own check fires
         heights = np.array([p.z for _, p in self.receivers] + [math.nan])[rows]
         small = (self.dims <= 0.0).any(axis=1)
-        # twin[k]: an earlier row with the centre of row k, or -1; only
-        # rows that share an x can share a centre, and the stable sort
-        # keeps equal centres in row order
-        twin = np.full(self.n, -1)
-        x = np.sort(self.centers[:, 0])
-        if (x[1:] == x[:-1]).any():
-            order = np.lexsort(self.centers.T[::-1])
-            ordered = self.centers[order]
-            same = (ordered[1:] == ordered[:-1]).all(axis=1)
-            twin[order[1:][same]] = order[:-1][same]
+        twin = _twins(self.centers)
         faults = np.stack([repeated, rows < 0, small, heights <= self.centers[:, 2], twin >= 0])
         bad = np.flatnonzero(faults.any(axis=0))
         if not len(bad):
@@ -191,6 +184,20 @@ class FieldLayout:
             f"heliostat {hid!r} has the same center as {self.ids[twin[k]]!r}",
         )
         raise LayoutError(messages[int(np.argmax(faults[:, k]))])
+
+
+def _twins(centers: np.ndarray) -> np.ndarray:
+    """Per row, an earlier row with the same centre, or -1.  Only rows
+    that share an x can share a centre, and the stable sort keeps equal
+    centres in row order."""
+    twin = np.full(len(centers), -1)
+    x = np.sort(centers[:, 0])
+    if (x[1:] == x[:-1]).any():
+        order = np.lexsort(centers.T[::-1])
+        ordered = centers[order]
+        same = (ordered[1:] == ordered[:-1]).all(axis=1)
+        twin[order[1:][same]] = order[:-1][same]
+    return twin
 
 
 @dataclass(frozen=True)
@@ -376,12 +383,13 @@ def synthetic_field(n: int, spec: RadialStaggerSpec = RadialStaggerSpec()) -> Fi
                 break
         ring += 1
     pts = np.array(centers)
-    if len(pts) > 1:
-        # pairwise separation must exceed the mirror diagonal
-        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-        np.fill_diagonal(d2, np.inf)
-        if d2.min() <= diag * diag:
-            raise LayoutError("infeasible spacing: generated mirrors overlap")
+    # pairwise separation must exceed the mirror diagonal: a pair closer
+    # than that lies in neighbouring cells of a grid one diagonal wide
+    box = np.full(2, diag * (1.0 + _REACH_SLACK))
+    s, i = _Grid(pts, diag).gather(np.arange(n), pts - box, pts + box)
+    d_x, d_y = (pts[i] - pts[s]).T
+    if ((d_x * d_x + d_y * d_y <= diag * diag) & (s != i)).any():
+        raise LayoutError("infeasible spacing: generated mirrors overlap")
     layout = FieldLayout(
         latitude_deg=spec.latitude_deg,
         receivers=(("tower", Vec3(0.0, 0.0, spec.tower_height)),),
@@ -437,6 +445,11 @@ class OrientedField:
         bad = np.flatnonzero(~(self.dims > 0.0).all(axis=1))
         if len(bad):
             raise ValueError(f"heliostat {self.ids[bad[0]]!r} has non-positive dimensions")
+        twin = _twins(self.centers)
+        bad = np.flatnonzero(twin >= 0)
+        if len(bad):
+            hid, other = self.ids[bad[0]], self.ids[twin[bad[0]]]
+            raise ValueError(f"heliostat {hid!r} has the same center as {other!r}")
 
         to_t = self.aims - self.centers
         dist = np.linalg.norm(to_t, axis=1)
@@ -659,9 +672,8 @@ def _rotations_zxz(alpha, beta, gamma) -> np.ndarray:
 # most about 1040 pairs (8192 gave 1350 and 1 MB more peak RSS).
 _GATHER_BUDGET = 6144
 
-# One surviving occluder quad: neighbour index, "block" or "shadow", and
-# its cleaned counterclockwise ring in the subject's local plane.
-_Quad = Tuple[int, str, List[Tuple[float, float]]]
+# the kind of a kept quad, by its `_block_quads` kind index
+_KINDS = ("block", "shadow")
 
 
 def _pairs(of: OrientedField, j0: int, j1: int, use_culling: bool):
@@ -699,11 +711,13 @@ def _local_xy(x, y, z, c, r):
     )
 
 
-def _block_quads(
-    of: OrientedField, j0: int, j1: int, use_culling: bool = True
-) -> List[List[_Quad]]:
-    """Surviving occluder quads of each subject j0 <= j < j1, in field
-    order (block before shadow per occluder).
+def _block_quads(of: OrientedField, j0: int, j1: int, use_culling: bool = True):
+    """Surviving occluder quads of the subjects j0 <= j < j1, in field
+    order (block before shadow per occluder), as arrays
+    (rows, cols, kinds, ring_xy, lengths): quad k is the image of
+    neighbour cols[k] on subject j0 + rows[k], of kind `_KINDS[kinds[k]]`,
+    with the counterclockwise ring of lengths[k] vertices in the subject's
+    local plane padded in ring_xy[k] (`clip.clean_rows`).
 
     The subjects' (subject, neighbour) pairs (`_pairs`) are clipped to
     the valid projection region, projected and culled as flat (P, V)
@@ -769,29 +783,18 @@ def _block_quads(
         shadow &= ~_culled(shadow_x, shadow_y, per_pair(hx), per_pair(hy))
         block &= ~_culled(block_x, block_y, per_pair(hx), per_pair(hy))
 
-    keep = np.flatnonzero(block | shadow)
-    quads: List[List[_Quad]] = [[] for _ in range(j1 - j0)]
-    for s, i, raw_b, raw_s in zip(
-        rows[keep].tolist(),
-        cols[keep].tolist(),
-        _raw_rings(block_x[keep], block_y[keep], block[keep], count_b[keep]),
-        _raw_rings(shadow_x[keep], shadow_y[keep], shadow[keep], count_s[keep]),
-    ):
-        for kind, raw in (("block", raw_b), ("shadow", raw_s)):
-            if raw is not None:
-                ring = clean_ring(raw)
-                if ring is not None:
-                    quads[s].append((i, kind, ring))
-    return quads
-
-
-def _raw_rings(xs: np.ndarray, ys: np.ndarray, ok: np.ndarray, count: np.ndarray) -> list:
-    """Each row's first count points as [x, y] lists, or None where `ok`
-    is False."""
-    pts = np.stack([xs, ys], axis=-1).tolist()
-    if (count < xs.shape[1]).any():
-        pts = [p[:n] for p, n in zip(pts, count.tolist())]
-    return [p if k else None for p, k in zip(pts, ok.tolist())]
+    # row 2p + kind is pair p's image of kind `_KINDS[kind]`; only the
+    # flagged rows are cleaned, the others can hold inf or NaN
+    w = max(block_x.shape[1], shadow_x.shape[1])
+    x, y = np.zeros((2, len(cols), 2, w))
+    for kind, (xs, ys) in enumerate(((block_x, block_y), (shadow_x, shadow_y))):
+        x[:, kind, : xs.shape[1]], y[:, kind, : ys.shape[1]] = xs, ys
+    flagged = np.flatnonzero(np.stack([block, shadow], axis=1))
+    count = np.stack([count_b, count_s], axis=1).ravel()[flagged]
+    x, y = x.reshape(-1, w)[flagged], y.reshape(-1, w)[flagged]
+    kept, ring_xy, lengths = clean_rows(x, y, count)
+    pair, kinds = np.divmod(flagged[kept], 2)
+    return rows[pair], cols[pair], kinds, ring_xy, lengths
 
 
 def _clip(xyz: np.ndarray, side: np.ndarray, count: np.ndarray, rows: np.ndarray, upper=None):
@@ -844,12 +847,16 @@ def subject_quads(
     projected; `use_culling=False` projects every neighbour and keeps
     every quad.
     """
-    return [_projected(of, q) for q in _block_quads(of, j, j + 1, use_culling)[0]]
+    return _projected(of, _block_quads(of, j, j + 1, use_culling))
 
 
-def _projected(of: OrientedField, quad: _Quad) -> ProjectedQuad:
-    i, kind, ring = quad
-    return ProjectedQuad(source_id=of.ids[i], kind=kind, ring=Polygon2(ring))
+def _projected(of: OrientedField, quads) -> List[ProjectedQuad]:
+    """The `_block_quads` arrays of one subject as polygons."""
+    _, cols, kinds, ring_xy, lengths = (q.tolist() for q in quads)
+    return [
+        ProjectedQuad(source_id=of.ids[i], kind=_KINDS[kind], ring=Polygon2(ring[:n]))
+        for i, kind, ring, n in zip(cols, kinds, ring_xy, lengths)
+    ]
 
 
 def _culled(xs: np.ndarray, ys: np.ndarray, hx, hy) -> np.ndarray:
@@ -863,12 +870,11 @@ def _culled(xs: np.ndarray, ys: np.ndarray, hx, hy) -> np.ndarray:
     )
 
 
-def _efficiencies(of: OrientedField, j0: int, blocks: Sequence[Sequence[_Quad]]) -> List[float]:
-    """Efficiency of each subject j0 <= j < j0 + len(blocks) from its
-    surviving quads: one `covered_areas` call for them all."""
-    j1 = j0 + len(blocks)
-    rings = [[ring for _, _, ring in quads] for quads in blocks]
-    covered = covered_areas(rings, of.dims[j0:j1] / 2.0)
+def _efficiencies(of: OrientedField, j0: int, j1: int, quads) -> List[float]:
+    """Efficiency of each subject j0 <= j < j1 from its surviving quads
+    (`_block_quads`): one `covered_areas` call for them all."""
+    rows, _, _, ring_xy, lengths = quads
+    covered = covered_areas(rows, ring_xy, lengths, of.dims[j0:j1] / 2.0)
     area = of.dims[j0:j1, 0] * of.dims[j0:j1, 1]
     return np.clip((area - covered) / area, 0.0, 1.0).tolist()
 
@@ -879,17 +885,17 @@ def subject_efficiency(
     """Efficiency of subject j: one minus the fraction of the mirror that
     its surviving quads (`subject_quads`) cover.  The result builds its
     residual only when it is read."""
-    quads = _block_quads(of, j, j + 1, use_culling)[0]
+    quads = _block_quads(of, j, j + 1, use_culling)
     return EfficiencyResult(
         subject_id=of.ids[j],
-        efficiency=_efficiencies(of, j, [quads])[0],
-        quads=tuple(_projected(of, q) for q in quads),
+        efficiency=_efficiencies(of, j, j + 1, quads)[0],
+        quads=tuple(_projected(of, quads)),
         half_size=tuple((of.dims[j] / 2.0).tolist()),
     )
 
 
 def _block_efficiencies(of: OrientedField, j0: int, j1: int) -> List[float]:
-    return _efficiencies(of, j0, _block_quads(of, j0, j1))
+    return _efficiencies(of, j0, j1, _block_quads(of, j0, j1))
 
 
 _POOL_FIELD: Optional[OrientedField] = None

@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import is_convex_ccw, pieces_disjoint, region_matches
 from helioshade.clip import (
     Region,
     clean_ring,
+    clean_rows,
     covered_areas,
     difference,
     intersection,
@@ -283,6 +288,16 @@ def random_convex_sets(rng, count):
     return sets
 
 
+def areas(sets, half_sizes):
+    """`covered_areas` of each set of rings, padded to a common vertex
+    count (at least 4) by repeating each ring's last vertex."""
+    rings = [r for rs in sets for r in rs]
+    v = max([4] + [len(r) for r in rings])
+    ring_xy = np.array([r + r[-1:] * (v - len(r)) for r in rings]).reshape(-1, v, 2)
+    owner = np.repeat(np.arange(len(sets)), [len(rs) for rs in sets])
+    return covered_areas(owner, ring_xy, np.array([len(r) for r in rings]), half_sizes)
+
+
 def subtracted_area(rings, hx=HX, hy=HY):
     outline = rect(-hx, -hy, hx, hy)
     return 4.0 * hx * hy - rings_area(subtract_rings([outline], rings))
@@ -312,7 +327,7 @@ def shares_an_edge_stretch(polygons):
 @pytest.mark.parametrize("name", list(KERNEL_CASES))
 def test_covered_area_of_hand_built_cases(name):
     rings = [clean_ring(r) for r in KERNEL_CASES[name]]
-    got = covered_areas([rings], [(HX, HY)])[0]
+    got = areas([rings], [(HX, HY)])[0]
     assert abs(got - subtracted_area(rings)) <= 1e-12 * 4.0 * HX * HY
 
 
@@ -322,14 +337,14 @@ def test_covered_areas_match_subtraction_on_random_sets(rng):
     # every third set keeps the 0.5-grid mirror, so the snapped rings can
     # lie on its edges
     half[::3] = HX, HY
-    got = covered_areas(sets, half)
+    got = areas(sets, half)
     coincident = 0
     for k, rings in enumerate(sets):
         hx, hy = half[k]
         area = 4.0 * hx * hy
         assert abs(got[k] - subtracted_area(rings, hx, hy)) <= 1e-12 * area, k
         # a subject's area does not depend on the others of its call
-        assert covered_areas([rings], [half[k]])[0] == got[k]
+        assert areas([rings], [half[k]])[0] == got[k]
         coincident += shares_an_edge_stretch([rect(-hx, -hy, hx, hy)] + rings)
     assert coincident >= 120
 
@@ -349,3 +364,92 @@ def test_edge_intervals_follow_the_collinear_rule():
         assert hi[0, 0] - lo[0, 0] == covered, (q, later)
     lo, hi = _edge_intervals(np.array([p + p[-1:] * 2]), np.array([around]), np.array([True]))
     assert np.array_equal(hi - lo, np.ones((1, 6)))
+
+
+# -- clean_rows against clean_ring -------------------------------------------
+
+
+def rows_of(rings, width=None):
+    """Raw rings as the (x, y, count) rows `clean_rows` takes; the columns
+    after a ring's vertices hold junk it must not read."""
+    width = width or max(len(r) for r in rings)
+    x = np.full((len(rings), width), np.inf)
+    y = np.full((len(rings), width), np.nan)
+    for k, ring in enumerate(rings):
+        x[k, : len(ring)], y[k, : len(ring)] = zip(*ring)
+    return x, y, np.array([len(r) for r in rings])
+
+
+def assert_cleans_like_clean_ring(rings, width=None):
+    kept, ring_xy, lengths = clean_rows(*rows_of(rings, width))
+    expected = [clean_ring(r) for r in rings]
+    assert kept.tolist() == [k for k, ring in enumerate(expected) if ring is not None]
+    longest = max([4] + [len(ring) for ring in expected if ring is not None])
+    assert ring_xy.shape == (len(kept), longest, 2)
+    for k, padded, n in zip(kept.tolist(), ring_xy.tolist(), lengths.tolist()):
+        assert [tuple(p) for p in padded[:n]] == expected[k], k
+        assert all(tuple(p) == expected[k][-1] for p in padded[n:]), k
+
+
+SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+
+CLEAN_CASES = {
+    "kept as given": SQUARE,
+    "two vertices 5e-10 apart": [(0, 0), (1, 0), (1 + 5e-10, 5e-10), (1, 1), (0, 1)],
+    "near a merged vertex, not the kept one": [(0, 0), (1, 0), (1, 6e-10), (1, 1.2e-9), (0.5, 1)],
+    "closing vertex on the first": SQUARE + [(3e-10, -2e-10)],
+    "two closing vertices popped": [(0, 0), (1, 0), (1, 1), (9e-10, 9e-10), (-9e-10, -9e-10)],
+    "clockwise": SQUARE[::-1],
+    "clockwise hexagon": [(0.0, 0.0), (-1.0, 1.0), (-1.0, 2.0), (0.0, 3.0), (1.0, 2.0), (1.0, 1.0)],
+    "1e-13 m2 sliver": [(0.0, 0.0), (1.0, 0.0), (0.5, 2e-13)],
+    "clockwise 1e-13 m2 sliver": [(0.0, 0.0), (0.5, 2e-13), (1.0, 0.0)],
+    "3e-12 m2 sliver": [(0.0, 0.0), (1.0, 0.0), (0.5, 6e-12)],
+    "third vertex on the first": [(0.0, 0.0), (1.0, 0.0), (0.0, 2e-13)],
+    "merged below 3 vertices": [(0.0, 0.0), (1.0, 0.0), (1.0, 5e-10)],
+    "two vertices": [(0.0, 0.0), (1.0, 0.0)],
+    "collinear, zero area": [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)],
+    "exactly MIN_COMPONENT_AREA": [(0.0, 0.0), (1.0, 0.0), (0.5, 2e-12)],
+    "far from the origin": [(1e3 + x, -2e3 + y) for x, y in SQUARE],
+}
+
+
+@pytest.mark.parametrize("name", list(CLEAN_CASES))
+def test_clean_rows_matches_clean_ring_on_hand_built_rows(name):
+    ring = CLEAN_CASES[name]
+    assert_cleans_like_clean_ring([ring])
+    assert_cleans_like_clean_ring([ring], width=len(ring) + 2)
+    # a row's result does not depend on the rows beside it
+    assert_cleans_like_clean_ring(list(CLEAN_CASES.values()))
+
+
+def test_clean_rows_raises_like_clean_ring_on_a_nan_vertex():
+    ring = [(0.0, 0.0), (math.nan, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    with pytest.raises(ValueError, match="degenerate polygon: non-finite coordinate"):
+        clean_ring(ring)
+    with pytest.raises(ValueError, match="degenerate polygon: non-finite coordinate"):
+        clean_rows(*rows_of([SQUARE, ring]))
+    # below 3 vertices a ring is dropped before its area is taken
+    assert_cleans_like_clean_ring([[(0.0, 0.0), (math.nan, 0.0)]])
+
+
+@st.composite
+def raw_rings(draw):
+    """Rings of 1-6 vertices on a coarse grid, with vertices copied from
+    the previous or the first one and moved by up to 1.5e-9."""
+    n = draw(st.integers(1, 6))
+    grid = st.integers(-4, 4).map(lambda v: v / 4.0)
+    ring = []
+    for _ in range(n):
+        if ring and draw(st.booleans()):
+            bx, by = ring[-1] if draw(st.booleans()) else ring[0]
+            jitter = st.sampled_from([0.0, 5e-10, -1e-9, 1e-9, 1.5e-9])
+            ring.append((bx + draw(jitter), by + draw(jitter)))
+        else:
+            ring.append((draw(grid), draw(grid)))
+    return ring
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(raw_rings(), min_size=1, max_size=6), st.integers(0, 2))
+def test_clean_rows_matches_clean_ring_on_random_rows(rings, extra):
+    assert_cleans_like_clean_ring(rings, width=max(len(r) for r in rings) + extra)

@@ -666,9 +666,12 @@ def test_pair_results_do_not_depend_on_their_block(monkeypatch):
 
     measured = []
 
-    def recording_covered_areas(subjects, half_sizes):
-        measured.extend(subjects)
-        return covered_areas(subjects, half_sizes)
+    def recording_covered_areas(owner, ring_xy, lengths, half_sizes):
+        # the rings of each subject of the chunk, as the area kernel gets them
+        for s in range(len(half_sizes)):
+            mine = np.flatnonzero(owner == s)
+            measured.append([ring_xy[k, : lengths[k]].tolist() for k in mine])
+        return covered_areas(owner, ring_xy, lengths, half_sizes)
 
     monkeypatch.setattr(field_module, "covered_areas", recording_covered_areas)
     serial = format_report(evaluate_field(layout, sun, workers=1), include_timing=False)
@@ -708,6 +711,46 @@ def test_non_finite_sun_fails_loudly(eta, theta):
     empty = dataclasses.replace(layout, ids=(), receiver_ids=(), centers=(), dims=(), spins=())
     with pytest.raises(ValueError, match="sun direction is not finite"):
         evaluate_field(empty, sun, workers=1)
+
+
+def test_twin_centres_fail_loudly():
+    # a layout file with two mirrors on one centre is refused by
+    # `validate`; built in code, it gave e = 1.16e-16 for both
+    layout = synthetic_field(5)
+    centers = np.array(layout.centers)
+    centers[3] = centers[1]
+    twins = dataclasses.replace(layout, centers=centers)
+    sun = sun_at(21, 12.0, 38.23)
+    message = "heliostat 'h0003' has the same center as 'h0001'"
+    with pytest.raises(ValueError, match=message):
+        evaluate_field(twins, sun, workers=1)
+    helios = twins.to_heliostats()
+    with pytest.raises(ValueError, match=message):
+        efficiency(helios[0], helios, sun)
+    with pytest.raises(LayoutError, match=message):
+        twins.validate()
+
+
+def test_synthetic_spacing_check_matches_all_pairs():
+    # the centres do not depend on the mirror size, so tiny mirrors give
+    # the centres of a draw whose real mirrors may overlap
+    feasible = set()
+    for seed in range(1, 13):
+        spec = RadialStaggerSpec(seed=seed)
+        small = dataclasses.replace(spec, mirror_width=1.0, mirror_height=1.0)
+        centres = synthetic_field(600, small).centers[:, :2]
+        d2 = ((centres[:, None] - centres[None]) ** 2).sum(axis=-1)
+        np.fill_diagonal(d2, np.inf)
+        diag = math.hypot(spec.mirror_width, spec.mirror_height)
+        overlap = d2.min() <= diag * diag
+        try:
+            layout = synthetic_field(600, spec)
+        except LayoutError as exc:
+            assert overlap and str(exc) == "infeasible spacing: generated mirrors overlap", seed
+            continue
+        assert not overlap and np.array_equal(layout.centers[:, :2], centres), seed
+        feasible.add(seed)
+    assert 0 < len(feasible) < 12
 
 
 def test_non_finite_centre_fails_loudly():

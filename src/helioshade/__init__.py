@@ -4,7 +4,7 @@ from .linalg3 import Vec3
 from .polygon2d import Point2, Polygon2
 from .clip import Region, difference, intersection, region_area
 from .solar import SunState, solar_position, sun_vector
-from .shading import Heliostat, efficiency, orient
+from .shading import Heliostat, efficiency
 
 __all__ = [
     "Vec3",
@@ -19,7 +19,6 @@ __all__ = [
     "sun_vector",
     "Heliostat",
     "efficiency",
-    "orient",
 ]
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ from .field import (
 )
 from .oracle import OracleConfig, sample_efficiency
 from .render import render_svg
-from .shading import efficiency, orient
+from .shading import efficiency
 from .solar import SunState, solar_position, sun_vector
 
 __all__ = ["main"]
@@ -203,8 +203,7 @@ def cmd_oracle_check(args) -> None:
         raise CliError("oracle-check needs --samples >= 1")
     layout = load_layout(args.layout)
     sun, _ = _resolve_sun(args, layout.latitude_deg)
-    # the 3D-ray oracle checks against the scalar mirror frames
-    field = [orient(h, sun) for h in layout.to_heliostats()]
+    field = layout.to_heliostats()
     subject = field[_subject_index(layout.ids, args.subject)]
     e_clip = efficiency(subject, field, sun).efficiency
     if args.corrupt:

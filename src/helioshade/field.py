@@ -411,8 +411,12 @@ class OrientedField:
     """Immutable array view of a whole oriented field for one sun state.
 
     `field` is a layout, whose columns are read as they are, or a
-    heliostat sequence, turned into the same columns here; any orientation
-    cached on the heliostats is ignored and recomputed for `sun`.
+    heliostat sequence, turned into the same columns here.  Each mirror's
+    normal bisects the directions to its aim point and to the sun; its
+    rotation (rows x', y', n) takes plant coordinates relative to its
+    centre into its local frame, and its corners follow from that.  Like
+    the loader, it refuses a mirror whose aim point is not above its
+    centre.
     """
 
     def __init__(self, field: Union[FieldLayout, Sequence[Heliostat]], sun: SunState):
@@ -456,6 +460,10 @@ class OrientedField:
         bad = np.flatnonzero(dist == 0.0)
         if len(bad):
             raise ValueError(f"heliostat {self.ids[bad[0]]!r} is at its receiver")
+        # an aim point above the centre also keeps u_t off the sun direction
+        bad = np.flatnonzero(~(to_t[:, 2] > 0.0))
+        if len(bad):
+            raise ValueError(f"heliostat {self.ids[bad[0]]!r}: aim point not above center")
         u_t = to_t / dist[:, None]
         n_raw = u_t - u_s
         self.normals = n_raw / np.linalg.norm(n_raw, axis=1)[:, None]
@@ -958,13 +966,8 @@ def evaluate_field(
     effs = [e for part in parts for e in part]
     duration = time.perf_counter() - start
     records = tuple(
-        HeliostatRecord(
-            id=of.ids[j],
-            efficiency=effs[j],
-            area_reflecting=effs[j] * of.dims[j, 0] * of.dims[j, 1],
-            area_total=of.dims[j, 0] * of.dims[j, 1],
-        )
-        for j in range(n)
+        HeliostatRecord(id=hid, efficiency=e, area_reflecting=e * w * h, area_total=w * h)
+        for hid, e, (w, h) in zip(of.ids, effs, of.dims.tolist())
     )
     average = sum(r.efficiency for r in records) / n
     return FieldReport(

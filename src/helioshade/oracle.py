@@ -58,13 +58,26 @@ def _covered_by_quads(subject, field, sun, xs, ys) -> np.ndarray:
     return covered
 
 
+def _frame(h: Heliostat, sun: SunState) -> np.ndarray:
+    """Rows x', y', n of the mirror's local frame for `sun`, built from
+    vectors alone: n bisects the directions to the aim point and to the
+    sun, and x' is the horizontal unit vector along z x n (plant X at a
+    level mirror) turned by the spin toward n x x'."""
+    n = ((h.aim - h.center).normalized() - sun.u_s).normalized().as_array()
+    rho = math.hypot(n[0], n[1])
+    x0 = np.array([-n[1], n[0], 0.0]) / rho if rho > 0.0 else np.array([1.0, 0.0, 0.0])
+    y0 = np.cross(n, x0)
+    c, s = math.cos(h.spin), math.sin(h.spin)
+    return np.array([c * x0 + s * y0, c * y0 - s * x0, n])
+
+
 def _covered_3d(subject: Heliostat, field, sun: SunState, xs, ys) -> np.ndarray:
     """Per-sample occlusion by direct ray tests against each occluder
     rectangle, bypassing the projection equations entirely."""
-    rot_t = subject.frame.rotation.T
+    rot = _frame(subject, sun)
     origin = subject.center.as_array()
     local = np.stack([xs, ys, np.zeros_like(xs)], axis=1)
-    pts = local @ rot_t.T + origin  # plant-frame sample points, (n, 3)
+    pts = local @ rot + origin  # plant-frame sample points, (n, 3)
 
     u_s = sun.u_s.as_array()
     target = subject.aim.as_array()
@@ -72,8 +85,8 @@ def _covered_3d(subject: Heliostat, field, sun: SunState, xs, ys) -> np.ndarray:
     for other in field:
         if other.id == subject.id:
             continue
-        n_i = other.normal.as_array()
-        rot_i = other.frame.rotation
+        rot_i = _frame(other, sun)
+        n_i = rot_i[2]
         c_i = other.center.as_array()
         hx, hy = other.width / 2.0, other.height / 2.0
         plane_d = float(n_i @ c_i)

@@ -1,32 +1,29 @@
-"""Heliostat records, scalar orientation and the single-subject entry
-points.
+"""Heliostat records and the single-subject entry points.
 
 For a subject mirror the occluders are clipped to the valid side of the
 subject plane and projected: along the light direction for shadowing,
 toward the subject's aim point for blocking.  The projected quads are
 culled cheaply; the efficiency is one minus the fraction of the mirror
 that they cover.  `efficiency` and `candidate_quads` run that pipeline
-through the array engine in `field`; `orient` keeps the scalar mirror
-frames that the 3D-ray oracle uses as its independent reference.
+through the array engine in `field`, which orients the mirrors for the
+sun (`field.OrientedField`); a heliostat holds no orientation.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .clip import Region, subtract_rings
-from .linalg3 import HeliostatFrame, Vec3, frame_from_normal, from_frame
-from .polygon2d import Point2, Polygon2
+from .linalg3 import Vec3
+from .polygon2d import Polygon2
 from .solar import SunState
 
 __all__ = [
     "Heliostat",
     "ProjectedQuad",
     "EfficiencyResult",
-    "orient",
     "candidate_quads",
     "efficiency",
 ]
@@ -36,8 +33,9 @@ __all__ = [
 class Heliostat:
     """Flat rectangular mirror: center, dimensions, aim point, spin angle.
 
-    Orientation-dependent fields (normal, frame, plant-frame corners) are
-    None until `orient` is called for a sun state.
+    Its local frame, for a sun, has its origin at the center and Z' along
+    the normal, which bisects the directions to the aim point and to the
+    sun; the X' axis makes the spin angle with the plant XY plane.
     """
 
     id: str
@@ -46,23 +44,11 @@ class Heliostat:
     height: float  # L_y, m
     aim: Vec3
     spin: float = 0.0
-    normal: Optional[Vec3] = None
-    frame: Optional[HeliostatFrame] = None
-    corners: Optional[Tuple[Vec3, ...]] = None
-
-    def local_corners(self) -> Tuple[Vec3, ...]:
-        """Corner coordinates in the local frame, counterclockwise."""
-        hx, hy = self.width / 2.0, self.height / 2.0
-        return (
-            Vec3(-hx, hy, 0.0),
-            Vec3(-hx, -hy, 0.0),
-            Vec3(hx, -hy, 0.0),
-            Vec3(hx, hy, 0.0),
-        )
 
     def outline(self) -> Polygon2:
         """Subject polygon in its own plane (counterclockwise)."""
-        return Polygon2(tuple(Point2(c.x, c.y) for c in self.local_corners()))
+        hx, hy = self.width / 2.0, self.height / 2.0
+        return Polygon2([(-hx, hy), (-hx, -hy), (hx, -hy), (hx, hy)])
 
     @property
     def area(self) -> float:
@@ -100,15 +86,16 @@ class EfficiencyResult:
 
 
 def orient(h: Heliostat, sun: SunState) -> Heliostat:
-    """Aim the mirror: normal along (u_t - u_s), frame and corners cached."""
-    to_target = h.aim - h.center
-    if to_target.norm() == 0.0:
+    """The heliostat itself, once it is known not to sit at its receiver.
+
+    A heliostat holds no orientation: the engine and the oracle each
+    derive it for the sun they are given.  This stays only because the
+    benchmark under `perfbench/` calls it, and goes with the benchmark
+    change of ROADMAP item 1.
+    """
+    if (h.aim - h.center).norm() == 0.0:
         raise ValueError("heliostat at receiver")
-    u_t = to_target.normalized()
-    n = (u_t - sun.u_s).normalized()
-    frame = frame_from_normal(n, h.spin, h.center)
-    corners = tuple(from_frame(frame, c) for c in h.local_corners())
-    return dataclasses.replace(h, normal=n, frame=frame, corners=corners)
+    return h
 
 
 def _oriented_subject(subject: Heliostat, field: Sequence[Heliostat], sun: SunState):

@@ -787,6 +787,30 @@ def test_heliostat_at_its_receiver_is_named():
         efficiency(helios[0], helios, sun)
 
 
+def test_aim_point_not_above_centre_is_named():
+    # aimed along the light, a mirror would have a zero normal (u_t = u_s);
+    # like the loader, the engine refuses any aim point not above the
+    # centre, and names the mirror
+    sun = sun_at(21, 12.0, 38.23)
+    layout = synthetic_field(3)
+    helios = layout.to_heliostats()
+    c = helios[1].center
+    for aim in (c + sun.u_s * 50.0, Vec3(0.0, 0.0, c.z)):
+        receiver_ids = list(layout.receiver_ids)
+        receiver_ids[1] = "low"
+        bad = dataclasses.replace(
+            layout, receivers=layout.receivers + (("low", aim),), receiver_ids=receiver_ids
+        )
+        with pytest.raises(ValueError, match="heliostat 'h0001': aim point not above center"):
+            evaluate_field(bad, sun, workers=1)
+        helios[1] = dataclasses.replace(helios[1], aim=aim)
+        with pytest.raises(ValueError, match="heliostat 'h0001': aim point not above center"):
+            efficiency(helios[0], helios, sun)
+    # aims 1 m above the centre are still evaluated
+    low = _low_aims(120)
+    assert 0.0 <= efficiency(low[0], low, sun).efficiency <= 1.0
+
+
 def test_report_format(tmp_path):
     layout = load_layout(SIMPLE_PAIR)
     report = evaluate_field(layout, sun_at(21, 12.0, layout.latitude_deg))

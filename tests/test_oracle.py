@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -61,12 +62,17 @@ def test_independent_3d_mode_agrees():
     assert abs(est - e_clip) <= max(0.002, 4.0 * se)
 
 
-def test_independent_3d_mode_agrees_on_random_fields(rng):
+@pytest.mark.parametrize("spin", [False, True], ids=["unspun", "spun"])
+def test_independent_3d_mode_agrees_on_random_fields(rng, spin):
     # the 3D ray tests share no code with the array projection, so this
-    # checks its shadow and block equations on overlapping occluders
+    # checks its shadow and block equations on overlapping occluders, and
+    # on spun mirrors the two derivations of the frame's spin
     shaded = 0
     for _ in range(20):
         field, sun = random_config(rng)
+        if spin:
+            spins = rng.uniform(-math.pi, math.pi, len(field)).tolist()
+            field = [dataclasses.replace(h, spin=s) for h, s in zip(field, spins)]
         f = oriented(field, sun)
         e_clip = efficiency(f[0], f, sun).efficiency
         est, se = sample_efficiency(

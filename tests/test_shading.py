@@ -5,7 +5,8 @@ import pytest
 
 from conftest import make_heliostat, random_config, simple_trio, sun_at
 from helioshade.field import OrientedField, subject_quads
-from helioshade.linalg3 import Vec3, from_frame, to_frame
+from helioshade.linalg3 import Vec3
+from helioshade.oracle import _frame
 from helioshade.shading import candidate_quads, efficiency, orient
 from helioshade.solar import sun_vector
 
@@ -18,25 +19,28 @@ def up_facing(hid, x, y, z=0.0, w=10.0, h=10.0):
 ZENITH = sun_vector(math.pi / 2.0, 0.0)
 
 
-def test_orient_zenith_bisector():
-    h = orient(up_facing("a", 0.0, 0.0), ZENITH)
-    assert (h.normal.x, h.normal.y, h.normal.z) == pytest.approx(
-        (0.0, 0.0, 1.0), abs=1e-12
-    )
+def test_zenith_bisector():
+    h = up_facing("a", 0.0, 0.0)
+    n = OrientedField([h], ZENITH).normals[0]
+    assert n == pytest.approx((0.0, 0.0, 1.0), abs=1e-12)
+    assert _frame(h, ZENITH)[2] == pytest.approx((0.0, 0.0, 1.0), abs=1e-12)
 
 
-def test_orient_reflection_law_and_planarity(rng):
+def test_reflection_law_and_planarity(rng):
     for _ in range(200):
         field, sun = random_config(rng)
-        h = orient(field[0], sun)
-        u_t = (h.aim - h.center).normalized()
+        h = field[0]
+        of = OrientedField(field, sun)
+        n, c = of.normals[0], of.centers[0]
+        u_t = (h.aim - h.center).normalized().as_array()
+        u_s = sun.u_s.as_array()
         # reflect the incoming light about the normal; must head to the aim
-        d = sun.u_s - 2.0 * sun.u_s.dot(h.normal) * h.normal
-        assert math.hypot(d.x - u_t.x, d.y - u_t.y, d.z - u_t.z) < 1e-10
-        plane_d = h.normal.dot(h.center)
-        for c in h.corners:
-            assert abs(h.normal.dot(c) - plane_d) < 1e-9
-            assert abs(to_frame(h.frame, c).z) < 1e-9
+        d = u_s - 2.0 * (u_s @ n) * n
+        assert np.linalg.norm(d - u_t) < 1e-10
+        for corner in of.corners[0]:
+            assert abs(n @ corner - n @ c) < 1e-9
+            for r in (of.rotations[0], _frame(h, sun)):
+                assert abs((r @ (corner - c))[2]) < 1e-9
 
 
 def test_orient_rejects_heliostat_at_receiver():
@@ -57,14 +61,12 @@ def test_shadow_vertical_drop():
     assert quad.source_id == "o"
     # map the local-frame ring back to plant coordinates: it must be the
     # occluder rectangle dropped straight down onto z = 0
-    frame = orient(subject, ZENITH).frame
-    plant = [from_frame(frame, Vec3(p.x, p.y, 0.0)) for p in quad.ring.ring]
-    xs = sorted(p.x for p in plant)
-    ys = sorted(p.y for p in plant)
-    assert (xs[0], xs[-1]) == pytest.approx((-3.0, 7.0), abs=1e-9)
-    assert (ys[0], ys[-1]) == pytest.approx((-5.0, 5.0), abs=1e-9)
-    for p in plant:
-        assert abs(p.z) < 1e-9
+    rotation = OrientedField([subject], ZENITH).rotations[0]
+    local = np.array([(p.x, p.y, 0.0) for p in quad.ring.ring])
+    xs, ys, zs = (local @ rotation + subject.center.as_array()).T
+    assert (xs.min(), xs.max()) == pytest.approx((-3.0, 7.0), abs=1e-9)
+    assert (ys.min(), ys.max()) == pytest.approx((-5.0, 5.0), abs=1e-9)
+    assert np.abs(zs).max() < 1e-9
 
 
 def test_shadow_perpendicular_discarded():

@@ -237,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_sun_args(p)
     p.add_argument("--subject", help="heliostat id; omit for the whole field")
     p.add_argument("--out", help="output file; stdout if omitted")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument(
         "--no-timing", action="store_true", help="omit the elapsed-time line"
     )
@@ -268,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--reps", type=int, default=10)
     p.add_argument("--layout", help="use this layout instead of a synthetic one")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("oracle-check", help="compare clipping against dense sampling")

@@ -221,8 +221,8 @@ def covered_areas(
     that the union U of the subject's rings covers, for all subjects in
     one pass of array operations.
 
-    Ring k has lengths[k] counterclockwise vertices, padded in
-    `ring_xy[k]` (K, V, 2) by repeating its last one, as `clean_rows`
+    Ring k is convex, with lengths[k] counterclockwise vertices, padded
+    in `ring_xy[k]` (K, V, 2) by repeating its last one, as `clean_rows`
     returns them, and belongs to subject owner[k]; owners do not
     decrease, so each subject's rings are consecutive, in subtraction
     order.  `half_sizes[s]` is subject s's (hx, hy).  A subject's area
@@ -253,23 +253,13 @@ def covered_areas(
     stretch of boundary that several polygons share counts once, and a
     stretch between two of them not at all.  A zero-length edge neither
     constrains nor contributes, so rings are padded to a common vertex
-    count (at least 4) by repeating their last vertex.  A non-convex ring
-    is first cut into convex pieces by ear clipping.
+    count (at least 4) by repeating their last vertex, and no step needs
+    `lengths`.
     """
     half_sizes = np.asarray(half_sizes, dtype=float).reshape(-1, 2)
     covered = np.zeros(len(half_sizes))
     if not len(owner):
         return covered
-    concave = _concave(ring_xy, lengths)
-    if concave.any():
-        rings = [r[:n] for r, n in zip(ring_xy.tolist(), lengths.tolist())]
-        cut = [_convex_rings(r) if c else [r] for r, c in zip(rings, concave.tolist())]
-        owner = np.repeat(owner, [len(pieces) for pieces in cut])
-        rings = [piece for pieces in cut for piece in pieces]
-        if not rings:
-            return covered
-        v = max(4, max(map(len, rings)))
-        ring_xy = np.array([list(r) + [r[-1]] * (v - len(r)) for r in rings], dtype=float)
     v = ring_xy.shape[1]
 
     # polygons subject by subject: R, then the subject's rings in order
@@ -321,18 +311,6 @@ def covered_areas(
 def _ramp(counts: np.ndarray) -> np.ndarray:
     """0, 1, ..., c - 1 for each c in counts, concatenated."""
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
-def _concave(xy: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """True for each padded ring that `_is_convex` rejects: one with a
-    right turn."""
-    prev, nxt = np.roll(xy, 1, axis=1), np.roll(xy, -1, axis=1)
-    # `_turn` indexes x and y first, so move the coordinate axis forward
-    turns = _turn(*(np.moveaxis(p, -1, 0) for p in (prev, xy, nxt)))
-    # the padding hides the turn at a ring's last vertex
-    rows = np.arange(len(xy))
-    at_last = _turn(xy[rows, lengths - 2].T, xy[rows, lengths - 1].T, xy[:, 0].T)
-    return (turns < 0.0).any(axis=1) | (at_last < 0.0)
 
 
 def _edge_intervals(p: np.ndarray, q: np.ndarray, later: np.ndarray):

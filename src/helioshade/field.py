@@ -26,9 +26,8 @@ of the worker count.
 from __future__ import annotations
 
 import math
-import os
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -85,6 +84,9 @@ class FieldLayout:
     of the receiver it aims at `receiver_ids[k]`, its centre `centers[k]`
     (m), its width and height `dims[k]` (m) and its spin `spins[k]` (rad).
     The arrays are read-only float copies of what was passed in.
+
+    A layout is valid by construction: building one runs `validate`, the
+    one place that holds the rules of a field.
     """
 
     latitude_deg: float
@@ -105,6 +107,7 @@ class FieldLayout:
             column = np.array(getattr(self, name), dtype=float).reshape(shape)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
+        self.validate()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FieldLayout):
@@ -125,16 +128,32 @@ class FieldLayout:
 
     def aims(self) -> np.ndarray:
         """(n, 3) aim point of each heliostat: its receiver's position, or
-        NaN for a receiver id that `receivers` lacks."""
+        NaN for a receiver id that `receivers` lacks (which `validate`
+        refuses)."""
         positions = [(p.x, p.y, p.z) for _, p in self.receivers] + [(math.nan,) * 3]
         return np.array(positions)[self._receiver_rows()]
 
     def _receiver_rows(self) -> np.ndarray:
-        """Index into `receivers` of each heliostat's receiver (the last
-        one of a repeated id, as in `receiver_map`), or -1 if there is
-        none."""
+        """Index into `receivers` of each heliostat's receiver, or -1 if
+        there is none."""
         slot = {rid: k for k, (rid, _) in enumerate(self.receivers)}
         return np.array([slot.get(rid, -1) for rid in self.receiver_ids], dtype=np.intp)
+
+    @classmethod
+    def from_heliostats(cls, heliostats: Sequence[Heliostat]) -> "FieldLayout":
+        """The layout of a heliostat sequence, the inverse of
+        `to_heliostats`: one receiver per mirror at its aim point, named
+        by its row, and latitude 0, as a heliostat holds none."""
+        rids = [str(k) for k in range(len(heliostats))]
+        return cls(
+            latitude_deg=0.0,
+            receivers=tuple(zip(rids, (h.aim for h in heliostats))),
+            ids=[h.id for h in heliostats],
+            receiver_ids=rids,
+            centers=[(h.center.x, h.center.y, h.center.z) for h in heliostats],
+            dims=[(h.width, h.height) for h in heliostats],
+            spins=[h.spin for h in heliostats],
+        )
 
     def to_heliostats(self) -> List[Heliostat]:
         """One `Heliostat` object per row, for scalar and library callers."""
@@ -153,9 +172,12 @@ class FieldLayout:
     def validate(self) -> None:
         """Raise `LayoutError` for a duplicate receiver id, else for the
         first heliostat, in row order, that repeats an earlier id, names
-        an unknown receiver, has a non-positive dimension, is not below
-        its receiver or has the centre of an earlier heliostat (checked in
-        that order)."""
+        an unknown receiver, has a non-finite coordinate (of its centre,
+        size, spin or aim point), has a non-positive dimension, has its aim
+        point not above its centre or has the centre of an earlier
+        heliostat (checked in that order).  An aim point above the centre
+        also keeps the mirror off its receiver and its normal defined for
+        any sun above the horizon."""
         seen = set()
         for rid, _ in self.receivers:
             if rid in seen:
@@ -165,12 +187,20 @@ class FieldLayout:
         if len(set(self.ids)) < self.n:
             repeated[:] = True
             repeated[np.unique(np.array(self.ids, dtype=str), return_index=True)[1]] = False
-        rows = self._receiver_rows()
-        # an unknown receiver (row -1) is at height NaN, so only its own check fires
-        heights = np.array([p.z for _, p in self.receivers] + [math.nan])[rows]
-        small = (self.dims <= 0.0).any(axis=1)
+        # an unknown receiver gives a NaN aim point; its own check comes first
+        aims = self.aims()
+        values = np.hstack([self.centers, self.dims, self.spins[:, None], aims])
         twin = _twins(self.centers)
-        faults = np.stack([repeated, rows < 0, small, heights <= self.centers[:, 2], twin >= 0])
+        faults = np.stack(
+            [
+                repeated,
+                self._receiver_rows() < 0,
+                ~np.isfinite(values).all(axis=1),
+                (self.dims <= 0.0).any(axis=1),
+                aims[:, 2] <= self.centers[:, 2],
+                twin >= 0,
+            ]
+        )
         bad = np.flatnonzero(faults.any(axis=0))
         if not len(bad):
             return
@@ -179,8 +209,9 @@ class FieldLayout:
         messages = (
             f"duplicate heliostat id: {hid!r}",
             f"heliostat {hid!r} references unknown receiver {rid!r}",
+            f"heliostat {hid!r} has a non-finite coordinate",
             f"heliostat {hid!r} has non-positive dimensions",
-            f"heliostat {hid!r}: receiver {rid!r} not above center",
+            f"heliostat {hid!r}: aim point not above center",
             f"heliostat {hid!r} has the same center as {self.ids[twin[k]]!r}",
         )
         raise LayoutError(messages[int(np.argmax(faults[:, k]))])
@@ -292,7 +323,7 @@ def load_layout(path: str) -> FieldLayout:
     if latitude is None:
         raise LayoutError("missing 'plant lat=...' line")
     values = np.array(rows, dtype=float).reshape(-1, 5)
-    layout = FieldLayout(
+    return FieldLayout(
         latitude_deg=latitude,
         receivers=tuple(receivers),
         ids=ids,
@@ -301,8 +332,6 @@ def load_layout(path: str) -> FieldLayout:
         dims=values[:, 3:],
         spins=spins,
     )
-    layout.validate()
-    return layout
 
 
 def save_layout(layout: FieldLayout, path: str) -> None:
@@ -390,7 +419,7 @@ def synthetic_field(n: int, spec: RadialStaggerSpec = RadialStaggerSpec()) -> Fi
     d_x, d_y = (pts[i] - pts[s]).T
     if ((d_x * d_x + d_y * d_y <= diag * diag) & (s != i)).any():
         raise LayoutError("infeasible spacing: generated mirrors overlap")
-    layout = FieldLayout(
+    return FieldLayout(
         latitude_deg=spec.latitude_deg,
         receivers=(("tower", Vec3(0.0, 0.0, spec.tower_height)),),
         ids=[f"h{i:04d}" for i in range(n)],
@@ -399,8 +428,6 @@ def synthetic_field(n: int, spec: RadialStaggerSpec = RadialStaggerSpec()) -> Fi
         dims=np.tile([spec.mirror_width, spec.mirror_height], (n, 1)),
         spins=np.zeros(n),
     )
-    layout.validate()
-    return layout
 
 
 # ---------------------------------------------------------------------------
@@ -411,60 +438,29 @@ class OrientedField:
     """Immutable array view of a whole oriented field for one sun state.
 
     `field` is a layout, whose columns are read as they are, or a
-    heliostat sequence, turned into the same columns here.  Each mirror's
-    normal bisects the directions to its aim point and to the sun; its
-    rotation (rows x', y', n) takes plant coordinates relative to its
-    centre into its local frame, and its corners follow from that.  Like
-    the loader, it refuses a mirror whose aim point is not above its
-    centre.
+    heliostat sequence, made one by `FieldLayout.from_heliostats`.  A
+    layout is valid by construction, so only the sun is checked here.
+    Each mirror's normal bisects the directions to its aim point and to
+    the sun; its rotation (rows x', y', n) takes plant coordinates
+    relative to its centre into its local frame, and its corners follow
+    from that.
     """
 
     def __init__(self, field: Union[FieldLayout, Sequence[Heliostat]], sun: SunState):
-        if isinstance(field, FieldLayout):
-            self.ids = field.ids
-            self.centers, self.aims, self.dims = field.centers, field.aims(), field.dims
-            spins = field.spins
-        else:
-            self.ids = tuple(h.id for h in field)
-            values = np.array(
-                [
-                    (h.center.x, h.center.y, h.center.z, h.aim.x, h.aim.y, h.aim.z)
-                    + (h.width, h.height, h.spin)
-                    for h in field
-                ],
-                dtype=float,
-            ).reshape(-1, 9)
-            self.centers, self.aims, self.dims = values[:, :3], values[:, 3:6], values[:, 6:8]
-            spins = values[:, 8]
-        self.sun = sun
-        n = len(self.ids)
-        self.n = n
         u_s = sun.u_s.as_array()
         if not np.isfinite(u_s).all():
             raise ValueError(f"sun direction is not finite: eta={sun.eta!r}, theta={sun.theta!r}")
-        values = np.hstack([self.centers, self.aims, self.dims, spins[:, None]])
-        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
-        if len(bad):
-            raise ValueError(f"heliostat {self.ids[bad[0]]!r} has a non-finite coordinate")
-        bad = np.flatnonzero(~(self.dims > 0.0).all(axis=1))
-        if len(bad):
-            raise ValueError(f"heliostat {self.ids[bad[0]]!r} has non-positive dimensions")
-        twin = _twins(self.centers)
-        bad = np.flatnonzero(twin >= 0)
-        if len(bad):
-            hid, other = self.ids[bad[0]], self.ids[twin[bad[0]]]
-            raise ValueError(f"heliostat {hid!r} has the same center as {other!r}")
+        if not isinstance(field, FieldLayout):
+            field = FieldLayout.from_heliostats(field)
+        self.sun = sun
+        self.ids = field.ids
+        self.n = n = field.n
+        self.centers, self.aims, self.dims = field.centers, field.aims(), field.dims
 
+        # every aim point is above its centre, so u_t is defined and is not
+        # the light direction of a sun above the horizon
         to_t = self.aims - self.centers
-        dist = np.linalg.norm(to_t, axis=1)
-        bad = np.flatnonzero(dist == 0.0)
-        if len(bad):
-            raise ValueError(f"heliostat {self.ids[bad[0]]!r} is at its receiver")
-        # an aim point above the centre also keeps u_t off the sun direction
-        bad = np.flatnonzero(~(to_t[:, 2] > 0.0))
-        if len(bad):
-            raise ValueError(f"heliostat {self.ids[bad[0]]!r}: aim point not above center")
-        u_t = to_t / dist[:, None]
+        u_t = to_t / np.linalg.norm(to_t, axis=1)[:, None]
         n_raw = u_t - u_s
         self.normals = n_raw / np.linalg.norm(n_raw, axis=1)[:, None]
 
@@ -472,7 +468,7 @@ class OrientedField:
         rho = np.hypot(nx, ny)
         alpha = np.where(rho > 0.0, np.arctan2(nx, -ny), 0.0)
         beta = np.arctan2(rho, nz)
-        self.rotations = _rotations_zxz(alpha, beta, spins)
+        self.rotations = _rotations_zxz(alpha, beta, field.spins)
 
         hw = self.dims[:, 0] / 2.0
         hh = self.dims[:, 1] / 2.0
@@ -496,7 +492,11 @@ class OrientedField:
         sin_eta = -float(u_s[2])
         rise = self.aims[:, 2] - z.max(axis=1)
         sun_up = sin_eta > 0.0 and math.isfinite(dz / sin_eta)
-        self.shadow_end = -u_s[:2] * (dz / sin_eta) if sun_up else np.zeros(2)
+        shadow_end = -u_s[:2] * (dz / sin_eta) if sun_up else np.zeros(2)
+        # no centre offset is longer than the diagonal of the centres' box
+        span = float(np.hypot(*np.ptp(self.centers[:, :2], axis=0))) if n else 0.0
+        length = float(np.hypot(*shadow_end))
+        self.shadow_end = shadow_end * (span / length) if length > span else shadow_end
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             block_end = np.minimum(1.0, dz / rise)[:, None] * to_t[:, :2]
         # subjects whose every neighbour is a candidate
@@ -520,7 +520,11 @@ class OrientedField:
         height eta, so t = (p_z - q_z) / sin(eta) <= dz / sin(eta) and
         p_h - q_h = -t u_s,h lies on the segment [0, S] with
         S = -u_s,h dz / sin(eta), of length dz cot(eta) toward the sun
-        and the same for every subject.
+        and the same for every subject.  No two centres are farther apart
+        than the diagonal D of their bounding box, and the point of [0, S]
+        nearest an offset of length <= D lies within D of 0, so S is cut to
+        length D: the capsule keeps its members, and its squared length
+        stays finite at a grazing sun.
 
         Block: p lies inside the slab between the mirror plane and the aim
         point T, hence on the segment from q to T: p = q + lam (T - q) with
@@ -918,21 +922,10 @@ def _pool_eval(chunk: Tuple[int, int]) -> List[float]:
     return _block_efficiencies(_POOL_FIELD, *chunk)
 
 
-def default_workers() -> int:
-    text = os.environ.get("HELIOSHADE_WORKERS", "1")
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"HELIOSHADE_WORKERS must be a positive integer, got {text!r}")
-    return workers
-
-
 def evaluate_field(
     layout: FieldLayout,
     sun: SunState,
-    workers: Optional[int] = None,
+    workers: int = 1,
     date_label: str = "",
 ) -> FieldReport:
     """Blocking-and-shadowing efficiency of every heliostat in the layout.
@@ -942,8 +935,6 @@ def evaluate_field(
     and the chunks are independent and may fan out to a process pool.
     Results are identical for any worker count.
     """
-    if workers is None:
-        workers = default_workers()
     if workers < 1:
         raise ValueError(f"worker count must be at least 1, got {workers}")
     start = time.perf_counter()

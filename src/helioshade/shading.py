@@ -6,7 +6,11 @@ toward the subject's aim point for blocking.  The projected quads are
 culled cheaply; the efficiency is one minus the fraction of the mirror
 that they cover.  `efficiency` and `candidate_quads` run that pipeline
 through the array engine in `field`, which orients the mirrors for the
-sun (`field.OrientedField`); a heliostat holds no orientation.
+sun (`field.OrientedField`); a heliostat holds no orientation.  The
+heliostat sequence becomes a layout first
+(`field.FieldLayout.from_heliostats`), which refuses a field that breaks
+a layout rule, such as two mirrors with one id, with a `ValueError` that
+names the mirror.
 """
 
 from __future__ import annotations

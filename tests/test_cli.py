@@ -131,13 +131,8 @@ def test_malformed_sun_spec_fails(capsys):
     assert code != 0 and "error:" in err
 
 
-@pytest.mark.parametrize(
-    "workers_arg,env",
-    [(["--workers", "0"], None), (["--workers", "-3"], None), ([], "0")],
-)
-def test_invalid_worker_count_fails(capsys, monkeypatch, workers_arg, env):
-    if env is not None:
-        monkeypatch.setenv("HELIOSHADE_WORKERS", env)
+@pytest.mark.parametrize("workers_arg", [["--workers", "0"], ["--workers", "-3"]])
+def test_invalid_worker_count_fails(capsys, workers_arg):
     code, out, err = run(
         capsys, "efficiency", SIMPLE_PAIR, "--date", "01-21", "--hour", "12:00",
         *workers_arg,

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -353,6 +354,50 @@ def test_prefilter_matches_unfiltered_engine(hhmm):
         on = subject_efficiency(of, j, use_culling=True)
         off = subject_efficiency(of, j, use_culling=False)
         assert on.efficiency == off.efficiency
+
+
+@pytest.mark.parametrize("eta_deg", [1e-160, 1e-200, 1e-300])
+def test_prefilter_matches_unfiltered_engine_at_grazing_sun(eta_deg):
+    # below about 1e-154 rad the shadow capsule's squared length used to
+    # overflow, shrinking the capsule to a disc that dropped shadowing
+    # neighbours (mean e 0.764 against 0.401 unfiltered)
+    layout = synthetic_field(60)
+    sun = sun_vector(math.radians(eta_deg), math.radians(200.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        of = OrientedField(layout, sun)
+        for j in range(of.n):
+            on = subject_efficiency(of, j, use_culling=True)
+            off = subject_efficiency(of, j, use_culling=False)
+            assert on.efficiency == off.efficiency, j
+
+
+def _turns_right(ring, tol=1e-9):
+    """Whether a turn of the ring is a right turn beyond rounding:
+    cross(e_k, e_k+1) below -tol |e_k| |e_k+1| for consecutive edges."""
+    e = np.roll(ring, -1, axis=0) - ring
+    f = np.roll(e, -1, axis=0)
+    cross = e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0]
+    return bool((cross < -tol * np.hypot(*e.T) * np.hypot(*f.T)).any())
+
+
+def test_kept_rings_are_convex(rng):
+    # `covered_areas` takes convex counterclockwise rings only
+    fields = [OrientedField(*random_config(rng, eta_deg=(1.0, 75.0))) for _ in range(60)]
+    golden = synthetic_field(250)
+    for hhmm in PREFILTER_HOURS:
+        fields.append(OrientedField(golden, sun_at(21, _hour(hhmm), golden.latitude_deg)))
+    fields.append(
+        OrientedField(synthetic_field(300), sun_vector(math.radians(1.0), math.radians(250.0)))
+    )
+    rings = 0
+    for of in fields:
+        for j0, j1 in field_module._blocks(of):
+            *_, ring_xy, lengths = field_module._block_quads(of, j0, j1)
+            for ring, m in zip(ring_xy, lengths):
+                assert not _turns_right(ring[:m]), (of.ids[j0], ring[:m])
+            rings += len(lengths)
+    assert rings > 5000
 
 
 def test_prefilter_keeps_every_overlapping_quad(rng):
@@ -714,21 +759,19 @@ def test_non_finite_sun_fails_loudly(eta, theta):
 
 
 def test_twin_centres_fail_loudly():
-    # a layout file with two mirrors on one centre is refused by
-    # `validate`; built in code, it gave e = 1.16e-16 for both
+    # two mirrors on one centre once gave e = 1.16e-16 for both; a layout
+    # built in code, like a layout file, is now refused when it is built
     layout = synthetic_field(5)
     centers = np.array(layout.centers)
     centers[3] = centers[1]
-    twins = dataclasses.replace(layout, centers=centers)
     sun = sun_at(21, 12.0, 38.23)
     message = "heliostat 'h0003' has the same center as 'h0001'"
-    with pytest.raises(ValueError, match=message):
-        evaluate_field(twins, sun, workers=1)
-    helios = twins.to_heliostats()
+    with pytest.raises(LayoutError, match=message):
+        dataclasses.replace(layout, centers=centers)
+    helios = layout.to_heliostats()
+    helios[3] = dataclasses.replace(helios[3], center=helios[1].center)
     with pytest.raises(ValueError, match=message):
         efficiency(helios[0], helios, sun)
-    with pytest.raises(LayoutError, match=message):
-        twins.validate()
 
 
 def test_synthetic_spacing_check_matches_all_pairs():
@@ -777,20 +820,20 @@ def test_non_finite_centre_fails_loudly():
 
 
 def test_heliostat_at_its_receiver_is_named():
-    # a heliostat list, unlike a layout file, can put a mirror at its aim
+    # a mirror at its aim point has its aim point level with its centre
     helios = synthetic_field(3).to_heliostats()
     helios[1] = dataclasses.replace(helios[1], center=helios[1].aim)
     sun = sun_at(21, 12.0, 38.23)
-    with pytest.raises(ValueError, match="heliostat 'h0001' is at its receiver"):
+    with pytest.raises(ValueError, match="heliostat 'h0001': aim point not above center"):
         OrientedField(helios, sun)
-    with pytest.raises(ValueError, match="heliostat 'h0001' is at its receiver"):
+    with pytest.raises(ValueError, match="heliostat 'h0001': aim point not above center"):
         efficiency(helios[0], helios, sun)
 
 
 def test_aim_point_not_above_centre_is_named():
     # aimed along the light, a mirror would have a zero normal (u_t = u_s);
-    # like the loader, the engine refuses any aim point not above the
-    # centre, and names the mirror
+    # a layout with any aim point not above its centre is refused when it
+    # is built, from a heliostat list too, and names the mirror
     sun = sun_at(21, 12.0, 38.23)
     layout = synthetic_field(3)
     helios = layout.to_heliostats()
@@ -798,17 +841,40 @@ def test_aim_point_not_above_centre_is_named():
     for aim in (c + sun.u_s * 50.0, Vec3(0.0, 0.0, c.z)):
         receiver_ids = list(layout.receiver_ids)
         receiver_ids[1] = "low"
-        bad = dataclasses.replace(
-            layout, receivers=layout.receivers + (("low", aim),), receiver_ids=receiver_ids
-        )
-        with pytest.raises(ValueError, match="heliostat 'h0001': aim point not above center"):
-            evaluate_field(bad, sun, workers=1)
+        with pytest.raises(LayoutError, match="heliostat 'h0001': aim point not above center"):
+            dataclasses.replace(
+                layout, receivers=layout.receivers + (("low", aim),), receiver_ids=receiver_ids
+            )
         helios[1] = dataclasses.replace(helios[1], aim=aim)
         with pytest.raises(ValueError, match="heliostat 'h0001': aim point not above center"):
             efficiency(helios[0], helios, sun)
     # aims 1 m above the centre are still evaluated
     low = _low_aims(120)
     assert 0.0 <= efficiency(low[0], low, sun).efficiency <= 1.0
+
+
+def test_from_heliostats_inverts_to_heliostats():
+    helios = load_layout(REAL_SCENARIO).to_heliostats()
+    layout = FieldLayout.from_heliostats(helios)
+    assert layout.to_heliostats() == helios
+    assert np.array_equal(layout.aims(), [(h.aim.x, h.aim.y, h.aim.z) for h in helios])
+
+
+def test_faulty_fields_are_refused_when_built():
+    # both were evaluated silently: the second 'h0001' got the first one's
+    # e, and the NaN centre passed `validate`
+    helios = synthetic_field(4).to_heliostats()
+    helios[2] = dataclasses.replace(helios[2], id="h0001")
+    sun = sun_at(21, 12.0, 38.23)
+    with pytest.raises(LayoutError, match="duplicate heliostat id: 'h0001'"):
+        FieldLayout.from_heliostats(helios)
+    with pytest.raises(ValueError, match="duplicate heliostat id: 'h0001'"):
+        efficiency(helios[2], helios, sun)
+    layout = synthetic_field(4)
+    centers = np.array(layout.centers)
+    centers[2, 1] = math.nan
+    with pytest.raises(LayoutError, match="heliostat 'h0002' has a non-finite coordinate"):
+        dataclasses.replace(layout, centers=centers)
 
 
 def test_report_format(tmp_path):
@@ -858,12 +924,3 @@ def test_spawn_workers_match_serial(monkeypatch):
     ]
     assert methods == ["spawn"]
     assert texts[0] == texts[1]
-
-
-def test_worker_env_override(monkeypatch):
-    from helioshade.field import default_workers
-
-    monkeypatch.setenv("HELIOSHADE_WORKERS", "7")
-    assert default_workers() == 7
-    monkeypatch.delenv("HELIOSHADE_WORKERS")
-    assert default_workers() == 1

@@ -10,9 +10,8 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from helioshade.field import load_layout
+from helioshade.field import OrientedField, load_layout, subject_efficiency
 from helioshade.render import render_svg
-from helioshade.shading import efficiency
 from helioshade.solar import solar_position, sun_vector
 
 DAY_OF_YEAR = 21  # January 21
@@ -31,8 +30,7 @@ def main() -> None:
 
     layout = load_layout(args.layout)
     lat = math.radians(layout.latitude_deg)
-    field = layout.to_heliostats()
-    subject = next(h for h in field if h.id == args.subject)
+    j = layout.ids.index(args.subject)
     os.makedirs(args.outdir, exist_ok=True)
 
     series_path = os.path.join(args.outdir, "efficiency_series.txt")
@@ -47,7 +45,7 @@ def main() -> None:
             except ValueError:  # below the horizon
                 t += args.step_min / 60.0
                 continue
-            result = efficiency(subject, field, sun_vector(eta, theta))
+            result = subject_efficiency(OrientedField(layout, sun_vector(eta, theta)), j)
             fh.write(
                 f"{t:.9g} {math.degrees(eta):.9g} "
                 f"{math.degrees(theta):.9g} {result.efficiency:.9g}\n"

@@ -28,7 +28,6 @@ from .field import (
 )
 from .oracle import OracleConfig, sample_efficiency
 from .render import render_svg
-from .shading import efficiency
 from .solar import SunState, solar_position, sun_vector
 
 __all__ = ["main"]
@@ -203,14 +202,14 @@ def cmd_oracle_check(args) -> None:
         raise CliError("oracle-check needs --samples >= 1")
     layout = load_layout(args.layout)
     sun, _ = _resolve_sun(args, layout.latitude_deg)
-    field = layout.to_heliostats()
-    subject = field[_subject_index(layout.ids, args.subject)]
-    e_clip = efficiency(subject, field, sun).efficiency
+    j = _subject_index(layout.ids, args.subject)
+    e_clip = subject_efficiency(OrientedField(layout, sun), j).efficiency
     if args.corrupt:
         # negative-control hook: bias the clipping value so the check fails
         e_clip = min(1.0, e_clip + 0.05)
     cfg = OracleConfig(samples=args.samples, independent=args.independent)
-    e_oracle, se = sample_efficiency(subject, field, sun, cfg)
+    field = layout.to_heliostats()
+    e_oracle, se = sample_efficiency(field[j], field, sun, cfg)
     tol = max(0.002, 4.0 * se)
     diff = abs(e_clip - e_oracle)
     verdict = "PASS" if diff <= tol else "FAIL"

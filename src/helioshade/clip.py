@@ -24,9 +24,10 @@ retried.  A non-convex input polygon is first cut into convex pieces by
 ear clipping.
 
 `covered_areas` takes its rings as one padded (K, V, 2) coordinate
-array, as `clean_rows` cleans them straight from the projection kernel;
-`subtract_rings` works on plain coordinate rings, lists of (x, y)
-tuples.  `Polygon2` is built only for the pieces of a returned `Region`.
+array, as `clean_rows` certifies them straight from the projection
+kernel (a row that fails goes through `clean_ring`); `subtract_rings`
+works on plain coordinate rings, lists of (x, y) tuples.  `Polygon2` is
+built only for the pieces of a returned `Region`.
 """
 
 from __future__ import annotations
@@ -114,50 +115,37 @@ def clean_rows(x: np.ndarray, y: np.ndarray, count: np.ndarray):
     and their rings padded to V = max(4, the longest) vertices by
     repeating the last one, as `covered_areas` takes them.
 
-    The drop and the reversal come from a plain sum of the 2V' shoelace
-    products t of the ring padded to V' vertices, within V' eps sum|t| / 2
-    of `clean_ring`'s exactly rounded sum (`math.fsum`; the padding's
-    products cancel).  A row whose area is within four times that of 0
-    or of `MIN_COMPONENT_AREA`, or is not finite, goes through
-    `clean_ring` itself, which also raises its `ValueError`.
+    A row that `clean_ring` would return as given is kept as it is: one
+    with at least 3 vertices, no two consecutive ones coincident (the last
+    and the first included), and a plain sum of the 2V' shoelace products
+    t of the row padded to V' vertices that puts its area above
+    `MIN_COMPONENT_AREA` by more than four times V' eps sum|t| / 2, its
+    bound off `clean_ring`'s exactly rounded sum (`math.fsum`; the
+    padding's products cancel).  Every other row goes through `clean_ring`,
+    the one routine that merges, reverses or drops a ring, and raises its
+    `ValueError`.
     """
-    rows, w = np.arange(len(x)), x.shape[1]
-    points = np.stack([x, y], axis=-1).reshape(-1, 2)
-    keep = np.arange(w) < count[:, None]
+    slot = np.arange(max(4, x.shape[1]))
+    last = np.maximum(count - 1, 0)[:, None]
+    ring_xy = np.stack([x, y], axis=-1)[np.arange(len(x))[:, None], np.minimum(slot, last)]
+    rx, ry = np.moveaxis(ring_xy, 2, 0)
+    nx, ny = np.roll(rx, -1, axis=1), np.roll(ry, -1, axis=1)
     with np.errstate(invalid="ignore", over="ignore"):
-        # until a vertex merges, the last kept one is the previous vertex,
-        # so only rows with a vertex near the previous one need the scan
-        near = _coincident(x[:, 1:], y[:, 1:], x[:, :-1], y[:, :-1]) & keep[:, 1:]
-        scan = np.flatnonzero(near.any(axis=1))
-        for c in range(1, w if len(scan) else 1):
-            last = c - 1 - np.argmax(keep[scan, c - 1 :: -1], axis=1)
-            keep[scan, c] &= ~_coincident(x[scan, c], y[scan, c], x[scan, last], y[scan, last])
-        # index in `points` of each kept vertex, in order
-        order = np.argsort(~keep, axis=1, kind="stable") + w * rows[:, None]
-        m = keep.sum(axis=1)
-        pop = m >= 2
-        while pop.any():  # a closing vertex that coincides with the first
-            pop = (m >= 2) & _coincident(*points[order[rows, m - 1]].T, x[:, 0], y[:, 0])
-            m = m - pop
-        slot = np.arange(max(4, int(m.max(initial=0))))
-        ring_xy = points[order[rows[:, None], np.minimum(slot, m[:, None] - 1)]]
-        rx, ry = np.moveaxis(ring_xy, 2, 0)
-        nx, ny = np.moveaxis(ring_xy[:, (slot + 1) % len(slot)], 2, 0)
         ahead, behind = rx * ny, nx * ry
         area = 0.5 * (ahead.sum(axis=1) - behind.sum(axis=1))
         margin = 2.0 * len(slot) * np.finfo(float).eps * (abs(ahead) + abs(behind)).sum(axis=1)
-        sure = (abs(area) > margin) & (abs(abs(area) - MIN_COMPONENT_AREA) > margin)
-    ok = (m >= 3) & sure & (abs(area) >= MIN_COMPONENT_AREA)
-    flip = np.flatnonzero(ok & (area < 0.0))
-    if len(flip):
-        ring_xy[flip] = points[order[flip[:, None], np.maximum(m[flip, None] - 1 - slot, 0)]]
-    for k in np.flatnonzero((m >= 3) & ~sure):
+        # every pair of consecutive vertices but the padding's
+        paired = (slot < last) | (slot == slot[-1])
+        merge = (_coincident(rx, ry, nx, ny) & paired).any(axis=1)
+        ok = (count >= 3) & ~merge & (area - MIN_COMPONENT_AREA > margin)
+    lengths = np.where(ok, count, 0)
+    for k in np.flatnonzero(~ok):
         ring = clean_ring(zip(x[k, : count[k]].tolist(), y[k, : count[k]].tolist()))
-        ok[k] = ring is not None
-        if ok[k]:
+        if ring is not None:
+            ok[k], lengths[k] = True, len(ring)
             ring_xy[k] = (ring + ring[-1:] * len(slot))[: len(slot)]
     kept = np.flatnonzero(ok)
-    return kept, ring_xy[kept, : max(4, int(m[kept].max(initial=0)))], m[kept]
+    return kept, ring_xy[kept, : max(4, int(lengths.max(initial=0)))], lengths[kept]
 
 
 def rings_area(rings: Iterable[_Ring]) -> float:
@@ -214,16 +202,14 @@ def subtract_rings(pieces: Sequence[_Ring], clips: Iterable[_Ring]) -> List[_Rin
     return pieces
 
 
-def covered_areas(
-    owner: np.ndarray, ring_xy: np.ndarray, lengths: np.ndarray, half_sizes
-) -> np.ndarray:
+def covered_areas(owner: np.ndarray, ring_xy: np.ndarray, half_sizes) -> np.ndarray:
     """Area of each subject's mirror rectangle R = [-hx, hx] x [-hy, hy]
     that the union U of the subject's rings covers, for all subjects in
     one pass of array operations.
 
-    Ring k is convex, with lengths[k] counterclockwise vertices, padded
-    in `ring_xy[k]` (K, V, 2) by repeating its last one, as `clean_rows`
-    returns them, and belongs to subject owner[k]; owners do not
+    Ring k is convex and counterclockwise, padded in `ring_xy[k]`
+    (K, V, 2) by repeating its last vertex, as `clean_rows` returns it,
+    and belongs to subject owner[k]; owners do not
     decrease, so each subject's rings are consecutive, in subtraction
     order.  `half_sizes[s]` is subject s's (hx, hy).  A subject's area
     does not depend on the other subjects of the call: every sum runs
@@ -254,7 +240,7 @@ def covered_areas(
     stretch between two of them not at all.  A zero-length edge neither
     constrains nor contributes, so rings are padded to a common vertex
     count (at least 4) by repeating their last vertex, and no step needs
-    `lengths`.
+    a ring's own vertex count.
     """
     half_sizes = np.asarray(half_sizes, dtype=float).reshape(-1, 2)
     covered = np.zeros(len(half_sizes))

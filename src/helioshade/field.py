@@ -11,12 +11,13 @@ comparing every pair.  The field is cut once, into chunks of whole
 consecutive subjects whose selection visits at most `_GATHER_BUDGET`
 grid rows and mirrors, which also bounds their pairs; each chunk
 selects its own (subject, neighbour) pairs, clips them to the valid
-projection region (`_clip`, for the few occluders that cross its
-planes), and projects and culls them as flat numpy arrays.  The few
-surviving quads stay in those arrays: `clip.clean_rows` cleans them as
-padded coordinate rows, and one call of `clip.covered_areas` per chunk
-gives the shaded area of every subject in it, from the parts of the
-polygon edges that bound it, without building a residual polygon.
+projection region (`_clip`, one pass per plane, for the few occluders
+that cross its planes), and projects and culls them as flat numpy
+arrays.  The few surviving quads stay in those arrays: `clip.clean_rows`
+certifies them as padded coordinate rows, and one call of
+`clip.covered_areas` per chunk gives the shaded area of every subject in
+it, from the parts of the polygon edges that bound it, without building
+a residual polygon.
 `ProjectedQuad` and `Polygon2` are built only for a single-subject
 query (`subject_quads`, `subject_efficiency`).
 Results are deterministic and assembled in heliostat order regardless
@@ -173,11 +174,12 @@ class FieldLayout:
         """Raise `LayoutError` for a duplicate receiver id, else for the
         first heliostat, in row order, that repeats an earlier id, names
         an unknown receiver, has a non-finite coordinate (of its centre,
-        size, spin or aim point), has a non-positive dimension, has its aim
-        point not above its centre or has the centre of an earlier
-        heliostat (checked in that order).  An aim point above the centre
-        also keeps the mirror off its receiver and its normal defined for
-        any sun above the horizon."""
+        size, spin or aim point), has a non-positive dimension, has an area
+        w h that is not a positive finite number, has its aim point not
+        above its centre or has the centre of an earlier heliostat (checked
+        in that order).  An aim point above the centre also keeps the
+        mirror off its receiver and its normal defined for any sun above
+        the horizon."""
         seen = set()
         for rid, _ in self.receivers:
             if rid in seen:
@@ -191,12 +193,15 @@ class FieldLayout:
         aims = self.aims()
         values = np.hstack([self.centers, self.dims, self.spins[:, None], aims])
         twin = _twins(self.centers)
+        with np.errstate(over="ignore", invalid="ignore"):
+            area = self.dims.prod(axis=1)
         faults = np.stack(
             [
                 repeated,
                 self._receiver_rows() < 0,
                 ~np.isfinite(values).all(axis=1),
                 (self.dims <= 0.0).any(axis=1),
+                ~((area > 0.0) & np.isfinite(area)),
                 aims[:, 2] <= self.centers[:, 2],
                 twin >= 0,
             ]
@@ -211,6 +216,7 @@ class FieldLayout:
             f"heliostat {hid!r} references unknown receiver {rid!r}",
             f"heliostat {hid!r} has a non-finite coordinate",
             f"heliostat {hid!r} has non-positive dimensions",
+            f"heliostat {hid!r} has an area w*h that is not a positive finite number",
             f"heliostat {hid!r}: aim point not above center",
             f"heliostat {hid!r} has the same center as {self.ids[twin[k]]!r}",
         )
@@ -736,8 +742,10 @@ def _block_quads(of: OrientedField, j0: int, j1: int, use_culling: bool = True):
     coordinate arrays; `use_culling=False` keeps every neighbour and
     every quad.  The valid region is the front of the subject plane for
     shadows and the slab between the subject plane and the aim point for
-    blocks; `_clip` cuts only the rare occluders that straddle one of
-    those planes, so a chunk without such a pair keeps its 4-vertex rows.
+    blocks.  `_clip` cuts only the rare occluders that straddle one of
+    those planes: to the front of the subject plane once, for both images,
+    then below the aim point's plane for the block; a chunk without such
+    a pair keeps its 4-vertex rows.
     """
     subjects, cols = _pairs(of, j0, j1, use_culling)
     rows = subjects - j0  # row-major: subjects keep field order
@@ -765,23 +773,24 @@ def _block_quads(of: OrientedField, j0: int, j1: int, use_culling: bool = True):
     count = np.full(len(cols), 4)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        # shadow projection along the light direction: only the part of
-        # the occluder on the front side of the subject plane casts on
-        # the mirror
-        front = side >= 0.0
-        shadow = (np.abs(denom_s) >= _PERP_TOL)[rows] & front.any(axis=1)
-        (px, py, pz), side_s, count_s = _clip(corners, side, count, shadow & ~front.all(axis=1))
+        # only the part of an occluder on the front side of the subject
+        # plane casts a shadow on the mirror or blocks its reflection; a
+        # block image is finite only inside the slab 0 < side < side(aim)
+        upper = per_pair(side_t * (1.0 - 1e-9))
+        shadow = (np.abs(denom_s) >= _PERP_TOL)[rows] & (side >= 0.0).any(axis=1)
+        block = (side_t > 0.0)[rows] & ~(side <= 0.0).all(axis=1) & ~(side >= upper).all(axis=1)
+        front = _clip(corners, side, count, (shadow | block) & (side < 0.0).any(axis=1))
+
+        # shadow projection along the light direction
+        (px, py, pz), side_s, count_s = front
         shadow &= count_s >= 3
         t_s = -side_s / per_pair(denom_s)
         shadow_x, shadow_y = _local_xy(px + t_s * ux, py + t_s * uy, pz + t_s * uz, c, r)
 
-        # block projection from the aim point: a point has a finite image
-        # only inside the slab 0 < side < side(aim)
-        upper = per_pair(side_t * (1.0 - 1e-9))
-        block = (side_t > 0.0)[rows] & ~(side <= 0.0).all(axis=1) & ~(side >= upper).all(axis=1)
-        pts, side_b, count_b = _clip(corners, side, count, block & (side < 0.0).any(axis=1))
-        beyond = block & (side_b > upper).any(axis=1)
-        (px, py, pz), side_b, count_b = _clip(pts, side_b, count_b, beyond, upper)
+        # block projection from the aim point, of the front part cut below
+        # the plane through the aim point
+        beyond = block & (side_s > upper).any(axis=1)
+        (px, py, pz), side_b, count_b = _clip(*front, beyond, upper)
         block &= (count_b >= 3) & ~(side_b <= 0.0).all(axis=1)
         dx, dy, dz = per_pair(ax) - px, per_pair(ay) - py, per_pair(az) - pz
         dist = np.sqrt(dx * dx + dy * dy + dz * dz)
@@ -885,8 +894,8 @@ def _culled(xs: np.ndarray, ys: np.ndarray, hx, hy) -> np.ndarray:
 def _efficiencies(of: OrientedField, j0: int, j1: int, quads) -> List[float]:
     """Efficiency of each subject j0 <= j < j1 from its surviving quads
     (`_block_quads`): one `covered_areas` call for them all."""
-    rows, _, _, ring_xy, lengths = quads
-    covered = covered_areas(rows, ring_xy, lengths, of.dims[j0:j1] / 2.0)
+    rows, _, _, ring_xy, _ = quads
+    covered = covered_areas(rows, ring_xy, of.dims[j0:j1] / 2.0)
     area = of.dims[j0:j1, 0] * of.dims[j0:j1, 1]
     return np.clip((area - covered) / area, 0.0, 1.0).tolist()
 

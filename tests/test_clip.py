@@ -295,7 +295,7 @@ def areas(sets, half_sizes):
     v = max([4] + [len(r) for r in rings])
     ring_xy = np.array([r + r[-1:] * (v - len(r)) for r in rings]).reshape(-1, v, 2)
     owner = np.repeat(np.arange(len(sets)), [len(rs) for rs in sets])
-    return covered_areas(owner, ring_xy, np.array([len(r) for r in rings]), half_sizes)
+    return covered_areas(owner, ring_xy, half_sizes)
 
 
 def subtracted_area(rings, hx=HX, hy=HY):

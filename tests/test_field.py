@@ -149,6 +149,18 @@ def test_empty_heliostat_list_is_valid(tmp_path):
             "heliostat id=c x=9 y=0 z=5 w=8 h=8 receiver=t\n",
             "heliostat 'c' has the same center as 'a'",
         ),
+        (
+            "plant lat=40\nreceiver id=t x=0 y=0 z=100\n"
+            "heliostat id=a x=0 y=30 z=5 w=10 h=10 receiver=t\n"
+            "heliostat id=b x=0 y=60 z=5 w=1e-300 h=1e-300 receiver=t\n",
+            "heliostat 'b' has an area w\\*h that is not a positive finite number",
+        ),
+        (
+            "plant lat=40\nreceiver id=t x=0 y=0 z=100\n"
+            "heliostat id=a x=0 y=30 z=5 w=10 h=10 receiver=t\n"
+            "heliostat id=b x=0 y=60 z=5 w=1e300 h=1e300 receiver=t\n",
+            "heliostat 'b' has an area w\\*h that is not a positive finite number",
+        ),
     ],
 )
 def test_layout_diagnostics(tmp_path, body, message):
@@ -710,14 +722,24 @@ def test_pair_results_do_not_depend_on_their_block(monkeypatch):
     assert crossing(0.0) + crossing(reach[:, None]) > 0
 
     measured = []
+    counts = []
 
-    def recording_covered_areas(owner, ring_xy, lengths, half_sizes):
-        # the rings of each subject of the chunk, as the area kernel gets them
+    def recording_block_quads(*args, **kwargs):
+        quads = block_quads(*args, **kwargs)
+        counts.append(quads[-1])
+        return quads
+
+    def recording_covered_areas(owner, ring_xy, half_sizes):
+        # the rings of each subject of the chunk, as the area kernel gets
+        # them, cut to the vertex counts `_block_quads` returned with them
+        lengths = counts.pop()
         for s in range(len(half_sizes)):
             mine = np.flatnonzero(owner == s)
             measured.append([ring_xy[k, : lengths[k]].tolist() for k in mine])
-        return covered_areas(owner, ring_xy, lengths, half_sizes)
+        return covered_areas(owner, ring_xy, half_sizes)
 
+    block_quads = field_module._block_quads
+    monkeypatch.setattr(field_module, "_block_quads", recording_block_quads)
     monkeypatch.setattr(field_module, "covered_areas", recording_covered_areas)
     serial = format_report(evaluate_field(layout, sun, workers=1), include_timing=False)
     assert len(measured) == of.n

@@ -1,5 +1,6 @@
-"""Field layouts, layout file I/O, synthetic benchmark layouts and the
-batch efficiency engine.
+"""Synthetic benchmark layouts and the batch efficiency engine.  The
+layouts themselves and their file format live in `layout`; their public
+names are re-exported here.
 
 The batch engine keeps, for each subject, only the neighbours whose
 centres lie in one of two sound capsules: one toward the sun for
@@ -29,11 +30,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .clip import _ramp, clean_rows, covered_areas
+from .layout import FieldLayout, LayoutError, load_layout, save_layout
 from .linalg3 import Vec3
 from .polygon2d import Polygon2
 from .shading import EfficiencyResult, Heliostat, ProjectedQuad
@@ -61,182 +63,6 @@ _PERP_TOL = 1e-12
 _REACH_SLACK = 1e-9
 
 
-class LayoutError(ValueError):
-    pass
-
-
-# the columns of a layout, and the numbers of a heliostat line in file order
-_COLUMNS = ("centers", "dims", "spins")
-_HELIOSTAT_NUMBERS = ("x", "y", "z", "w", "h")
-
-# the fields each record type takes; a heliostat's phi is optional
-_FIELDS = {
-    "heliostat": ("id", "receiver", "phi") + _HELIOSTAT_NUMBERS,
-    "receiver": ("id", "x", "y", "z"),
-    "plant": ("lat",),
-}
-
-
-@dataclass(frozen=True, eq=False)
-class FieldLayout:
-    """A plant: its latitude, receivers, and heliostats as immutable columns.
-
-    Row k of the columns is heliostat k, in file order: `ids[k]`, the id
-    of the receiver it aims at `receiver_ids[k]`, its centre `centers[k]`
-    (m), its width and height `dims[k]` (m) and its spin `spins[k]` (rad).
-    The arrays are read-only float copies of what was passed in.
-
-    A layout is valid by construction: building one runs `validate`, the
-    one place that holds the rules of a field.
-    """
-
-    latitude_deg: float
-    receivers: Tuple[Tuple[str, Vec3], ...]
-    ids: Tuple[str, ...]
-    receiver_ids: Tuple[str, ...]
-    centers: np.ndarray  # (n, 3)
-    dims: np.ndarray  # (n, 2)
-    spins: np.ndarray  # (n,)
-
-    def __post_init__(self) -> None:
-        n = len(self.ids)
-        object.__setattr__(self, "ids", tuple(self.ids))
-        object.__setattr__(self, "receiver_ids", tuple(self.receiver_ids))
-        if len(self.receiver_ids) != n:
-            raise ValueError(f"{n} heliostat ids but {len(self.receiver_ids)} receiver ids")
-        for name, shape in zip(_COLUMNS, ((n, 3), (n, 2), (n,))):
-            column = np.array(getattr(self, name), dtype=float).reshape(shape)
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
-        self.validate()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FieldLayout):
-            return NotImplemented
-        return (self.latitude_deg, self.receivers, self.ids, self.receiver_ids) == (
-            other.latitude_deg,
-            other.receivers,
-            other.ids,
-            other.receiver_ids,
-        ) and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in _COLUMNS)
-
-    @property
-    def n(self) -> int:
-        return len(self.ids)
-
-    def receiver_map(self) -> Dict[str, Vec3]:
-        return dict(self.receivers)
-
-    def aims(self) -> np.ndarray:
-        """(n, 3) aim point of each heliostat: its receiver's position, or
-        NaN for a receiver id that `receivers` lacks (which `validate`
-        refuses)."""
-        positions = [(p.x, p.y, p.z) for _, p in self.receivers] + [(math.nan,) * 3]
-        return np.array(positions)[self._receiver_rows()]
-
-    def _receiver_rows(self) -> np.ndarray:
-        """Index into `receivers` of each heliostat's receiver, or -1 if
-        there is none."""
-        slot = {rid: k for k, (rid, _) in enumerate(self.receivers)}
-        return np.array([slot.get(rid, -1) for rid in self.receiver_ids], dtype=np.intp)
-
-    @classmethod
-    def from_heliostats(cls, heliostats: Sequence[Heliostat]) -> "FieldLayout":
-        """The layout of a heliostat sequence, the inverse of
-        `to_heliostats`: one receiver per mirror at its aim point, named
-        by its row, and latitude 0, as a heliostat holds none."""
-        rids = [str(k) for k in range(len(heliostats))]
-        return cls(
-            latitude_deg=0.0,
-            receivers=tuple(zip(rids, (h.aim for h in heliostats))),
-            ids=[h.id for h in heliostats],
-            receiver_ids=rids,
-            centers=[(h.center.x, h.center.y, h.center.z) for h in heliostats],
-            dims=[(h.width, h.height) for h in heliostats],
-            spins=[h.spin for h in heliostats],
-        )
-
-    def to_heliostats(self) -> List[Heliostat]:
-        """One `Heliostat` object per row, for scalar and library callers."""
-        recv = self.receiver_map()
-        return [
-            Heliostat(id=hid, center=Vec3(*c), width=w, height=h, aim=recv[rid], spin=spin)
-            for hid, rid, c, (w, h), spin in zip(
-                self.ids,
-                self.receiver_ids,
-                self.centers.tolist(),
-                self.dims.tolist(),
-                self.spins.tolist(),
-            )
-        ]
-
-    def validate(self) -> None:
-        """Raise `LayoutError` for a duplicate receiver id, else for the
-        first heliostat, in row order, that repeats an earlier id, names
-        an unknown receiver, has a non-finite coordinate (of its centre,
-        size, spin or aim point), has a non-positive dimension, has an area
-        w h that is not a positive finite number, has its aim point not
-        above its centre or has the centre of an earlier heliostat (checked
-        in that order).  An aim point above the centre also keeps the
-        mirror off its receiver and its normal defined for any sun above
-        the horizon."""
-        seen = set()
-        for rid, _ in self.receivers:
-            if rid in seen:
-                raise LayoutError(f"duplicate receiver id: {rid!r}")
-            seen.add(rid)
-        repeated = np.zeros(self.n, dtype=bool)
-        if len(set(self.ids)) < self.n:
-            repeated[:] = True
-            repeated[np.unique(np.array(self.ids, dtype=str), return_index=True)[1]] = False
-        # an unknown receiver gives a NaN aim point; its own check comes first
-        aims = self.aims()
-        values = np.hstack([self.centers, self.dims, self.spins[:, None], aims])
-        twin = _twins(self.centers)
-        with np.errstate(over="ignore", invalid="ignore"):
-            area = self.dims.prod(axis=1)
-        faults = np.stack(
-            [
-                repeated,
-                self._receiver_rows() < 0,
-                ~np.isfinite(values).all(axis=1),
-                (self.dims <= 0.0).any(axis=1),
-                ~((area > 0.0) & np.isfinite(area)),
-                aims[:, 2] <= self.centers[:, 2],
-                twin >= 0,
-            ]
-        )
-        bad = np.flatnonzero(faults.any(axis=0))
-        if not len(bad):
-            return
-        k = int(bad[0])
-        hid, rid = self.ids[k], self.receiver_ids[k]
-        messages = (
-            f"duplicate heliostat id: {hid!r}",
-            f"heliostat {hid!r} references unknown receiver {rid!r}",
-            f"heliostat {hid!r} has a non-finite coordinate",
-            f"heliostat {hid!r} has non-positive dimensions",
-            f"heliostat {hid!r} has an area w*h that is not a positive finite number",
-            f"heliostat {hid!r}: aim point not above center",
-            f"heliostat {hid!r} has the same center as {self.ids[twin[k]]!r}",
-        )
-        raise LayoutError(messages[int(np.argmax(faults[:, k]))])
-
-
-def _twins(centers: np.ndarray) -> np.ndarray:
-    """Per row, an earlier row with the same centre, or -1.  Only rows
-    that share an x can share a centre, and the stable sort keeps equal
-    centres in row order."""
-    twin = np.full(len(centers), -1)
-    x = np.sort(centers[:, 0])
-    if (x[1:] == x[:-1]).any():
-        order = np.lexsort(centers.T[::-1])
-        ordered = centers[order]
-        same = (ordered[1:] == ordered[:-1]).all(axis=1)
-        twin[order[1:][same]] = order[:-1][same]
-    return twin
-
-
 @dataclass(frozen=True)
 class HeliostatRecord:
     id: str
@@ -252,114 +78,6 @@ class FieldReport:
     records: Tuple[HeliostatRecord, ...]
     average: float
     duration: float
-
-
-# ---------------------------------------------------------------------------
-# layout file format
-
-
-def _number(fields: Dict[str, str], key: str, lineno: int) -> float:
-    value = float(fields[key])
-    if not math.isfinite(value):
-        raise LayoutError(f"line {lineno}: {key}={fields[key]} is not a finite number")
-    return value
-
-
-def _stray_field(parts: List[str], allowed: Tuple[str, ...]) -> str:
-    """What is wrong with `key=value` parts that are not each a field
-    from `allowed`, given once."""
-    keys = [part.split("=", 1)[0] for part in parts]
-    for m, key in enumerate(keys):
-        if key in keys[:m]:
-            return f"repeated field {key!r}"
-    return f"unknown field {next(k for k in keys if k not in allowed)!r}"
-
-
-def load_layout(path: str) -> FieldLayout:
-    """Read a layout file; see the package README for the line format.
-
-    Every number goes through `float` and must be finite, and a field
-    may appear once and only where its record type takes it; a fault
-    names its line.  The heliostat lines fill the layout's columns
-    directly.
-    """
-    latitude: Optional[float] = None
-    receivers: List[Tuple[str, Vec3]] = []
-    ids: List[str] = []
-    receiver_ids: List[str] = []
-    rows: List[List[float]] = []
-    spins: List[float] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            kind = parts[0]
-            try:
-                fields = dict(part.split("=", 1) for part in parts[1:])
-            except ValueError:
-                bad = next(part for part in parts[1:] if "=" not in part)
-                raise LayoutError(f"line {lineno}: malformed field {bad!r}") from None
-            try:
-                if kind == "heliostat":
-                    ids.append(fields["id"])
-                    rows.append([_number(fields, key, lineno) for key in _HELIOSTAT_NUMBERS])
-                    receiver_ids.append(fields["receiver"])
-                    spins.append(_number(fields, "phi", lineno) if "phi" in fields else 0.0)
-                    used = 8 if "phi" in fields else 7
-                elif kind == "receiver":
-                    rid = fields["id"]
-                    receivers.append((rid, Vec3(*(_number(fields, k, lineno) for k in "xyz"))))
-                    used = 4
-                elif kind == "plant":
-                    latitude = _number(fields, "lat", lineno)
-                    used = 1
-                else:
-                    raise LayoutError(f"line {lineno}: unknown record type {kind!r}")
-            except KeyError as exc:
-                raise LayoutError(f"line {lineno}: missing field {exc}") from None
-            except ValueError as exc:
-                if isinstance(exc, LayoutError):
-                    raise
-                raise LayoutError(f"line {lineno}: {exc}") from None
-            # the `used` fields were all read, so any other part repeats one
-            # of them or is a field the record does not take
-            if len(parts) - 1 != used:
-                raise LayoutError(f"line {lineno}: {_stray_field(parts[1:], _FIELDS[kind])}")
-    if latitude is None:
-        raise LayoutError("missing 'plant lat=...' line")
-    values = np.array(rows, dtype=float).reshape(-1, 5)
-    return FieldLayout(
-        latitude_deg=latitude,
-        receivers=tuple(receivers),
-        ids=ids,
-        receiver_ids=receiver_ids,
-        centers=values[:, :3],
-        dims=values[:, 3:],
-        spins=spins,
-    )
-
-
-def save_layout(layout: FieldLayout, path: str) -> None:
-    lines = [f"plant lat={layout.latitude_deg:.9g}\n"]
-    for rid, pos in layout.receivers:
-        lines.append(f"receiver id={rid} x={pos.x:.9g} y={pos.y:.9g} z={pos.z:.9g}\n")
-    for hid, rid, (x, y, z), (w, h), spin in zip(
-        layout.ids,
-        layout.receiver_ids,
-        layout.centers.tolist(),
-        layout.dims.tolist(),
-        layout.spins.tolist(),
-    ):
-        line = (
-            f"heliostat id={hid} x={x:.9g} y={y:.9g} z={z:.9g} "
-            f"w={w:.9g} h={h:.9g} receiver={rid}"
-        )
-        if spin != 0.0:
-            line += f" phi={spin:.9g}"
-        lines.append(line + "\n")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(lines))
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,23 @@ def test_empty_heliostat_list_is_valid(tmp_path):
             "heliostat id=b x=0 y=60 z=5 w=1e300 h=1e300 receiver=t\n",
             "heliostat 'b' has an area w\\*h that is not a positive finite number",
         ),
+        (
+            "plant lat=40\nreceiver id=t x=0 y=0 z=100\n"
+            "heliostat id=a x=0 y=30 z=5 w=10 h=10 receiver=t\n"
+            "heliostat id=b x=0 y=60 z=5 w=1e200 h=1e-200 receiver=t\n",
+            "heliostat 'b' has a coordinate or size beyond 1e\\+06 m",
+        ),
+        (
+            "plant lat=40\nreceiver id=t x=0 y=0 z=100\n"
+            "heliostat id=a x=0 y=30 z=5 w=10 h=10 receiver=t\n"
+            "heliostat id=b x=-2e6 y=60 z=5 w=10 h=10 receiver=t\n",
+            "heliostat 'b' has a coordinate or size beyond 1e\\+06 m",
+        ),
+        (
+            "plant lat=40\nreceiver id=t x=0 y=0 z=1e7\n"
+            "heliostat id=a x=0 y=30 z=5 w=10 h=10 receiver=t\n",
+            "heliostat 'a' has a coordinate or size beyond 1e\\+06 m",
+        ),
     ],
 )
 def test_layout_diagnostics(tmp_path, body, message):

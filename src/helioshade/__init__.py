@@ -2,7 +2,6 @@
 
 from .linalg3 import Vec3
 from .polygon2d import Point2, Polygon2
-from .clip import Region, difference, intersection, region_area
 from .solar import SunState, solar_position, sun_vector
 from .shading import Heliostat, efficiency
 
@@ -10,10 +9,6 @@ __all__ = [
     "Vec3",
     "Point2",
     "Polygon2",
-    "Region",
-    "difference",
-    "intersection",
-    "region_area",
     "SunState",
     "solar_position",
     "sun_vector",

@@ -11,17 +11,18 @@ interval per polygon, found as in Cyrus and Beck, "Generalized two- and
 three-dimensional clipping" (Computers & Graphics 3(1), 1978) and Liang
 and Barsky (ACM TOG 3(1), 1984).  No polygon is built.
 
-The residual polygon, which only the SVG picture and the library need,
-comes from `subtract_rings`.  A `Region` is a set of disjoint convex
-counterclockwise pieces with no holes.  A convex polygon is subtracted
-from a piece as in Sutherland and Hodgman's reentrant clipper (CACM
-17(1), 1974): the piece is split by the half-plane of each clip edge in
-turn, with one sign test per vertex; the part outside the edge is a
-result piece, the part inside goes on to the next edge, and what lies
-inside every edge is dropped.  A vertex on a clip line belongs to both
-halves, so no configuration is degenerate and nothing is traced or
-retried.  A non-convex input polygon is first cut into convex pieces by
-ear clipping.
+No command runs the boolean operations (`subtract_rings`, `difference`,
+`intersection`); `render` paints the reflecting area instead.  They stay
+as the tests' reference for `covered_areas` and for the benchmark under
+`perfbench/`.  A `Region` is a set of disjoint convex counterclockwise
+pieces with no holes.  A convex polygon is subtracted from a piece as in
+Sutherland and Hodgman's reentrant clipper (CACM 17(1), 1974): the piece
+is split by the half-plane of each clip edge in turn, with one sign test
+per vertex; the part outside the edge is a result piece, the part inside
+goes on to the next edge, and what lies inside every edge is dropped.  A
+vertex on a clip line belongs to both halves, so no configuration is
+degenerate and nothing is traced or retried.  A non-convex input polygon
+is first cut into convex pieces by ear clipping.
 
 `covered_areas` takes its rings as one padded (K, V, 2) coordinate
 array, as `clean_rows` certifies them straight from the projection
@@ -329,17 +330,14 @@ def _union_lengths(group: np.ndarray, lo: np.ndarray, hi: np.ndarray, n: int) ->
     """Length of the union of the intervals [lo, hi] of each group
     0 <= g < n: sorted by start, each interval adds what it reaches past
     the running maximum of the earlier ends of its group."""
-    order = np.lexsort((lo, group))
+    # numpy orders complex numbers by real, then imaginary part, so
+    # group + i lo sorts by group, then start, and the running maximum of
+    # group + i hi is each group's running maximum of ends.  No bit
+    # changes: a maximum returns one of its inputs, and the imaginary
+    # parts are lo and hi exactly (a -0.0 reads as the equal 0.0)
+    order = np.argsort(group + 1j * lo, kind="stable")
     group, lo, hi = group[order], lo[order], hi[order]
-    # running maximum within each group: a segmented doubling scan
-    reach = hi.copy()
-    shift = 1
-    while shift < len(reach):
-        same = group[shift:] == group[:-shift]
-        if not same.any():
-            break
-        reach[shift:] = np.where(same, np.maximum(reach[shift:], reach[:-shift]), reach[shift:])
-        shift *= 2
+    reach = np.maximum.accumulate(group + 1j * hi).imag
     start = lo.copy()
     cont = group[1:] == group[:-1]
     start[1:][cont] = np.maximum(lo[1:][cont], reach[:-1][cont])

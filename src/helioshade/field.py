@@ -17,8 +17,8 @@ that cross its planes), and projects and culls them as flat numpy
 arrays.  The few surviving quads stay in those arrays: `clip.clean_rows`
 certifies them as padded coordinate rows, and one call of
 `clip.covered_areas` per chunk gives the shaded area of every subject in
-it, from the parts of the polygon edges that bound it, without building
-a residual polygon.
+it, from the parts of the polygon edges that bound it; no polygon is
+subtracted from another.
 `ProjectedQuad` and `Polygon2` are built only for a single-subject
 query (`subject_quads`, `subject_efficiency`).
 Results are deterministic and assembled in heliostat order regardless
@@ -622,8 +622,7 @@ def subject_efficiency(
     of: OrientedField, j: int, use_culling: bool = True
 ) -> EfficiencyResult:
     """Efficiency of subject j: one minus the fraction of the mirror that
-    its surviving quads (`subject_quads`) cover.  The result builds its
-    residual only when it is read."""
+    its surviving quads (`subject_quads`) cover."""
     quads = _block_quads(of, j, j + 1, use_culling)
     return EfficiencyResult(
         subject_id=of.ids[j],

@@ -1,9 +1,10 @@
 """SVG rendering of the subject-plane picture.
 
 Draws exactly the geometry used in the efficiency computation — subject
-outline, per-source shadow and block quads, residual region (as its
-convex pieces) — in the subject's local frame, with a caption carrying
-the computed efficiency.
+outline and per-source shadow and block quads — in the subject's local
+frame, with a caption carrying the computed efficiency.  The reflecting
+area is painted, not computed, by the painter's algorithm (Newell, Newell
+and Sancha, 1972): the mirror in yellow, then every quad in white over it.
 Colors are assigned per source heliostat by a stable hash so renders of
 the same field at different times stay comparable.
 """
@@ -14,7 +15,6 @@ import colorsys
 import hashlib
 from typing import List
 
-from .clip import Region
 from .polygon2d import Polygon2
 from .shading import EfficiencyResult
 
@@ -43,10 +43,6 @@ def _path(poly: Polygon2, to_px) -> str:
     return d + " Z"
 
 
-def _region_paths(region: Region, to_px) -> str:
-    return " ".join(_path(p, to_px) for p in region.components)
-
-
 def render_svg(result: EfficiencyResult, path: str) -> None:
     """Write an SVG 1.1 picture of the subject plane for one evaluation."""
     hx, hy = result.half_size
@@ -70,13 +66,13 @@ def render_svg(result: EfficiencyResult, path: str) -> None:
         f'<rect width="{w_px:.2f}" height="{h_px:.2f}" fill="white"/>',
     ]
 
-    # residual (reflecting) region, under the quads
+    outline = _path(result.outline(), to_px)
+
+    # the reflecting area: what the white quads leave of the yellow mirror
     out.append('<g id="residual">')
-    if result.residual.components:
-        out.append(
-            f'<path d="{_region_paths(result.residual, to_px)}" '
-            'fill="#f5d86b" fill-rule="evenodd" stroke="none"/>'
-        )
+    out.append(f'<path d="{outline}" fill="#f5d86b" stroke="none"/>')
+    for quad in result.quads:
+        out.append(f'<path d="{_path(quad.ring, to_px)}" fill="white" stroke="none"/>')
     out.append("</g>")
 
     for kind, dash in (("shadow", ""), ("block", ' stroke-dasharray="6 3"')):
@@ -92,10 +88,7 @@ def render_svg(result: EfficiencyResult, path: str) -> None:
             )
         out.append("</g>")
 
-    out.append(
-        f'<path d="{_path(result.outline(), to_px)}" fill="none" '
-        'stroke="black" stroke-width="2"/>'
-    )
+    out.append(f'<path d="{outline}" fill="none" stroke="black" stroke-width="2"/>')
 
     caption = (
         f"subject {result.subject_id}  e = {_fmt(result.efficiency)}  "

@@ -16,10 +16,8 @@ names the mirror.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import List, Sequence, Tuple
 
-from .clip import Region, subtract_rings
 from .linalg3 import Vec3
 from .polygon2d import Polygon2
 from .solar import SunState
@@ -69,7 +67,7 @@ class ProjectedQuad:
 @dataclass(frozen=True)
 class EfficiencyResult:
     """One subject's efficiency, its surviving quads and its mirror's half
-    width and height; the residual is built from them on first use."""
+    width and height."""
 
     subject_id: str
     efficiency: float
@@ -80,13 +78,6 @@ class EfficiencyResult:
         """The mirror in its own plane (counterclockwise)."""
         hx, hy = self.half_size
         return Polygon2([(-hx, hy), (-hx, -hy), (hx, -hy), (hx, hy)])
-
-    @cached_property
-    def residual(self) -> Region:
-        """The reflecting part: the outline minus each quad in turn."""
-        outline = [tuple(p) for p in self.outline().ring]
-        rings = ([tuple(p) for p in q.ring.ring] for q in self.quads)
-        return Region.from_rings(subtract_rings([outline], rings))
 
 
 def orient(h: Heliostat, sun: SunState) -> Heliostat:
@@ -142,11 +133,9 @@ def efficiency(
     """Blocking-and-shadowing efficiency of `subject` against `field`.
 
     The efficiency is one minus the fraction of the mirror that the
-    surviving quads cover (`clip.covered_areas`); the residual region,
-    the mirror outline with every quad subtracted in turn, is built when
-    it is first read.  The subject is looked up by id in `field` as in
-    `candidate_quads`, and the result equals the subject's record in
-    `field.evaluate_field`.
+    surviving quads cover (`clip.covered_areas`).  The subject is looked
+    up by id in `field` as in `candidate_quads`, and the result equals the
+    subject's record in `field.evaluate_field`.
     """
     from .field import subject_efficiency
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+from xml.etree import ElementTree
 
 import pytest
 
@@ -444,19 +445,25 @@ def test_subject_queries_build_no_per_mirror_objects(tmp_path, capsys, monkeypat
     assert (tmp_path / "s.svg").read_text() == svg
 
 
-def test_queries_that_print_e_build_no_residual(capsys, monkeypatch):
-    import helioshade.shading as shading_module
+def test_no_command_runs_the_polygon_clipper(tmp_path, capsys, monkeypatch):
+    import helioshade.clip as clip_module
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a residual was built")
+        raise AssertionError("the polygon-boolean clipper ran")
 
-    monkeypatch.setattr(shading_module, "subtract_rings", refuse)
+    for name in ("subtract_rings", "_subtract_convex", "intersection"):
+        monkeypatch.setattr(clip_module, name, refuse)
     sun = ("--date", "01-21", "--hour", "16:15")
+    oracle = ("oracle-check", REAL_SCENARIO, *sun, "--subject", "s", "--samples", "10000")
     for argv in [
+        ("efficiency", REAL_SCENARIO, *sun, "--no-timing"),
         ("efficiency", REAL_SCENARIO, *sun, "--subject", "s"),
         ("sweep", REAL_SCENARIO, "--date", "01-21", "--start", "08:00", "--end", "16:30",
          "--step", "30", "--subject", "s"),
-        ("oracle-check", REAL_SCENARIO, *sun, "--subject", "s", "--samples", "10000"),
+        ("render", REAL_SCENARIO, *sun, "--subject", "s", "--out", str(tmp_path / "s.svg")),
+        oracle,
+        (*oracle, "--independent"),
+        ("bench", "--n", "50", "--reps", "1", *sun),
     ]:
         code, out, err = run(capsys, *argv)
         assert (code, err) == (0, ""), argv
@@ -471,142 +478,142 @@ SUBJECT_DIGESTS = {
     ("simple_pair", "c"): (
         "739a2a67a6d370743a9406b2494d5ed8aa3fa8be751f6acfa6fd247502ade20d",
         "ae06d0b74b7c355f2a711c9f4d9d7ba4b8d03da6205045b332e336149526f88c",
-        "03ffdcf43dc536ecce6c1a7aaf8c63a42260ca9bdd9774d0f44fc83c372fa34e",
+        "e046ceb455e5425682913ad4569acd387c256f8374413b4c2f85a421a9c7e73a",
     ),
     ("simple_pair", "h1"): (
         "084bd595dc471cff9b95555326d71b855a11c4a11055daf7abbc24d8181d822f",
         "74481f214b674ff248f5fc1e1fedaea60cc6d71e4ae42baa1feb7c1e1629cb25",
-        "bce5b507d10a9cc3c17f47b00a6d5a66165285556e5da51b89b3f4dd6f6ebe78",
+        "7849f7e969b04e784e4ca0b223a5e6cea1e547d99098019dea11c41decf5d8c2",
     ),
     ("simple_pair", "h2"): (
         "1f0f3cdbaef9bd0fabce396a1283588ddcdb4e09c0cb8cf225ff17b5989d6d42",
         "b8509580a87d3f993f8965c80f4bd188421b90535ec29bad7fffb6cbd52f7033",
-        "ad0083fd9662dcf27aa81d3cbeeecb8d2539046edaf48fe331b50a5d2e082512",
+        "5b7896d45f1a98ae6c538053d2699047c5e57f60bd3794743d0665c646e1986f",
     ),
     ("real_scenario", "s"): (
         "be507f2e1b8d5cb33783f29f63cb1fcf06877d0a06b714be568e29a1cec92ee6",
         "2a27da0368a9d7a97e9207d86f28dbd6e2aa81b63740e53acdd499419368e5eb",
-        "8fdee7ec246f2ab8774daa9bc4c34d6388ee151e1c16baf9183fcb308bf621d9",
+        "11d17a8203cd9348fc93053994925f9322279b41942341932fae1d0bbc7c22b0",
     ),
     ("real_scenario", "n01"): (
         "ff9a89a262b6469281f4c86da3c7d63f5440a4611b3303dddeef5bc7da004dea",
         "315da497497b108008e7cfe023cfe6e9b52414ff6bdae04863ca70f45928ad71",
-        "d28ce7397f3933873b07050cb83a3790963fd2a568bcc8f44e631f0ccb87f643",
+        "199c3ba57a02b7ce8b8344bd923fa71b73a1642383a8fab523fdf872c52c5892",
     ),
     ("real_scenario", "n02"): (
         "4bac4713edd7eca42da2d0bf2d8bddb1fa827777592e6ecae001c52c5490b6a1",
         "ce9949d9bec96f9d1cbbe99c0ff182af8d787edb99948881f45c4fab0b0ce608",
-        "6123dd75166d631891f323c4bd1fc2ddd183b9ca1fd7b3448671877a7dd9578f",
+        "0e8f6efc2e2ed854b1069b84bf6de9a10a6c576acd02cbcc5d62ab394c66a4b6",
     ),
     ("real_scenario", "n03"): (
         "62da28ff68d0231040950ffaf2077100f8183504d9c3423d8b74f265207ef377",
         "c1ff31ad4c2fd7ef6538275c417eab3c6a7cc1018b0f40cbad225cfee454cbd4",
-        "971c7040ae53e42d46515fd6b6ff07a2ef8f5ab242a79676d18f5c02188e5bde",
+        "d74f184fd01917b3619186879cb4f5120922ad8b614df077c8d6f685f6c8383e",
     ),
     ("real_scenario", "n04"): (
         "bb085644227a78fb272fb49c4c2bee8909f8bbed9bea90e5ef1a35f1cf2d9d74",
         "d4cc373a923d090fa1fdb1d40ab6d1e93da266f6da767b1e19d6cded3a365541",
-        "eb304a78fcee831296be5ed561ee51d522f3b622034d15a66945e83b3dfa4a04",
+        "7e87ff311fd88fb47c626225ed9991194939b918febed8b73124c1041d6d66fd",
     ),
     ("real_scenario", "n05"): (
         "2626ca922903ea6defc12bd3d93d1d7bafcf1de4610623d4b58141b56079e609",
         "2cacf73c7833d829042712b76c278c8f87fd8c246e53ec5d86c16dc0fabbea11",
-        "935118f373df381acabd3e42cfb7a0685702fd2150447f07ad5c337d1712b02d",
+        "471c567eefe75cd649b713ff201abdae9756e357c4ed210a06429e5922abcbe4",
     ),
     ("real_scenario", "n06"): (
         "ac241576760cda100441c7a0020bc05b96edf2425e0854757401910cadf8190c",
         "58d0ab80b17fcfa69a0fdba8397f67f1b6d256c7e8a2ddad21fe48d745c57513",
-        "84db2fa2e96d4d0049130443ab2b5e42fa80c077fc7bf37a61fbb82b7610e1d2",
+        "3f1ca991243a70ff455523c462704c2e555c0257b6fecb31d700159b56b4a819",
     ),
     ("real_scenario", "n07"): (
         "76409cdd9fb69e4a87e008fbdacb5667e856a6a9d67ac71d0e1892ba1a57492a",
         "67a580d1f07c1fed195dd17a253d221cef5297df4bd912ea77d18f0cabdd27ad",
-        "893836d8f55825d7ac6302799c01d6cb90ea628fed2464ae38c6f1d964a5fbc2",
+        "b4a43bf205dace06ac9d4354568dfd0af77024d00adbd6e3b5c6d8c3d9c7a1ed",
     ),
     ("real_scenario", "n08"): (
         "b62ce2b8987a3aaf56a1f8cd4f7381bfc8fbe6ccda7a301edd9b708bbb773929",
         "8fba9c42feee4d561b776c255142fe34e2e1d10034391cf92a9909c56f10902c",
-        "0b18def4de70afa8a78b14f72f724c3fc0a705b4ba23ef8d8dc9df5c987386b5",
+        "b6422bf87a2daf8eb4d587d4fb764dea94c4e197465d50184f4d28458cad85f6",
     ),
     ("real_scenario", "n09"): (
         "617244e5cf486b612722289438b6cba5e10ed001d2cac9e0d60a446a8cd58037",
         "9a20e3c6bc86ef1650af3aed33ebacb58ab92b3d1fcc91b862587847084d609c",
-        "9c962bdab3dc0653cc5fc07bdadff331216c706c3ee96632b5daaa8fa598aee8",
+        "23ee4a772c80b496847d33e058a613641d063d25fd348f3a361bb93319c7f2fa",
     ),
     ("real_scenario", "n10"): (
         "394fc6db67d803ba5268e92df503c895f56ab3c3a2c825ea3e024a7cb8c41651",
         "11caa0a2793ce8602d813577ad94c5ac23689ade6369a4d05804239d143a645e",
-        "ee37871a843dc0f9dc54be41bdb1eb50169336ffc9d0502183183bc5bbef075e",
+        "fee668eafa1596d0617b8fa7f1f2db74b1d540a0b04a10b04792ec90b00ab1f7",
     ),
     ("real_scenario", "n11"): (
         "6f1f37f13f26364d7d69fbfa53636f2c2affeb1c986efb3a19ed8b19fc293aff",
         "30172a1f6bd65f7f9d66084ff1be43524a0fad9324b07bb722c6a535b42afd64",
-        "866884e716168df8ead1451d5ed2015260f13a3f4368cbb3812979230f6241ce",
+        "9b16405be627522f379bbe20f9244d8fc3c52efbf690d03eb62e50235149c1a6",
     ),
     ("real_scenario", "n12"): (
         "bbac9dbe6d1060bd9104e91e433bd10ca70acaa6aba87b4021b25c073049d981",
         "43695c7e85d2a3564c350770efa3c0657d8ee5559c5db5b1b8005bc176999dbf",
-        "a0d69479a3d95f804509705dca64eb5c40b88434b02e74aed1ca38bdf6911770",
+        "cb126cd42d9a9221e8e901ee8aa55ce472dc8ecef2137762747a0f68416abe88",
     ),
     ("real_scenario", "n13"): (
         "7f7cd281243e07b0ecb3541998a07c3a2a40ecfb152c04918863613e183b1f10",
         "7f72a763f8dbe299fcb01719e6968374f601188118a549a1f7dd3a78b9ed39b2",
-        "1f91a8e1bbd6fb04e2d0fdb027238ee09e0ba9c83e1d4b4a1fcfe1fff3a29947",
+        "488eca4b105ca013b103e838d239777bca34fbccaba06fe50070574aaabcca5c",
     ),
     ("real_scenario", "n14"): (
         "17830f5fed512dccb568b1a82e997adb4eed339990bf628caa76f175749f81e3",
         "9023522e7182781f7967c580569d649097ecd5b3ddfa3e2e25b2555cdb3c3ccd",
-        "b9e4902999241f717ad526bfa4bf5be504701569928b8a1c2cd46e227e207d9f",
+        "e9aefd6724bd6ebbf06ceb61f197d9bd29dd1f390e00cc3b6d19e14bcec7c039",
     ),
     ("real_scenario", "n15"): (
         "2b502672de9d4f36c91fe585a7cfff67389bc14b294b43774052d68ab55e94ed",
         "d94b550d33d13d399f41acdfb0d5245bb2fbd3bacfa82a0cb7c095a0ca23e619",
-        "d4de7dab6810cfc5c1f4ea6064e9657d8d72d48058c943abc94e17029c369cf2",
+        "66e6b3ae7bdf6a133f1f4653f50430c5a2454c183566167afd47dcdb6d80c1a9",
     ),
     ("real_scenario", "n16"): (
         "c71a4cb87952951ff26f7e793157163613d913b72dc70e2077f6cb149cd8a03b",
         "64231bd4c379b9f2cb1022211a519a2ebf09169cfb089eea5a9dc69bc1925839",
-        "07eee9907ffb1cf2da667dfb7278d477f5f1f3bcd27a5a32da1c51d375d0288b",
+        "b7a6d5479e3ccaebfb84050fd793d27edc0b296e8a9dc745ecbd80285240084d",
     ),
     ("real_scenario", "n17"): (
         "e6ceaa11d3364db853b4b3d4ea35c2560d256007bb61f2f709bd92c85b8eb60b",
         "7a660cab595cc12af9f5c7838868bc62cbe21c775e58b5900ee1724f7efc74e8",
-        "3a93149e4bdc90f4bed336718810f3547bec6250d1d43d068e23b0b5bdd9f622",
+        "f00bd9e54cde410a863af6ddf98e28fbab1e0ccf8b222675410f04ec2930237a",
     ),
     ("real_scenario", "n18"): (
         "658f25eb62bd8be0b0efb9e885167ed87bc136e4e5f7d4a4eab083004ee93bff",
         "906b43b0ed70cddb78eeb5307d237201ab5ded298a5f8bafc7186c2e336fbd82",
-        "7e332358aca8137115226e4cff796875f6ed1e1d00d6125c3b8de7b9def60d88",
+        "b4fd4e4799559b3e941649f87d496bb42985ebec0e2ad852abaa61f25d8a53a3",
     ),
     ("real_scenario", "n19"): (
         "630fe79609996461fff76e8bcc96312448084b4ee3b1f7786cb25046ca265ffc",
         "e25cd9582a9a4e86dcd1ce634b2617b177018e2dee5267f7e6c45ee7acd49579",
-        "9fb89d89b473615fc4f00d1ace9e50451aeee3b011b4313fba19bbfd5e6deba1",
+        "aac764acb6b9b4133c4e4c0c1bc63c295c1fa27018b28d327a86a5d27580eb30",
     ),
     ("real_scenario", "n20"): (
         "055096a1285727fae96452efd9d819cd51db5cf1796567ba837418fce2bde5a6",
         "d1401daeaad5005d46f735a85bd23fb410ea6423dae8ad01433e8f42eab77081",
-        "6e76b5844588271e3f2d3dfa4e5a276266d7790877e1e9d50cf7008a0776b8e6",
+        "ec4b92e082dc792cdc8747103efaf67382af9f557c4f767f94e38f175b2c34d0",
     ),
     ("real_scenario", "n21"): (
         "2fe5c29c1a65e027be279eb20d51ec4b9d22d499525754e5f4ab4e157b377351",
         "e16bd0edfe3fcb0ad874b44e7b1e8dd8307c51c076344c3a7a4968cab7baa5f4",
-        "db44143c4d03537f02cc3a576724c2e03e9c69e6e65a017eca700b5c1e91ff5e",
+        "c7c053e0b9645cfa94a18ed024e54a46ab48df07d4dc85478ed0f26a64bae32c",
     ),
     ("real_scenario", "n22"): (
         "2f861173efa0dc1b02d89effa75e4966076723b3187b7ef376c9aea37375c0ee",
         "edc63393530397f851b64471b0eff868baf7433ce21691d0e47cc1bf62445e6a",
-        "2a51b5acdeb6f388e2334093ce3744e770c4582db48974cc2309428703586146",
+        "08d7a0c6c592c010d0e80bd33a839954275bd538bbe9f1fe7ad61299e51582d7",
     ),
     ("real_scenario", "n23"): (
         "406b2429da4d1948732d0afcc2f94416ee3972e6a582a5657bace438c1dce015",
         "305ca7bb6cf1d74072151d0cf7ba06a891e9d7bf438a8f71be92a3d4cb901a36",
-        "8c3dce72e5ceab8d52f842b39a2d27b3accc568d9dde2a1fec20829ce3aca5e4",
+        "223d08e22f5403894e519f54c2505bc905d5ec08d5504f37d78dad79a7632689",
     ),
     ("real_scenario", "n24"): (
         "ebe861d215bd9d4147c5f6538e9c48564dcec4ae207fadeba0243e2651cfdf07",
         "f7298d384737c8c53907bf051cc5fc364b8e4718f45643386b1ac9c28a566597",
-        "8f7c0e4d41fdf14aa8362bcf7197899decb0d02059bcb4200cc9d560bf2c9742",
+        "b97bcc0a82685506a621ecbd9492d15c425a32387e23ebdb9340d561fde7475c",
     ),
 }
 
@@ -631,3 +638,37 @@ def test_subject_outputs_match_golden_digests(tmp_path, capsys, name, hid):
     assert code == 0
     outputs = ("".join(lines).encode(), sweep.encode(), svg.read_bytes())
     assert tuple(hashlib.sha256(b).hexdigest() for b in outputs) == SUBJECT_DIGESTS[name, hid]
+
+
+SVG = "{http://www.w3.org/2000/svg}"
+
+
+@pytest.mark.parametrize("name,hid", sorted(SUBJECT_DIGESTS))
+def test_render_paints_the_reflecting_area(tmp_path, capsys, name, hid):
+    # the painter's algorithm: the yellow mirror, a white copy of each
+    # coloured quad over it, the coloured quads, the outline, the caption
+    path = SIMPLE_PAIR if name == "simple_pair" else REAL_SCENARIO
+    svg = tmp_path / "s.svg"
+    sun = ("--date", "01-21", "--hour", "16:15")
+    code, _, _ = run(capsys, "render", path, *sun, "--subject", hid, "--out", str(svg))
+    assert code == 0
+    root = ElementTree.parse(svg).getroot()
+    assert [(e.tag, e.get("id")) for e in root] == [
+        (SVG + "rect", None),
+        (SVG + "g", "residual"),
+        (SVG + "g", "shadow-quads"),
+        (SVG + "g", "block-quads"),
+        (SVG + "path", None),
+        (SVG + "text", None),
+    ]
+    _, (mirror, *white), shadow, block, outline, caption = root
+    assert (mirror.tag, mirror.get("fill"), mirror.get("d")) == (
+        SVG + "path", "#f5d86b", outline.get("d")
+    )
+    for e in white:
+        assert (e.tag, e.get("fill"), e.get("stroke"), len(e)) == (SVG + "path", "white", "none", 0)
+    coloured = [*shadow, *block]
+    assert all(e.tag == SVG + "path" and e.find(SVG + "title") is not None for e in coloured)
+    assert sorted(e.get("d") for e in white) == sorted(e.get("d") for e in coloured)
+    assert (outline.get("fill"), outline.get("stroke")) == ("none", "black")
+    assert caption.text.startswith(f"subject {hid} ")

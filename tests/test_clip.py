@@ -17,7 +17,7 @@ from helioshade.clip import (
     rings_area,
     subtract_rings,
 )
-from helioshade.clip import _edge_intervals
+from helioshade.clip import _edge_intervals, _union_lengths
 from helioshade.polygon2d import Polygon2, contains_many, signed_area
 
 
@@ -245,6 +245,9 @@ KERNEL_CASES = {
     "nested, inner last": [rect(-1, -1, 1, 1), rect(-0.5, -0.5, 0.5, 0.5)],
     "nested, inner first": [rect(-0.5, -0.5, 0.5, 0.5), rect(-1, -1, 1, 1)],
     "vertex touch": [rect(-1, -1, 0, 0), rect(0, 0, 1, 1)],
+    # `covered_areas` takes convex rings only; this ring passes only because
+    # it lies inside the mirror: with half-sizes 1 x 1 it covers 1.0 by the
+    # kernel against 3.0 by subtraction
     "non-convex": [[(-1.5, -1.5), (1.5, -1.5), (0, 0), (1.5, 1.5), (-1.5, 1.5)]],
 }
 
@@ -364,6 +367,47 @@ def test_edge_intervals_follow_the_collinear_rule():
         assert hi[0, 0] - lo[0, 0] == covered, (q, later)
     lo, hi = _edge_intervals(np.array([p + p[-1:] * 2]), np.array([around]), np.array([True]))
     assert np.array_equal(hi - lo, np.ones((1, 6)))
+
+
+def union_lengths_by_doubling(group, lo, hi, n):
+    """`_union_lengths` with the running maximum of ends taken as a
+    segmented doubling scan: the reference for its one-pass scan."""
+    order = np.lexsort((lo, group))
+    group, lo, hi = group[order], lo[order], hi[order]
+    reach = hi.copy()
+    shift = 1
+    while shift < len(reach):
+        same = group[shift:] == group[:-shift]
+        if not same.any():
+            break
+        reach[shift:] = np.where(same, np.maximum(reach[shift:], reach[:-shift]), reach[shift:])
+        shift *= 2
+    start = lo.copy()
+    cont = group[1:] == group[:-1]
+    start[1:][cont] = np.maximum(lo[1:][cont], reach[:-1][cont])
+    return np.bincount(group, weights=np.maximum(hi - start, 0.0), minlength=n)
+
+
+# parameters on a coarse grid tie often; -0.0 ties with 0.0, and an
+# interval with hi <= lo is empty
+ENDS = st.one_of(st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.tuples(st.integers(0, n - 1), ENDS, ENDS), max_size=40)
+        )
+    )
+)
+def test_union_lengths_match_the_doubling_scan(case):
+    n, intervals = case
+    group = np.array([g for g, _, _ in intervals], dtype=np.intp)
+    lo = np.array([a for _, a, _ in intervals], dtype=float)
+    hi = np.array([b for _, _, b in intervals], dtype=float)
+    got = _union_lengths(group, lo, hi, n)
+    assert got.tobytes() == union_lengths_by_doubling(group, lo, hi, n).tobytes()
 
 
 # -- clean_rows against clean_ring -------------------------------------------

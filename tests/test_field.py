@@ -34,8 +34,9 @@ from helioshade.field import (
     synthetic_field,
     write_report,
 )
-from helioshade.clip import covered_areas, intersection, region_area
+from helioshade.clip import Region, covered_areas, intersection, region_area, subtract_rings
 from helioshade.linalg3 import Vec3
+from helioshade.polygon2d import Polygon2
 from helioshade.shading import efficiency
 from helioshade.solar import SunState, solar_position, sun_vector
 
@@ -401,30 +402,24 @@ def test_prefilter_matches_unfiltered_engine_at_grazing_sun(eta_deg):
             assert on.efficiency == off.efficiency, j
 
 
-def _turns_right(ring, tol=1e-9):
-    """Whether a turn of the ring is a right turn beyond rounding:
-    cross(e_k, e_k+1) below -tol |e_k| |e_k+1| for consecutive edges."""
-    e = np.roll(ring, -1, axis=0) - ring
-    f = np.roll(e, -1, axis=0)
-    cross = e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0]
-    return bool((cross < -tol * np.hypot(*e.T) * np.hypot(*f.T)).any())
-
-
 def test_kept_rings_are_convex(rng):
     # `covered_areas` takes convex counterclockwise rings only
     fields = [OrientedField(*random_config(rng, eta_deg=(1.0, 75.0))) for _ in range(60)]
     golden = synthetic_field(250)
     for hhmm in PREFILTER_HOURS:
         fields.append(OrientedField(golden, sun_at(21, _hour(hhmm), golden.latitude_deg)))
-    fields.append(
-        OrientedField(synthetic_field(300), sun_vector(math.radians(1.0), math.radians(250.0)))
-    )
+    for path in (SIMPLE_PAIR, REAL_SCENARIO):
+        layout = load_layout(path)
+        for hhmm in ("08:00", "12:00", "16:15"):
+            fields.append(OrientedField(layout, sun_at(21, _hour(hhmm), layout.latitude_deg)))
+    grazing = sun_vector(math.radians(1.0), math.radians(250.0))
+    fields += [OrientedField(synthetic_field(n), grazing) for n in (300, 2000)]
     rings = 0
     for of in fields:
         for j0, j1 in field_module._blocks(of):
             *_, ring_xy, lengths = field_module._block_quads(of, j0, j1)
             for ring, m in zip(ring_xy, lengths):
-                assert not _turns_right(ring[:m]), (of.ids[j0], ring[:m])
+                assert is_convex_ccw(Polygon2(ring[:m])), (of.ids[j0], ring[:m])
             rings += len(lengths)
     assert rings > 5000
 
@@ -674,7 +669,10 @@ def test_residual_is_disjoint_convex_partition():
         if record.efficiency == 1.0:
             continue
         shaded += 1
-        residual = subject_efficiency(of, j).residual
+        result = subject_efficiency(of, j)
+        outline = [tuple(p) for p in result.outline().ring]
+        quads = ([tuple(p) for p in q.ring.ring] for q in result.quads)
+        residual = Region.from_rings(subtract_rings([outline], quads))
         assert all(is_convex_ccw(c) for c in residual.components)
         assert pieces_disjoint(residual)
         assert abs(region_area(residual) / record.area_total - record.efficiency) <= 1e-12

@@ -27,25 +27,19 @@ __all__ = ["OracleConfig", "sample_efficiency"]
 @dataclass(frozen=True)
 class OracleConfig:
     samples: int = 1_000_000
-    mode: str = "stratified"  # "stratified" | "grid"
     seed: int = 20140109
     independent: bool = False  # re-derive occlusion in 3D per sample
 
 
 def _sample_points(cfg: OracleConfig, width: float, height: float):
-    """Sample positions on the mirror rectangle, local-frame coordinates."""
+    """Sample positions on the mirror rectangle, local-frame coordinates:
+    one uniform point in each cell of an m x m grid."""
     m = max(2, int(round(math.sqrt(cfg.samples))))
-    if cfg.mode == "grid":
-        u = (np.arange(m) + 0.5) / m
-        xs, ys = np.meshgrid(u, u, indexing="ij")
-    elif cfg.mode == "stratified":
-        rng = np.random.default_rng(cfg.seed)
-        jitter = rng.random((2, m, m))
-        base = np.arange(m) / m
-        xs = base[:, None] + jitter[0] / m
-        ys = base[None, :] + jitter[1] / m
-    else:
-        raise ValueError(f"unknown sampling mode: {cfg.mode!r}")
+    rng = np.random.default_rng(cfg.seed)
+    jitter = rng.random((2, m, m))
+    base = np.arange(m) / m
+    xs = base[:, None] + jitter[0] / m
+    ys = base[None, :] + jitter[1] / m
     xs = (xs.ravel() - 0.5) * width
     ys = (ys.ravel() - 0.5) * height
     return xs, ys
@@ -127,5 +121,4 @@ def sample_efficiency(
         covered = _covered_by_quads(subject, field, sun, xs, ys)
     n = covered.size
     p = 1.0 - float(covered.sum()) / n
-    se = 0.0 if cfg.mode == "grid" else math.sqrt(p * (1.0 - p) / n)
-    return p, se
+    return p, math.sqrt(p * (1.0 - p) / n)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import colorsys
 import hashlib
+from html import escape
 from typing import List
 
 from .polygon2d import Polygon2
@@ -84,7 +85,7 @@ def render_svg(result: EfficiencyResult, path: str) -> None:
             out.append(
                 f'<path d="{_path(quad.ring, to_px)}" fill="{color}" '
                 f'fill-opacity="0.45" stroke="{color}" stroke-width="1.5"{dash}>'
-                f"<title>{quad.source_id} ({quad.kind})</title></path>"
+                f"<title>{escape(quad.source_id, quote=False)} ({quad.kind})</title></path>"
             )
         out.append("</g>")
 
@@ -97,7 +98,7 @@ def render_svg(result: EfficiencyResult, path: str) -> None:
     cx, cy = to_px(-hx, -hy * (1.0 + 1.2 * _MARGIN_FRAC))
     out.append(
         f'<text x="{cx:.2f}" y="{cy + 24:.2f}" font-family="sans-serif" '
-        f'font-size="16">{caption}</text>'
+        f'font-size="16">{escape(caption, quote=False)}</text>'
     )
     out.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from helioshade.clip import intersection, region_area
+from helioshade.clip import covered_areas
 from helioshade.field import FieldLayout
 from helioshade.linalg3 import Vec3
 from helioshade.polygon2d import contains_many, signed_area
@@ -143,13 +143,41 @@ def is_convex_ccw(poly, tol=1e-12):
 
 
 def pieces_disjoint(region, tol=1e-12):
-    """No two pieces of the region overlap by more than `tol` of area."""
+    """No two pieces of the region overlap: of each pair, the line of some
+    edge of one has every vertex of the other on its outer side, or within
+    `tol` of it.  The pieces are convex and counterclockwise, so two of
+    them whose interiors are disjoint have such a line."""
+
+    def apart(p, q):
+        a = p.xy()
+        e = np.roll(a, -1, axis=0) - a
+        d = q.xy()[None, :, :] - a[:, None, :]
+        side = e[:, None, 0] * d[..., 1] - e[:, None, 1] * d[..., 0]
+        return bool(np.any(np.all(side <= tol * np.hypot(*e.T)[:, None], axis=1)))
+
     pieces = region.components
     return all(
-        region_area(intersection(p, q)) <= tol
-        for i, p in enumerate(pieces)
-        for q in pieces[i + 1 :]
+        apart(p, q) or apart(q, p) for i, p in enumerate(pieces) for q in pieces[i + 1 :]
     )
+
+
+def areas(sets, half_sizes):
+    """`covered_areas` of each set of convex counterclockwise rings (each a
+    sequence of points), padded to a common vertex count (at least 4) by
+    repeating each ring's last vertex."""
+    rings = [[tuple(p) for p in r] for rs in sets for r in rs]
+    v = max([4] + [len(r) for r in rings])
+    ring_xy = np.array([r + r[-1:] * (v - len(r)) for r in rings]).reshape(-1, v, 2)
+    owner = np.repeat(np.arange(len(sets)), [len(rs) for rs in sets])
+    return covered_areas(owner, ring_xy, half_sizes)
+
+
+def overlap_area(a, b):
+    """Area of the intersection of two convex counterclockwise polygons:
+    their areas less that of their union, which is what they cover of a
+    square about the origin that holds both."""
+    h = 1.0 + max(float(np.abs(p.xy()).max()) for p in (a, b))
+    return signed_area(a) + signed_area(b) - areas([[a.ring, b.ring]], [(h, h)])[0]
 
 
 def _boundary_distance(poly, xs, ys):

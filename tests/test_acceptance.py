@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from conftest import (
+    areas,
     is_convex_ccw,
     oriented,
+    overlap_area,
     pieces_disjoint,
     random_config,
     real_scenario_heliostats,
@@ -20,7 +22,7 @@ from conftest import (
     simple_trio,
     sun_at,
 )
-from helioshade.clip import Region, difference, intersection, region_area
+from helioshade.clip import Region, difference, region_area
 from helioshade.field import evaluate_field, format_report, synthetic_field
 from helioshade.oracle import OracleConfig, sample_efficiency
 from helioshade.polygon2d import Polygon2, contains_many, signed_area
@@ -65,11 +67,9 @@ def test_acceptance_golden_case_real_scenario():
         result = efficiency(f[0], f, sun)
         checks.append((hour, result.efficiency, target, tol))
         if hour == 12.0:
-            outline = f[0].outline()
+            half = (f[0].width / 2.0, f[0].height / 2.0)
             contributors = {
-                q.source_id
-                for q in result.quads
-                if region_area(intersection(outline, q.ring)) > 1e-12
+                q.source_id for q in result.quads if areas([[q.ring.ring]], [half])[0] > 1e-12
             }
     values_ok = all(abs(e - t) <= tol for _, e, t, tol in checks)
     single_ok = len(contributors) == 1
@@ -115,7 +115,7 @@ def test_acceptance_oracle_equivalence():
         assert diff <= tol, f"oracle disagreement: {diff} > {tol}"
         quads = result.quads
         if any(
-            region_area(intersection(quads[i].ring, quads[k].ring)) > 1e-9
+            overlap_area(quads[i].ring, quads[k].ring) > 1e-9
             for i in range(len(quads))
             for k in range(i + 1, len(quads))
         ):
@@ -148,17 +148,21 @@ def test_acceptance_clipping_properties():
 
     def quad():
         # angular gaps bounded away from 0 and pi so the star-shaped
-        # construction always yields a simple quadrilateral
-        ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=4))
-        gaps = np.diff(ang, append=ang[0] + 2 * np.pi)
-        while np.min(gaps) < 0.15 or np.max(gaps) > 3.0:
+        # construction always yields a simple quadrilateral, redrawn until
+        # it is convex
+        while True:
             ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=4))
             gaps = np.diff(ang, append=ang[0] + 2 * np.pi)
-        rad = rng.uniform(0.3, 1.0, size=4) * 10.0
-        cx, cy = rng.uniform(-10.0, 10.0, size=2)
-        return Polygon2(
-            [(cx + rr * np.cos(t), cy + rr * np.sin(t)) for rr, t in zip(rad, ang)]
-        )
+            while np.min(gaps) < 0.15 or np.max(gaps) > 3.0:
+                ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=4))
+                gaps = np.diff(ang, append=ang[0] + 2 * np.pi)
+            rad = rng.uniform(0.3, 1.0, size=4) * 10.0
+            cx, cy = rng.uniform(-10.0, 10.0, size=2)
+            q = Polygon2(
+                [(cx + rr * np.cos(t), cy + rr * np.sin(t)) for rr, t in zip(rad, ang)]
+            )
+            if is_convex_ccw(q, tol=0.0):
+                return q
 
     worst_rel = 0.0
     props_ok = True
@@ -166,8 +170,8 @@ def test_acceptance_clipping_properties():
         pa, pb = quad(), quad()
         area_a = signed_area(pa)
         d = difference(Region.from_polygon(pa), pb)
-        i = intersection(pa, pb)
-        rel = abs(region_area(d) + region_area(i) - area_a) / max(area_a, 1e-12)
+        i = overlap_area(pa, pb)
+        rel = abs(region_area(d) + i - area_a) / max(area_a, 1e-12)
         worst_rel = max(worst_rel, rel)
         props_ok &= rel <= 1e-9
         props_ok &= region_area(d) <= area_a + 1e-9  # monotonicity

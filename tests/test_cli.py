@@ -253,6 +253,29 @@ def test_render_real_noon_single_contributor(tmp_path, capsys):
     assert len(sources) == 1
 
 
+def test_render_escapes_ids(tmp_path, capsys):
+    # each mirror shades the other: at a 10 deg sun from the west, and at
+    # 01-21 16:15
+    p = tmp_path / "marked.txt"
+    p.write_text(
+        "plant lat=38\nreceiver id=t x=0 y=0 z=100\n"
+        "heliostat id=a<b x=0 y=50 z=5 w=10 h=10 receiver=t\n"
+        "heliostat id=c&d x=0 y=62 z=5 w=10 h=10 receiver=t\n"
+    )
+    for subject, other, sun in (
+        ("c&d", "a<b", ("--eta", "10", "--theta", "180")),
+        ("a<b", "c&d", ("--date", "01-21", "--hour", "16:15")),
+    ):
+        svg = tmp_path / "s.svg"
+        code, _, _ = run(capsys, "render", str(p), *sun, "--subject", subject, "--out", str(svg))
+        assert code == 0
+        root = ElementTree.parse(svg).getroot()
+        titles = {e.text for e in root.iter("{http://www.w3.org/2000/svg}title")}
+        assert titles and all(t.startswith(f"{other} (") for t in titles), titles
+        caption = root.find("{http://www.w3.org/2000/svg}text").text
+        assert caption.startswith(f"subject {subject}  e = "), caption
+
+
 # -- bench -------------------------------------------------------------------
 
 
@@ -451,7 +474,7 @@ def test_no_command_runs_the_polygon_clipper(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the polygon-boolean clipper ran")
 
-    for name in ("subtract_rings", "_subtract_convex", "intersection"):
+    for name in ("subtract_rings", "_subtract_convex"):
         monkeypatch.setattr(clip_module, name, refuse)
     sun = ("--date", "01-21", "--hour", "16:15")
     oracle = ("oracle-check", REAL_SCENARIO, *sun, "--subject", "s", "--samples", "10000")

@@ -5,16 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import is_convex_ccw, pieces_disjoint, region_matches
+from conftest import (
+    areas,
+    is_convex_ccw,
+    overlap_area,
+    pieces_disjoint,
+    region_matches,
+)
 from helioshade.clip import (
     Region,
     clean_ring,
     clean_rows,
-    covered_areas,
     difference,
-    intersection,
     region_area,
-    rings_area,
     subtract_rings,
 )
 from helioshade.clip import _edge_intervals, _union_lengths
@@ -86,22 +89,28 @@ def test_difference_erases_identical():
     assert region_area(r) == pytest.approx(0.0, abs=1e-12)
 
 
-# -- intersection -----------------------------------------------------------
+def test_non_convex_polygons_are_refused():
+    bent = [(-1.5, -1.5), (1.5, -1.5), (0, 0), (1.5, 1.5), (-1.5, 1.5)]
+    calls = [
+        lambda: Region.from_polygon(Polygon2(bent)),
+        lambda: Region.from_polygon(Polygon2(bent[::-1])),
+        lambda: difference(Polygon2(bent), square(0, 0, 1)),
+        lambda: difference(square(0, 0, 1), Polygon2(bent)),
+        lambda: subtract_rings([rect(-2, -2, 2, 2)], [bent]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="polygon is not convex"):
+            call()
 
 
-def test_intersection_identical_squares():
-    r = intersection(square(0, 0, 1), square(0, 0, 1))
-    assert region_area(r) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_intersection_disjoint_empty():
-    r = intersection(square(0, 0, 1), square(3, 3, 1))
-    assert r.components == ()
-    assert region_area(r) == 0.0
+def test_pieces_disjoint_tells_an_overlap_from_a_shared_edge():
+    assert not pieces_disjoint(Region(components=(square(0, 0, 1), square(1 - 1e-9, 0, 1))))
+    assert pieces_disjoint(Region(components=(square(0, 0, 1), square(1, 0, 1))))
+    assert pieces_disjoint(Region(components=(square(0, 0, 1), square(1, 1, 1))))
 
 
 def test_region_area_trivial():
-    assert region_area(Region.empty()) == 0.0
+    assert region_area(Region(components=())) == 0.0
     assert region_area(Region.from_polygon(square(0, 0, 1))) == pytest.approx(1.0)
 
 
@@ -109,21 +118,25 @@ def test_region_area_trivial():
 
 
 def random_quad(rng, scale=10.0):
-    """Random simple star-shaped quadrilateral.
+    """Random convex quadrilateral.
 
     Vertices in sorted angular order around a center are simple only if
-    every angular gap stays below pi, hence the resampling bounds.
+    every angular gap stays below pi, hence the resampling bounds; the
+    quad is redrawn until no turn of it is a right turn.
     """
-    ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=4))
-    gaps = np.diff(ang, append=ang[0] + 2 * np.pi)
-    while np.min(gaps) < 0.15 or np.max(gaps) > 3.0:
+    while True:
         ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=4))
         gaps = np.diff(ang, append=ang[0] + 2 * np.pi)
-    rad = rng.uniform(0.3, 1.0, size=4) * scale
-    cx, cy = rng.uniform(-scale, scale, size=2)
-    return Polygon2(
-        [(cx + r * np.cos(a), cy + r * np.sin(a)) for r, a in zip(rad, ang)]
-    )
+        while np.min(gaps) < 0.15 or np.max(gaps) > 3.0:
+            ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=4))
+            gaps = np.diff(ang, append=ang[0] + 2 * np.pi)
+        rad = rng.uniform(0.3, 1.0, size=4) * scale
+        cx, cy = rng.uniform(-scale, scale, size=2)
+        quad = Polygon2(
+            [(cx + r * np.cos(a), cy + r * np.sin(a)) for r, a in zip(rad, ang)]
+        )
+        if is_convex_ccw(quad, tol=0.0):
+            return quad
 
 
 def test_area_conservation_1000_pairs(rng):
@@ -132,7 +145,7 @@ def test_area_conservation_1000_pairs(rng):
         b = random_quad(rng)
         area_a = signed_area(a)
         diff = region_area(difference(Region.from_polygon(a), b))
-        inter = region_area(intersection(a, b))
+        inter = overlap_area(a, b)
         assert diff + inter == pytest.approx(area_a, rel=1e-9, abs=1e-9)
 
 
@@ -149,28 +162,18 @@ def test_idempotence_and_monotonicity(rng):
 
 
 def test_random_quads_match_point_set(rng):
-    # many random quads are not convex, so this covers the ear-clipping cut
-    cut = overlapping = 0
+    overlapping = 0
     for _ in range(100):
         a = random_quad(rng)
         b = random_quad(rng)
-        cut += len(Region.from_polygon(a).components) > 1
-        overlapping += region_area(intersection(a, b)) > 0.0
-
-        def in_a(x, y):
-            return contains_many(a, x, y)
-
-        def in_b(x, y):
-            return contains_many(b, x, y)
-
-        for r, in_set in (
-            (intersection(a, b), lambda x, y: in_a(x, y) & in_b(x, y)),
-            (difference(a, b), lambda x, y: in_a(x, y) & ~in_b(x, y)),
-        ):
-            assert all(is_convex_ccw(c) for c in r.components)
-            assert pieces_disjoint(r)
-            assert region_matches(r, in_set, [a, b])
-    assert cut > 10 and overlapping > 20
+        overlapping += overlap_area(a, b) > 1e-9
+        r = difference(a, b)
+        assert all(is_convex_ccw(c) for c in r.components)
+        assert pieces_disjoint(r)
+        assert region_matches(
+            r, lambda x, y: contains_many(a, x, y) & ~contains_many(b, x, y), [a, b]
+        )
+    assert overlapping > 20
 
 
 def _raster_area(region_or_poly, x0, y0, x1, y1, cells=2048):
@@ -189,28 +192,28 @@ def _raster_area(region_or_poly, x0, y0, x1, y1, cells=2048):
 
 
 def test_raster_oracle_agreement(rng):
-    # only overlapping pairs are rastered: for a disjoint pair both results
-    # are trivial (empty, and the whole subject)
+    # only overlapping pairs are rastered: for a disjoint pair the result
+    # is trivial (the whole subject)
     rastered = 0
     for _ in range(100):
         a = random_quad(rng)
         b = random_quad(rng)
-        if region_area(intersection(a, b)) <= 0.0:
+        if overlap_area(a, b) <= 1e-9:
             continue
         rastered += 1
-        for r in (intersection(a, b), difference(a, b)):
-            pts = np.vstack([a.xy(), b.xy()])
-            x0, y0 = pts.min(axis=0) - 0.1
-            x1, y1 = pts.max(axis=0) + 0.1
-            approx, cell = _raster_area(r, x0, y0, x1, y1)
-            exact = region_area(r)
-            perim = sum(
-                float(np.sum(np.hypot(*np.diff(np.vstack([c.xy(), c.xy()[:1]]), axis=0).T)))
-                for c in r.components
-            )
-            cell_len = np.sqrt(cell)
-            tol = max(2.0 * cell_len * (perim + 4.0 * cell_len), 4.0 * cell)
-            assert abs(approx - exact) <= tol
+        r = difference(a, b)
+        pts = np.vstack([a.xy(), b.xy()])
+        x0, y0 = pts.min(axis=0) - 0.1
+        x1, y1 = pts.max(axis=0) + 0.1
+        approx, cell = _raster_area(r, x0, y0, x1, y1)
+        exact = region_area(r)
+        perim = sum(
+            float(np.sum(np.hypot(*np.diff(np.vstack([c.xy(), c.xy()[:1]]), axis=0).T)))
+            for c in r.components
+        )
+        cell_len = np.sqrt(cell)
+        tol = max(2.0 * cell_len * (perim + 4.0 * cell_len), 4.0 * cell)
+        assert abs(approx - exact) <= tol
         if rastered == 5:
             break
     assert rastered == 5
@@ -245,10 +248,6 @@ KERNEL_CASES = {
     "nested, inner last": [rect(-1, -1, 1, 1), rect(-0.5, -0.5, 0.5, 0.5)],
     "nested, inner first": [rect(-0.5, -0.5, 0.5, 0.5), rect(-1, -1, 1, 1)],
     "vertex touch": [rect(-1, -1, 0, 0), rect(0, 0, 1, 1)],
-    # `covered_areas` takes convex rings only; this ring passes only because
-    # it lies inside the mirror: with half-sizes 1 x 1 it covers 1.0 by the
-    # kernel against 3.0 by subtraction
-    "non-convex": [[(-1.5, -1.5), (1.5, -1.5), (0, 0), (1.5, 1.5), (-1.5, 1.5)]],
 }
 
 
@@ -291,19 +290,9 @@ def random_convex_sets(rng, count):
     return sets
 
 
-def areas(sets, half_sizes):
-    """`covered_areas` of each set of rings, padded to a common vertex
-    count (at least 4) by repeating each ring's last vertex."""
-    rings = [r for rs in sets for r in rs]
-    v = max([4] + [len(r) for r in rings])
-    ring_xy = np.array([r + r[-1:] * (v - len(r)) for r in rings]).reshape(-1, v, 2)
-    owner = np.repeat(np.arange(len(sets)), [len(rs) for rs in sets])
-    return covered_areas(owner, ring_xy, half_sizes)
-
-
 def subtracted_area(rings, hx=HX, hy=HY):
     outline = rect(-hx, -hy, hx, hy)
-    return 4.0 * hx * hy - rings_area(subtract_rings([outline], rings))
+    return 4.0 * hx * hy - region_area(Region.from_rings(subtract_rings([outline], rings)))
 
 
 def _edges_of(ring):

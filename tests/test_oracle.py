@@ -32,16 +32,6 @@ def test_fully_covered_zero():
     assert est == 0.0
 
 
-def test_mode_validation():
-    subject = orient(
-        make_heliostat("s", 0.0, 0.0, 0.0, 10.0, 10.0, Vec3(0, 0, 100)), ZENITH
-    )
-    with pytest.raises(ValueError, match="unknown sampling mode"):
-        sample_efficiency(
-            subject, [subject], ZENITH, OracleConfig(samples=100, mode="halton")
-        )
-
-
 def test_stratified_matches_clipping_golden_case():
     field = simple_trio()
     sun = sun_at(21, 12.0, 40.08)
@@ -158,21 +148,6 @@ def test_independent_3d_mode_agrees_on_clipped_straddles(case):
     )
     assert e_clip < 0.95
     assert abs(est - e_clip) <= max(0.002, 4.0 * se)
-
-
-def test_grid_mode_converges_with_resolution():
-    field = simple_trio()
-    sun = sun_at(21, 12.0, 40.08)
-    f = oriented(field, sun)
-    e_clip = efficiency(f[0], f, sun).efficiency
-    errors = []
-    for samples in (100**2, 200**2, 400**2, 800**2):
-        est, _ = sample_efficiency(
-            f[0], f, sun, OracleConfig(samples=samples, mode="grid")
-        )
-        errors.append(abs(est - e_clip))
-    assert errors[-1] < errors[0]
-    assert errors[-1] < 1e-3
 
 
 def test_deterministic_given_seed():

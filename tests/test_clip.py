@@ -89,6 +89,19 @@ def test_difference_erases_identical():
     assert region_area(r) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_difference_takes_either_orientation():
+    a, b = square(0, 0, 4), square(3, 3, 2)
+    cw_a, cw_b = Polygon2(a.xy()[::-1]), Polygon2(b.xy()[::-1])
+    for subject, clip in ((cw_a, b), (a, cw_b), (cw_a, cw_b)):
+        r = difference(subject, clip)
+        assert region_area(r) == pytest.approx(15.0, abs=1e-12)
+        assert all(is_convex_ccw(c) for c in r.components)
+        assert pieces_disjoint(r)
+        assert region_matches(
+            r, lambda x, y: contains_many(a, x, y) & ~contains_many(b, x, y), [a, b]
+        )
+
+
 def test_non_convex_polygons_are_refused():
     bent = [(-1.5, -1.5), (1.5, -1.5), (0, 0), (1.5, 1.5), (-1.5, 1.5)]
     calls = [

@@ -1,12 +1,13 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from conftest import make_heliostat, oriented, random_config, simple_trio, sun_at
 from helioshade.field import OrientedField, subject_quads
 from helioshade.linalg3 import Vec3
-from helioshade.oracle import OracleConfig, sample_efficiency
+from helioshade.oracle import OracleConfig, _sample_points, sample_efficiency
 from helioshade.shading import efficiency, orient
 from helioshade.solar import sun_vector
 
@@ -148,6 +149,18 @@ def test_independent_3d_mode_agrees_on_clipped_straddles(case):
     )
     assert e_clip < 0.95
     assert abs(est - e_clip) <= max(0.002, 4.0 * se)
+
+
+@pytest.mark.parametrize("samples", [1, 1000, 40_000])
+def test_stratified_sampler_puts_one_point_in_each_cell(samples):
+    width, height = 6.0, 4.0
+    xs, ys = _sample_points(OracleConfig(samples=samples, seed=3), width, height)
+    m = max(2, round(math.sqrt(samples)))
+    col = np.floor((xs / width + 0.5) * m).astype(int)
+    row = np.floor((ys / height + 0.5) * m).astype(int)
+    assert xs.size == m * m
+    assert np.all((0 <= col) & (col < m) & (0 <= row) & (row < m))
+    assert np.unique(col * m + row).size == m * m
 
 
 def test_deterministic_given_seed():

@@ -37,6 +37,11 @@ class CliError(Exception):
     pass
 
 
+# ten times the default: from 1e6 samples up, the tolerance
+# max(0.002, 4 SE) is at its floor, since 4 sqrt(0.25 / 1e6) = 0.002
+_MAX_SAMPLES = 10_000_000
+
+
 def _fmt(v: float) -> str:
     return f"{v:.9g}"
 
@@ -125,9 +130,10 @@ def cmd_efficiency(args) -> None:
 
 
 def cmd_sweep(args) -> None:
-    # also rejects nan; a step that does not advance would never end
-    if not args.step > 0.0:
-        raise CliError(f"--step must be positive, got {_fmt(args.step)}")
+    # also rejects nan; the stamps are whole minutes, so a shorter step
+    # only repeats them, and one that does not advance t would never end
+    if not args.step >= 1.0:
+        raise CliError(f"--step must be at least 1 minute, got {_fmt(args.step)}")
     layout = load_layout(args.layout)
     start = _parse_hhmm(args.start)
     end = _parse_hhmm(args.end)
@@ -198,8 +204,8 @@ def cmd_bench(args) -> None:
 
 
 def cmd_oracle_check(args) -> None:
-    if args.samples < 1:
-        raise CliError("oracle-check needs --samples >= 1")
+    if not 1 <= args.samples <= _MAX_SAMPLES:
+        raise CliError(f"--samples must be from 1 to {_MAX_SAMPLES}, got {args.samples}")
     layout = load_layout(args.layout)
     sun, _ = _resolve_sun(args, layout.latitude_deg)
     j = _subject_index(layout.ids, args.subject)

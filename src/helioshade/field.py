@@ -36,7 +36,6 @@ import numpy as np
 
 from .clip import _ramp, clean_rows, covered_areas
 from .layout import FieldLayout, LayoutError, load_layout, save_layout
-from .linalg3 import Vec3
 from .polygon2d import Polygon2
 from .shading import EfficiencyResult, Heliostat, ProjectedQuad
 from .solar import SunState
@@ -145,7 +144,7 @@ def synthetic_field(n: int, spec: RadialStaggerSpec = RadialStaggerSpec()) -> Fi
         raise LayoutError("infeasible spacing: generated mirrors overlap")
     return FieldLayout(
         latitude_deg=spec.latitude_deg,
-        receivers=(("tower", Vec3(0.0, 0.0, spec.tower_height)),),
+        receivers=(("tower", (0.0, 0.0, spec.tower_height)),),
         ids=[f"h{i:04d}" for i in range(n)],
         receiver_ids=("tower",) * n,
         centers=np.column_stack([pts, np.full(n, spec.pivot_height)]),
@@ -171,7 +170,7 @@ class OrientedField:
     """
 
     def __init__(self, field: Union[FieldLayout, Sequence[Heliostat]], sun: SunState):
-        u_s = sun.u_s.as_array()
+        u_s = np.array(sun.u_s, dtype=float)
         if not np.isfinite(u_s).all():
             raise ValueError(f"sun direction is not finite: eta={sun.eta!r}, theta={sun.theta!r}")
         if not isinstance(field, FieldLayout):
@@ -472,8 +471,7 @@ def _block_quads(of: OrientedField, j0: int, j1: int, use_culling: bool = True):
     nx, ny, nz = of.normals[j0:j1].T
     cx, cy, cz = of.centers[j0:j1].T
     ax, ay, az = of.aims[j0:j1].T
-    u_s = of.sun.u_s
-    ux, uy, uz = u_s.x, u_s.y, u_s.z
+    ux, uy, uz = of.sun.u_s
     plane_d = nx * cx + ny * cy + nz * cz
     denom_s = nx * ux + ny * uy + nz * uz
     side_t = nx * ax + ny * ay + nz * az - plane_d

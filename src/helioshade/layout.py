@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .linalg3 import Vec3
 from .shading import Heliostat
 
 __all__ = ["FieldLayout", "LayoutError", "load_layout", "save_layout"]
@@ -59,15 +58,17 @@ class FieldLayout:
     Row k of the columns is heliostat k, in file order: `ids[k]`, the id
     of the receiver it aims at `receiver_ids[k]`, its centre `centers[k]`
     (m), its width and height `dims[k]` (m) and its spin `spins[k]` (rad).
-    The arrays are read-only float copies of what was passed in.
+    The arrays are read-only float copies of what was passed in, and each
+    receiver is an (id, (x, y, z)) pair with a float triple in metres.
 
     A layout is valid by construction: building one runs `validate`, the
     one place that holds the rules of a field.  Each heliostat's receiver
-    is looked up once, when the layout is built, for `aims` and `validate`.
+    is looked up once, when the layout is built, for `aims`, `validate`
+    and `to_heliostats`.
     """
 
     latitude_deg: float
-    receivers: Tuple[Tuple[str, Vec3], ...]
+    receivers: Tuple[Tuple[str, Tuple[float, float, float]], ...]
     ids: Tuple[str, ...]
     receiver_ids: Tuple[str, ...]
     centers: np.ndarray  # (n, 3)
@@ -78,6 +79,9 @@ class FieldLayout:
         n = len(self.ids)
         object.__setattr__(self, "ids", tuple(self.ids))
         object.__setattr__(self, "receiver_ids", tuple(self.receiver_ids))
+        rids = [rid for rid, _ in self.receivers]
+        positions = np.array([pos for _, pos in self.receivers], dtype=float).reshape(len(rids), 3)
+        object.__setattr__(self, "receivers", tuple(zip(rids, map(tuple, positions.tolist()))))
         if len(self.receiver_ids) != n:
             raise ValueError(f"{n} heliostat ids but {len(self.receiver_ids)} receiver ids")
         for name, shape in zip(_COLUMNS, ((n, 3), (n, 2), (n,))):
@@ -86,10 +90,9 @@ class FieldLayout:
             object.__setattr__(self, name, column)
         # each heliostat's row in `receivers`, or -1 if it names none, and
         # its aim point, NaN for none
-        slot = {rid: k for k, (rid, _) in enumerate(self.receivers)}
+        slot = {rid: k for k, rid in enumerate(rids)}
         rows = np.fromiter(map(slot.get, self.receiver_ids, repeat(-1)), np.intp, n)
-        positions = [(p.x, p.y, p.z) for _, p in self.receivers] + [(math.nan,) * 3]
-        aims = np.array(positions)[rows]
+        aims = np.vstack([positions, [(math.nan,) * 3]])[rows]
         aims.flags.writeable = False
         object.__setattr__(self, "_receiver_rows", rows)
         object.__setattr__(self, "_aims", aims)
@@ -109,9 +112,6 @@ class FieldLayout:
     def n(self) -> int:
         return len(self.ids)
 
-    def receiver_map(self) -> Dict[str, Vec3]:
-        return dict(self.receivers)
-
     def aims(self) -> np.ndarray:
         """(n, 3) read-only aim point of each heliostat: its receiver's
         position, or NaN for a receiver id that `receivers` lacks (which
@@ -129,20 +129,19 @@ class FieldLayout:
             receivers=tuple(zip(rids, (h.aim for h in heliostats))),
             ids=[h.id for h in heliostats],
             receiver_ids=rids,
-            centers=[(h.center.x, h.center.y, h.center.z) for h in heliostats],
+            centers=[h.center for h in heliostats],
             dims=[(h.width, h.height) for h in heliostats],
             spins=[h.spin for h in heliostats],
         )
 
     def to_heliostats(self) -> List[Heliostat]:
         """One `Heliostat` object per row, for scalar and library callers."""
-        recv = self.receiver_map()
         return [
-            Heliostat(id=hid, center=Vec3(*c), width=w, height=h, aim=recv[rid], spin=spin)
-            for hid, rid, c, (w, h), spin in zip(
+            Heliostat(id=hid, center=tuple(c), width=w, height=h, aim=tuple(a), spin=spin)
+            for hid, c, a, (w, h), spin in zip(
                 self.ids,
-                self.receiver_ids,
                 self.centers.tolist(),
+                self._aims.tolist(),
                 self.dims.tolist(),
                 self.spins.tolist(),
             )
@@ -263,9 +262,7 @@ def load_layout(path: str) -> FieldLayout:
     )
     return FieldLayout(
         latitude_deg=float(plant["lat"][-1]),
-        receivers=tuple(
-            zip(receivers["id"], map(Vec3, *(receivers[k].tolist() for k in "xyz")))
-        ),
+        receivers=tuple(zip(receivers["id"], zip(*(receivers[k] for k in "xyz")))),
         ids=helios["id"],
         receiver_ids=helios["receiver"],
         centers=np.column_stack([helios[k] for k in "xyz"]),
@@ -405,8 +402,8 @@ def _stray_field(parts: List[str], allowed: Tuple[str, ...]) -> str:
 
 def save_layout(layout: FieldLayout, path: str) -> None:
     lines = [f"plant lat={layout.latitude_deg:.9g}\n"]
-    for rid, pos in layout.receivers:
-        lines.append(f"receiver id={rid} x={pos.x:.9g} y={pos.y:.9g} z={pos.z:.9g}\n")
+    for rid, (x, y, z) in layout.receivers:
+        lines.append(f"receiver id={rid} x={x:.9g} y={y:.9g} z={z:.9g}\n")
     for hid, rid, (x, y, z), (w, h), spin in zip(
         layout.ids,
         layout.receiver_ids,

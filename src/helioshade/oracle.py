@@ -52,12 +52,21 @@ def _covered_by_quads(subject, field, sun, xs, ys) -> np.ndarray:
     return covered
 
 
+def _unit(v: np.ndarray) -> np.ndarray:
+    """v over its length, the length taken as sqrt(x*x + y*y + z*z)."""
+    norm = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+    if norm == 0.0:
+        raise ValueError("cannot normalize zero vector")
+    return v / norm
+
+
 def _frame(h: Heliostat, sun: SunState) -> np.ndarray:
     """Rows x', y', n of the mirror's local frame for `sun`, built from
     vectors alone: n bisects the directions to the aim point and to the
     sun, and x' is the horizontal unit vector along z x n (plant X at a
     level mirror) turned by the spin toward n x x'."""
-    n = ((h.aim - h.center).normalized() - sun.u_s).normalized().as_array()
+    to_aim = np.subtract(h.aim, h.center, dtype=float)
+    n = _unit(_unit(to_aim) - np.array(sun.u_s, dtype=float))
     rho = math.hypot(n[0], n[1])
     x0 = np.array([-n[1], n[0], 0.0]) / rho if rho > 0.0 else np.array([1.0, 0.0, 0.0])
     y0 = np.cross(n, x0)
@@ -69,19 +78,19 @@ def _covered_3d(subject: Heliostat, field, sun: SunState, xs, ys) -> np.ndarray:
     """Per-sample occlusion by direct ray tests against each occluder
     rectangle, bypassing the projection equations entirely."""
     rot = _frame(subject, sun)
-    origin = subject.center.as_array()
+    origin = np.array(subject.center, dtype=float)
     local = np.stack([xs, ys, np.zeros_like(xs)], axis=1)
     pts = local @ rot + origin  # plant-frame sample points, (n, 3)
 
-    u_s = sun.u_s.as_array()
-    target = subject.aim.as_array()
+    u_s = np.array(sun.u_s, dtype=float)
+    target = np.array(subject.aim, dtype=float)
     covered = np.zeros(xs.shape, dtype=bool)
     for other in field:
         if other.id == subject.id:
             continue
         rot_i = _frame(other, sun)
         n_i = rot_i[2]
-        c_i = other.center.as_array()
+        c_i = np.array(other.center, dtype=float)
         hx, hy = other.width / 2.0, other.height / 2.0
         plane_d = float(n_i @ c_i)
 

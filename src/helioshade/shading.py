@@ -15,10 +15,10 @@ names the mirror.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .linalg3 import Vec3
 from .polygon2d import Polygon2
 from .solar import SunState
 
@@ -41,10 +41,10 @@ class Heliostat:
     """
 
     id: str
-    center: Vec3
+    center: Tuple[float, float, float]  # (x, y, z) in the plant frame, m
     width: float  # L_x, m
     height: float  # L_y, m
-    aim: Vec3
+    aim: Tuple[float, float, float]
     spin: float = 0.0
 
     def outline(self) -> Polygon2:
@@ -88,7 +88,7 @@ def orient(h: Heliostat, sun: SunState) -> Heliostat:
     benchmark under `perfbench/` calls it, and goes with the benchmark
     change of ROADMAP item 1.
     """
-    if (h.aim - h.center).norm() == 0.0:
+    if math.dist(h.aim, h.center) == 0.0:
         raise ValueError("heliostat at receiver")
     return h
 

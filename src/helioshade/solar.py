@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .linalg3 import Vec3
+from typing import Tuple
 
 __all__ = ["SunState", "sun_vector", "solar_position", "declination"]
 
@@ -23,7 +22,7 @@ __all__ = ["SunState", "sun_vector", "solar_position", "declination"]
 class SunState:
     eta: float  # solar height, radians
     theta: float  # azimuth from north, radians
-    u_s: Vec3  # unit light-travel direction
+    u_s: Tuple[float, float, float]  # unit light-travel direction
 
 
 def sun_vector(eta: float, theta: float) -> SunState:
@@ -39,11 +38,10 @@ def sun_vector(eta: float, theta: float) -> SunState:
         raise ValueError("sun below horizon")
     if eta > math.pi / 2.0:
         raise ValueError(f"solar height {eta!r} rad is past the zenith")
-    u = Vec3(
-        -math.cos(eta) * math.cos(theta),
-        math.cos(eta) * math.sin(theta),
-        -math.sin(eta),
-    )
+    # cos(pi / 2) rounds to 6e-17, not 0; that residue would turn a level
+    # mirror's frame with theta at the zenith
+    horizontal = 0.0 if eta == math.pi / 2.0 else math.cos(eta)
+    u = (-horizontal * math.cos(theta), horizontal * math.sin(theta), -math.sin(eta))
     return SunState(eta=eta, theta=theta, u_s=u)
 
 

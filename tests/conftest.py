@@ -10,7 +10,6 @@ import pytest
 
 from helioshade.clip import covered_areas
 from helioshade.field import FieldLayout
-from helioshade.linalg3 import Vec3
 from helioshade.polygon2d import contains_many, signed_area
 from helioshade.shading import Heliostat, orient
 from helioshade.solar import solar_position, sun_vector
@@ -23,7 +22,7 @@ JAN_21 = 21
 
 
 def make_heliostat(hid, x, y, z, w, h, aim):
-    return Heliostat(id=hid, center=Vec3(x, y, z), width=w, height=h, aim=aim)
+    return Heliostat(id=hid, center=(x, y, z), width=w, height=h, aim=aim)
 
 
 def layout_of(helios):
@@ -34,7 +33,7 @@ def layout_of(helios):
         receivers=(("t", helios[0].aim),),
         ids=[h.id for h in helios],
         receiver_ids=["t"] * len(helios),
-        centers=[(h.center.x, h.center.y, h.center.z) for h in helios],
+        centers=[h.center for h in helios],
         dims=[(h.width, h.height) for h in helios],
         spins=[h.spin for h in helios],
     )
@@ -57,7 +56,7 @@ def without(layout, k):
 
 def simple_trio():
     """Subject on the plant axis, two symmetric neighbors, 100 m tower."""
-    aim = Vec3(0.0, 0.0, 100.0)
+    aim = (0.0, 0.0, 100.0)
     return [
         make_heliostat("c", 108.0, 0.0, 5.0, 10.0, 10.0, aim),
         make_heliostat("h1", 100.0, 8.0, 5.0, 10.0, 10.0, aim),
@@ -77,7 +76,7 @@ NEIGHBOR_XY = [
 
 def real_scenario_heliostats():
     """Subject s plus its 24 production-plant neighbors, 150 m tower."""
-    aim = Vec3(0.0, 0.0, 150.0)
+    aim = (0.0, 0.0, 150.0)
     field = [make_heliostat("s", 630.93, -144.41, 5.0, 12.88, 9.489, aim)]
     for i, (x, y) in enumerate(NEIGHBOR_XY):
         field.append(make_heliostat(f"n{i + 1:02d}", x, y, 5.0, 12.88, 9.489, aim))
@@ -101,7 +100,7 @@ def random_config(rng, eta_deg=(8.0, 75.0)):
     scatter so shadow/block images frequently land on (and overlap) the
     subject mirror.
     """
-    tower = Vec3(0.0, 0.0, float(rng.uniform(80.0, 160.0)))
+    tower = (0.0, 0.0, float(rng.uniform(80.0, 160.0)))
     r = float(rng.uniform(60.0, 400.0))
     az = float(rng.uniform(-math.pi, math.pi))
     sx, sy = r * math.cos(az), r * math.sin(az)

@@ -13,7 +13,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from helioshade.field import FieldLayout, LayoutError
-from helioshade.linalg3 import Vec3
 
 # the numbers of a heliostat line in file order
 _HELIOSTAT_NUMBERS = ("x", "y", "z", "w", "h")
@@ -52,7 +51,7 @@ def load_layout(path: str) -> FieldLayout:
     directly.
     """
     latitude: Optional[float] = None
-    receivers: List[Tuple[str, Vec3]] = []
+    receivers: List[Tuple[str, Tuple[float, float, float]]] = []
     ids: List[str] = []
     receiver_ids: List[str] = []
     rows: List[List[float]] = []
@@ -77,7 +76,7 @@ def load_layout(path: str) -> FieldLayout:
                     used = 8 if "phi" in fields else 7
                 elif kind == "receiver":
                     rid = fields["id"]
-                    receivers.append((rid, Vec3(*(_number(fields, k, lineno) for k in "xyz"))))
+                    receivers.append((rid, tuple(_number(fields, k, lineno) for k in "xyz")))
                     used = 4
                 elif kind == "plant":
                     latitude = _number(fields, "lat", lineno)

@@ -351,15 +351,20 @@ def test_oracle_check_corrupted_fails(capsys):
           "--end", "09:00", "--subject", "c", "--step", "0"), "--step"),
         (("sweep", SIMPLE_PAIR, "--date", "01-21", "--start", "08:00",
           "--end", "09:00", "--subject", "c", "--step", "-5"), "--step"),
+        (("sweep", SIMPLE_PAIR, "--date", "01-21", "--start", "08:00",
+          "--end", "09:00", "--subject", "c", "--step", "1e-300"), "--step"),
         (("bench", "--n", "5", "--reps", "0"), "--reps"),
         (("oracle-check", SIMPLE_PAIR, "--date", "01-21", "--hour", "12:00",
           "--subject", "c", "--samples", "0"), "--samples"),
+        (("oracle-check", SIMPLE_PAIR, "--date", "01-21", "--hour", "12:00",
+          "--subject", "c", "--samples", "10000000000000"), "--samples"),
     ],
-    ids=["step-0", "step-neg", "reps-0", "samples-0"],
+    ids=["step-0", "step-neg", "step-tiny", "reps-0", "samples-0", "samples-huge"],
 )
 def test_non_positive_counts_fail_with_one_error_line(capsys, argv, flag):
     # the step check comes before the sweep loop, which a step that does
-    # not advance would never leave
+    # not advance would never leave, and the samples check before the
+    # oracle allocates them
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""

@@ -14,19 +14,17 @@ from hypothesis import strategies as st
 
 from conftest import make_heliostat, random_config
 from helioshade.field import OrientedField
-from helioshade.linalg3 import Vec3
 from helioshade.oracle import _frame
-from helioshade.solar import SunState, sun_vector
+from helioshade.solar import sun_vector
 
-# the light straight down, with no rounding in its horizontal part (that
-# of `sun_vector(pi / 2, 0)` is cos(pi / 2) ~ 6e-17), so a mirror aimed
+# the light straight down, with no horizontal part, so a mirror aimed
 # straight up has n = +z exactly and no horizontal normal component
-ZENITH = SunState(eta=math.pi / 2.0, theta=0.0, u_s=Vec3(0.0, 0.0, -1.0))
+ZENITH = sun_vector(math.pi / 2.0, 0.0)
 
 
 def level(x=0.0, y=0.0, z=0.0, w=10.0, h=10.0, spin=0.0):
     """A mirror that lies level at the zenith sun: its aim is straight up."""
-    h = make_heliostat("s", x, y, z, w, h, Vec3(x, y, z + 100.0))
+    h = make_heliostat("s", x, y, z, w, h, (x, y, z + 100.0))
     return dataclasses.replace(h, spin=spin)
 
 
@@ -57,6 +55,16 @@ def test_rotations_orthogonal_unit_determinant(rng):
             assert abs(np.linalg.det(r) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("theta", [0.0, 1.0, math.pi / 2.0, 2.5])
+def test_level_frame_at_zenith_ignores_azimuth(theta):
+    # cos(pi / 2) rounds to 6e-17; left in u_s, that horizontal part would
+    # turn a level mirror's x' axis with theta
+    h = level(4.0, 5.0, 6.0)
+    sun = sun_vector(math.pi / 2.0, theta)
+    assert np.array_equal(OrientedField([h], sun).rotations[0], np.eye(3))
+    assert np.array_equal(_frame(h, sun), np.eye(3))
+
+
 def test_level_frame_keeps_plant_offsets():
     r = _frame(level(4.0, 5.0, 6.0), ZENITH)
     assert np.allclose(r, np.eye(3), atol=1e-12)
@@ -65,9 +73,9 @@ def test_level_frame_keeps_plant_offsets():
 
 def test_frame_independent_of_aim_distance():
     sun = sun_vector(math.radians(35.0), math.radians(-120.0))
-    near = make_heliostat("s", 100.0, -40.0, 5.0, 10.0, 8.0, Vec3(0.0, 0.0, 105.0))
+    near = make_heliostat("s", 100.0, -40.0, 5.0, 10.0, 8.0, (0.0, 0.0, 105.0))
     near = dataclasses.replace(near, spin=0.7)
-    far = dataclasses.replace(near, aim=Vec3(-100.0, 40.0, 205.0))  # twice as far
+    far = dataclasses.replace(near, aim=(-100.0, 40.0, 205.0))  # twice as far
     engine = [OrientedField([h], sun).rotations[0] for h in (near, far)]
     assert np.allclose(engine[0], engine[1], atol=1e-12)
     assert np.allclose(_frame(near, sun), _frame(far, sun), atol=1e-12)
@@ -106,7 +114,7 @@ angle = st.floats(-math.pi, math.pi)
     cx=finite, cy=finite, cz=finite, px=finite, py=finite, pz=finite,
 )
 def test_roundtrip_and_orthogonality(ax, ay, az, spin, eta, theta, cx, cy, cz, px, py, pz):
-    aim = Vec3(cx + 100.0 * ax, cy + 100.0 * ay, cz + 100.0 * az)
+    aim = (cx + 100.0 * ax, cy + 100.0 * ay, cz + 100.0 * az)
     h = dataclasses.replace(make_heliostat("s", cx, cy, cz, 10.0, 6.0, aim), spin=spin)
     sun = sun_vector(eta, theta)
     of = OrientedField([h], sun)
@@ -115,7 +123,7 @@ def test_roundtrip_and_orthogonality(ax, ay, az, spin, eta, theta, cx, cy, cz, p
         assert np.allclose(m.T @ m, np.eye(3), atol=1e-12)
     # plant -> local -> plant, and the engine's corners read in the
     # oracle's local frame are the mirror's own
-    c, p = h.center.as_array(), np.array([px, py, pz])
+    c, p = np.array(h.center), np.array([px, py, pz])
     assert np.linalg.norm(r.T @ (r @ (p - c)) + c - p) < 1e-9
     local = (of.corners[0] - c) @ r.T
     expected = [(-5.0, 3.0, 0.0), (-5.0, -3.0, 0.0), (5.0, -3.0, 0.0), (5.0, 3.0, 0.0)]

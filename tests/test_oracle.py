@@ -6,7 +6,6 @@ import pytest
 
 from conftest import make_heliostat, oriented, random_config, simple_trio, sun_at
 from helioshade.field import OrientedField, subject_quads
-from helioshade.linalg3 import Vec3
 from helioshade.oracle import OracleConfig, _sample_points, sample_efficiency
 from helioshade.shading import efficiency, orient
 from helioshade.solar import sun_vector
@@ -16,7 +15,7 @@ ZENITH = sun_vector(math.pi / 2.0, 0.0)
 
 def test_empty_field_exact_one():
     subject = orient(
-        make_heliostat("s", 0.0, 0.0, 0.0, 10.0, 10.0, Vec3(0, 0, 100)), ZENITH
+        make_heliostat("s", 0.0, 0.0, 0.0, 10.0, 10.0, (0, 0, 100)), ZENITH
     )
     est, se = sample_efficiency(subject, [subject], ZENITH, OracleConfig(samples=10_000))
     assert est == 1.0
@@ -24,10 +23,10 @@ def test_empty_field_exact_one():
 
 
 def test_fully_covered_zero():
-    aim = Vec3(0.0, 0.0, 100.0)
+    aim = (0.0, 0.0, 100.0)
     subject = orient(make_heliostat("s", 0.0, 0.0, 0.0, 4.0, 4.0, aim), ZENITH)
     lid = orient(
-        make_heliostat("o", 0.0, 0.0, 1.0, 40.0, 40.0, Vec3(0, 0, 101)), ZENITH
+        make_heliostat("o", 0.0, 0.0, 1.0, 40.0, 40.0, (0, 0, 101)), ZENITH
     )
     est, _ = sample_efficiency(subject, [subject, lid], ZENITH, OracleConfig(samples=10_000))
     assert est == 0.0
@@ -130,8 +129,8 @@ STRADDLES = {
 def test_independent_3d_mode_agrees_on_clipped_straddles(case):
     (sw, sh, aim), (centre, ow, oh, occ_aim), (eta, theta), planes, kinds = STRADDLES[case]
     field = [
-        make_heliostat("s", 0.0, 0.0, 0.0, sw, sh, Vec3(*aim)),
-        make_heliostat("o", *centre, ow, oh, Vec3(*occ_aim)),
+        make_heliostat("s", 0.0, 0.0, 0.0, sw, sh, tuple(aim)),
+        make_heliostat("o", *centre, ow, oh, tuple(occ_aim)),
     ]
     sun = sun_vector(math.radians(eta), math.radians(theta))
     of = OrientedField(field, sun)

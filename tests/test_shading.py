@@ -5,7 +5,6 @@ import pytest
 
 from conftest import make_heliostat, random_config, simple_trio, sun_at
 from helioshade.field import OrientedField, subject_quads
-from helioshade.linalg3 import Vec3
 from helioshade.oracle import _frame
 from helioshade.shading import candidate_quads, efficiency, orient
 from helioshade.solar import sun_vector
@@ -13,7 +12,7 @@ from helioshade.solar import sun_vector
 
 def up_facing(hid, x, y, z=0.0, w=10.0, h=10.0):
     """Heliostat whose normal is +z at zenith sun: receiver straight above."""
-    return make_heliostat(hid, x, y, z, w, h, Vec3(x, y, z + 100.0))
+    return make_heliostat(hid, x, y, z, w, h, (x, y, z + 100.0))
 
 
 ZENITH = sun_vector(math.pi / 2.0, 0.0)
@@ -32,8 +31,9 @@ def test_reflection_law_and_planarity(rng):
         h = field[0]
         of = OrientedField(field, sun)
         n, c = of.normals[0], of.centers[0]
-        u_t = (h.aim - h.center).normalized().as_array()
-        u_s = sun.u_s.as_array()
+        u_t = np.subtract(h.aim, h.center)
+        u_t /= np.linalg.norm(u_t)
+        u_s = np.array(sun.u_s)
         # reflect the incoming light about the normal; must head to the aim
         d = u_s - 2.0 * (u_s @ n) * n
         assert np.linalg.norm(d - u_t) < 1e-10
@@ -44,7 +44,7 @@ def test_reflection_law_and_planarity(rng):
 
 
 def test_orient_rejects_heliostat_at_receiver():
-    h = make_heliostat("x", 1.0, 2.0, 3.0, 10.0, 10.0, Vec3(1.0, 2.0, 3.0))
+    h = make_heliostat("x", 1.0, 2.0, 3.0, 10.0, 10.0, (1.0, 2.0, 3.0))
     with pytest.raises(ValueError, match="heliostat at receiver"):
         orient(h, ZENITH)
 
@@ -63,7 +63,7 @@ def test_shadow_vertical_drop():
     # occluder rectangle dropped straight down onto z = 0
     rotation = OrientedField([subject], ZENITH).rotations[0]
     local = np.array([(p.x, p.y, 0.0) for p in quad.ring.ring])
-    xs, ys, zs = (local @ rotation + subject.center.as_array()).T
+    xs, ys, zs = (local @ rotation + np.array(subject.center)).T
     assert (xs.min(), xs.max()) == pytest.approx((-3.0, 7.0), abs=1e-9)
     assert (ys.min(), ys.max()) == pytest.approx((-5.0, 5.0), abs=1e-9)
     assert np.abs(zs).max() < 1e-9
@@ -88,9 +88,9 @@ def test_shadow_downstream_occluder_discarded():
 
 
 def test_block_symmetric_occlusion():
-    aim = Vec3(0.0, 0.0, 100.0)
+    aim = (0.0, 0.0, 100.0)
     subject = make_heliostat("s", 0.0, 0.0, 0.0, 10.0, 10.0, aim)
-    other = make_heliostat("o", 0.0, 0.0, 50.0, 4.0, 4.0, Vec3(0, 0, 150))
+    other = make_heliostat("o", 0.0, 0.0, 50.0, 4.0, 4.0, (0, 0, 150))
     (quad,) = _quads(subject, [other], ZENITH, "block")
     cx = sum(p.x for p in quad.ring.ring) / len(quad.ring.ring)
     cy = sum(p.y for p in quad.ring.ring) / len(quad.ring.ring)
@@ -98,25 +98,24 @@ def test_block_symmetric_occlusion():
 
 
 def test_block_requires_occluder_between_subject_and_receiver():
-    aim = Vec3(0.0, 0.0, 100.0)
+    aim = (0.0, 0.0, 100.0)
     subject = make_heliostat("s", 0.0, 0.0, 50.0, 10.0, 10.0, aim)
     behind = make_heliostat("o", 0.0, 0.0, 10.0, 10.0, 10.0, aim)
     assert _quads(subject, [behind], ZENITH, "block") == []
-    beyond = make_heliostat("o2", 0.0, 0.0, 120.0, 10.0, 10.0, Vec3(0, 0, 300))
+    beyond = make_heliostat("o2", 0.0, 0.0, 120.0, 10.0, 10.0, (0, 0, 300))
     # above the aim point's plane distance: no finite image from the
     # projection center
     assert _quads(subject, [beyond], ZENITH, "block") == []
 
 
 def test_cull_rules():
-    # 10 x 10 mirror; at the zenith sun the local x axis runs along plant
-    # y and the local y axis along plant x
+    # 10 x 10 mirror; at the zenith sun its local axes are the plant's
     subject = up_facing("s", 0.0, 0.0)
     cases = [
-        (up_facing("beyond_x", 0.0, 8.0, 5.0, w=2.0, h=2.0), False),
-        (up_facing("beyond_y", 8.0, 0.0, 5.0, w=2.0, h=2.0), False),
+        (up_facing("beyond_x", 8.0, 0.0, 5.0, w=2.0, h=2.0), False),
+        (up_facing("beyond_y", 0.0, 8.0, 5.0, w=2.0, h=2.0), False),
         # spans the mirror in y but lies entirely beyond one side in x
-        (up_facing("split_beyond_x", 0.0, 7.0, 5.0, w=2.0, h=12.0), False),
+        (up_facing("split_beyond_x", 7.0, 0.0, 5.0, w=2.0, h=12.0), False),
         (up_facing("central", 0.0, 0.0, 5.0, w=2.0, h=2.0), True),
     ]
     for other, kept in cases:
@@ -141,9 +140,9 @@ def test_efficiency_empty_field():
 
 
 def test_efficiency_fully_occluded():
-    aim = Vec3(0.0, 0.0, 100.0)
+    aim = (0.0, 0.0, 100.0)
     subject = make_heliostat("s", 0.0, 0.0, 0.0, 4.0, 4.0, aim)
-    lid = make_heliostat("o", 0.0, 0.0, 1.0, 40.0, 40.0, Vec3(0, 0, 101))
+    lid = make_heliostat("o", 0.0, 0.0, 1.0, 40.0, 40.0, (0, 0, 101))
     r = efficiency(subject, [subject, lid], ZENITH)
     assert r.efficiency == 0.0
 

@@ -27,6 +27,10 @@ def main() -> None:
     ap.add_argument("--outdir", default="sweep_out")
     ap.add_argument("--step-min", type=float, default=15.0)
     args = ap.parse_args()
+    # the rule of `helioshade sweep --step`, which also rejects nan: a
+    # step that does not advance t would repeat the first hour forever
+    if not args.step_min >= 1.0:
+        sys.exit(f"error: --step-min must be at least 1 minute, got {args.step_min:.9g}")
 
     layout = load_layout(args.layout)
     lat = math.radians(layout.latitude_deg)

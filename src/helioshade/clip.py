@@ -23,11 +23,13 @@ next edge, and what lies inside every edge is dropped.  A vertex on a
 clip line belongs to both halves, so no configuration is degenerate and
 nothing is traced or retried.  A non-convex polygon raises `ValueError`.
 
-`covered_areas` takes its rings as one padded (K, V, 2) coordinate
-array, as `clean_rows` certifies them straight from the projection
-kernel (a row that fails goes through `clean_ring`); `subtract_rings`
-works on plain coordinate rings, lists of (x, y) tuples.  `Polygon2` is
-built only for the pieces of a returned `Region`.
+`covered_areas` takes its K rings as one padded (2, V, K) array, x and y
+of V vertices with the ring last (every array of the kernel is vertex
+first and pair last, so reductions run over the leading axis), as
+`clean_rows` certifies them straight from the projection kernel (a ring
+that fails goes through `clean_ring`); `subtract_rings` works on plain
+coordinate rings, lists of (x, y) tuples.  `Polygon2` is built only for
+the pieces of a returned `Region`.
 """
 
 from __future__ import annotations
@@ -105,42 +107,42 @@ def clean_ring(pts: Iterable[Sequence[float]]) -> Optional[_Ring]:
 
 
 def clean_rows(x: np.ndarray, y: np.ndarray, count: np.ndarray):
-    """`clean_ring` of the rings in rows of `x` and `y` (K, W), row k's
-    first count[k] vertices: (kept, ring_xy, lengths), the rows it keeps
-    and their rings padded to V = max(4, the longest) vertices by
-    repeating the last one, as `covered_areas` takes them.
+    """`clean_ring` of the rings in the columns of `x` and `y` (W, K),
+    ring k's first count[k] vertices: (kept, ring_xy, lengths), the rings
+    it keeps and their x and y (2, V, K') padded to V = max(4, the longest)
+    vertices by repeating the last one, as `covered_areas` takes them.
 
-    A row that `clean_ring` would return as given is kept as it is: one
+    A ring that `clean_ring` would return as given is kept as it is: one
     with at least 3 vertices, no two consecutive ones coincident (the last
     and the first included), and a plain sum of the 2V' shoelace products
-    t of the row padded to V' vertices that puts its area above
+    t of the ring padded to V' vertices that puts its area above
     `MIN_COMPONENT_AREA` by more than four times V' eps sum|t| / 2, its
     bound off `clean_ring`'s exactly rounded sum (`math.fsum`; the
-    padding's products cancel).  Every other row goes through `clean_ring`,
-    the one routine that merges, reverses or drops a ring, and raises its
-    `ValueError`.
+    padding's products cancel).  Every other ring goes through
+    `clean_ring`, the one routine that merges, reverses or drops a ring,
+    and raises its `ValueError`.
     """
-    slot = np.arange(max(4, x.shape[1]))
-    last = np.maximum(count - 1, 0)[:, None]
-    ring_xy = np.stack([x, y], axis=-1)[np.arange(len(x))[:, None], np.minimum(slot, last)]
-    rx, ry = np.moveaxis(ring_xy, 2, 0)
-    nx, ny = np.roll(rx, -1, axis=1), np.roll(ry, -1, axis=1)
+    slot = np.arange(max(4, x.shape[0]))[:, None]
+    last = np.maximum(count - 1, 0)
+    ring_xy = np.stack([x, y])[:, np.minimum(slot, last), np.arange(len(count))]
+    rx, ry = ring_xy
+    nx, ny = np.roll(rx, -1, axis=0), np.roll(ry, -1, axis=0)
     with np.errstate(invalid="ignore", over="ignore"):
         ahead, behind = rx * ny, nx * ry
-        area = 0.5 * (ahead.sum(axis=1) - behind.sum(axis=1))
-        margin = 2.0 * len(slot) * np.finfo(float).eps * (abs(ahead) + abs(behind)).sum(axis=1)
+        area = 0.5 * (ahead.sum(axis=0) - behind.sum(axis=0))
+        margin = 2.0 * len(slot) * np.finfo(float).eps * (abs(ahead) + abs(behind)).sum(axis=0)
         # every pair of consecutive vertices but the padding's
         paired = (slot < last) | (slot == slot[-1])
-        merge = (_coincident(rx, ry, nx, ny) & paired).any(axis=1)
+        merge = (_coincident(rx, ry, nx, ny) & paired).any(axis=0)
         ok = (count >= 3) & ~merge & (area - MIN_COMPONENT_AREA > margin)
     lengths = np.where(ok, count, 0)
     for k in np.flatnonzero(~ok):
-        ring = clean_ring(zip(x[k, : count[k]].tolist(), y[k, : count[k]].tolist()))
+        ring = clean_ring(zip(x[: count[k], k].tolist(), y[: count[k], k].tolist()))
         if ring is not None:
             ok[k], lengths[k] = True, len(ring)
-            ring_xy[k] = (ring + ring[-1:] * len(slot))[: len(slot)]
+            ring_xy[:, :, k] = np.transpose((ring + ring[-1:] * len(slot))[: len(slot)])
     kept = np.flatnonzero(ok)
-    return kept, ring_xy[kept, : max(4, int(lengths.max(initial=0)))], lengths[kept]
+    return kept, ring_xy[:, : max(4, int(lengths.max(initial=0))), kept], lengths[kept]
 
 
 def region_area(r: Region) -> float:
@@ -178,11 +180,11 @@ def covered_areas(owner: np.ndarray, ring_xy: np.ndarray, half_sizes) -> np.ndar
     that the union U of the subject's rings covers, for all subjects in
     one pass of array operations.
 
-    Ring k is convex and counterclockwise, padded in `ring_xy[k]`
-    (K, V, 2) by repeating its last vertex, as `clean_rows` returns it,
-    and belongs to subject owner[k]; owners do not
-    decrease, so each subject's rings are consecutive, in subtraction
-    order.  `half_sizes[s]` is subject s's (hx, hy).  A subject's area
+    Ring k is convex and counterclockwise, with the x and y of its
+    vertices in `ring_xy[:, :, k]` (2, V, K), padded by repeating its last
+    vertex, as `clean_rows` returns it, and belongs to subject owner[k];
+    owners do not decrease, so each subject's rings are consecutive, in
+    subtraction order.  `half_sizes[s]` is subject s's (hx, hy).  A subject's area
     does not depend on the other subjects of the call: every sum runs
     over that subject's terms in a fixed order.
 
@@ -213,6 +215,10 @@ def covered_areas(owner: np.ndarray, ring_xy: np.ndarray, half_sizes) -> np.ndar
     count (at least 4) by repeating their last vertex, and no step needs
     a ring's own vertex count.
 
+    Shapes.  The P polygons are one (2, V, P) table, the N ordered pairs
+    gather theirs from it as (2, V, N), and intervals, windows and lengths
+    are (V, N) or (V, P).
+
     Precondition: no T-junctions.  A vertex computed onto another
     polygon's edge gives exact zero side values in one direction only, so
     the rule can miscount the touch: two disjoint rings whose areas sum to
@@ -224,44 +230,50 @@ def covered_areas(owner: np.ndarray, ring_xy: np.ndarray, half_sizes) -> np.ndar
         return covered
     v = ring_xy.shape[1]
 
-    # polygons subject by subject: R, then the subject's rings in order
+    # polygons subject by subject: R, then the subject's rings in order,
+    # as the columns of a (2, V, polygons) table of x and y
     subj, m = np.unique(owner, return_counts=True)
     hx, hy = half_sizes[subj].T
     corners = [(-hx, hy), (-hx, -hy), (hx, -hy)] + [(hx, hy)] * (v - 3)
     size = m + 1
     base = np.cumsum(size) - size
-    xy = np.empty((size.sum(), v, 2))
-    is_rect = np.zeros(len(xy), dtype=bool)
+    xy = np.empty((2, v, size.sum()))
+    is_rect = np.zeros(xy.shape[2], dtype=bool)
     is_rect[base] = True
-    xy[is_rect] = np.stack([np.stack(c, axis=-1) for c in corners], axis=1)
-    xy[~is_rect] = ring_xy
+    xy[:, :, is_rect] = np.transpose(corners, (1, 0, 2))
+    xy[:, :, ~is_rect] = ring_xy
     poly_subj = np.repeat(np.arange(len(subj)), size)
     first = base[poly_subj]
 
-    # every ordered pair (a, b) of distinct polygons of one subject
-    a = np.repeat(np.arange(len(xy)), m[poly_subj])
-    r = _ramp(m[poly_subj])
-    b = first[a] + r + (r >= a - first[a])
-    lo, hi = _edge_intervals(xy[a], xy[b], later=b > a)
+    # each ring with its R, then every ordered pair (a, b) of distinct
+    # polygons of one subject with b a ring, in the order of (a, b)
+    ring = np.flatnonzero(~is_rect)
+    a = np.repeat(np.arange(len(poly_subj)), m[poly_subj] - ~is_rect)
+    r = _ramp(m[poly_subj] - ~is_rect)
+    b = first[a] + r + (r + 1 >= a - first[a]) + ~is_rect[a]
+    a, b = np.concatenate([ring, a]), np.concatenate([first[ring], b])
+    table = xy.reshape(2 * v, -1)
+    pair = (table.take(k, axis=1).reshape(2, v, -1) for k in (a, b))
+    lo, hi = _edge_intervals(*pair, later=b > a)
 
     # a ring edge counts only inside R, its window; an edge of R has [0, 1]
-    by_rect = is_rect[b]
-    win_lo = np.zeros((len(xy), v))
-    win_hi = np.ones((len(xy), v))
-    win_lo[a[by_rect]] = lo[by_rect]
-    win_hi[a[by_rect]] = hi[by_rect]
-    owners = a[~by_rect]
-    lo = np.maximum(lo[~by_rect], win_lo[owners])
-    hi = np.minimum(hi[~by_rect], win_hi[owners])
-    edge = owners[:, None] * v + np.arange(v)
+    win_lo, win_hi = np.zeros(xy.shape[1:]), np.ones(xy.shape[1:])
+    win_lo[:, ring], win_hi[:, ring] = lo[:, : len(ring)], hi[:, : len(ring)]
+    owners = a[len(ring) :]
+    lo = np.maximum(lo[:, len(ring) :], win_lo.take(owners, axis=1))
+    hi = np.minimum(hi[:, len(ring) :], win_hi.take(owners, axis=1))
+    # edge k of polygon p is group k P + p; within one, pairs keep their order
+    edge = np.arange(v)[:, None] * len(poly_subj) + owners
     hit = hi > lo
-    union = _union_lengths(edge[hit], lo[hit], hi[hit], len(xy) * v).reshape(-1, v)
-    length = np.where(is_rect[:, None], union, (win_hi - win_lo) - union)
+    union = _union_lengths(edge[hit], lo[hit], hi[hit], win_lo.size).reshape(v, -1)
+    length = np.where(is_rect, union, (win_hi - win_lo) - union)
 
-    d = np.roll(xy, -1, axis=1) - xy
-    moment = xy[..., 0] * d[..., 1] - xy[..., 1] * d[..., 0]
+    x, y = xy
+    dx, dy = np.roll(x, -1, axis=0) - x, np.roll(y, -1, axis=0) - y
+    moment = x * dy - y * dx
+    # summed in (polygon, vertex) order
     covered[subj] = 0.5 * np.bincount(
-        np.repeat(poly_subj, v), weights=(moment * length).ravel(), minlength=len(subj)
+        np.repeat(poly_subj, v), weights=(moment * length).T.ravel(), minlength=len(subj)
     )
     return covered
 
@@ -276,29 +288,36 @@ def _ramp(counts: np.ndarray) -> np.ndarray:
 
 
 def _edge_intervals(p: np.ndarray, q: np.ndarray, later: np.ndarray):
-    """Cyrus-Beck clip of each edge of the padded rings p, N x V, by the
-    convex padded rings q: (lo, hi), N x V, the parameter interval of the
-    edge inside q, with hi == lo when it is empty; `later` marks the pairs
-    where q comes after p (see `covered_areas` for the collinear rule)."""
-    v = p.shape[1]
-    nxt = (np.arange(v) + 1) % v
-    # vertex or edge index first and pair last, so every array operation
-    # runs over long rows and the reductions over the first axis
-    px, py = np.ascontiguousarray(p.transpose(2, 1, 0))
+    """Cyrus-Beck clip of each edge of the padded rings p by the convex
+    padded rings q, both (2, V, N), x and y of V vertices of N pairs:
+    (lo, hi), (V, N), the parameter interval of each edge of p inside q,
+    hi == lo when empty; `later` (N,) marks the pairs where q comes after
+    p (see `covered_areas` for the collinear rule).  q's edges clip p's one
+    at a time into lo, hi and the miss flags: no array exceeds V N values."""
+    (px, py), (qx, qy) = p, q
+    nxt = np.roll(np.arange(len(px)), -1)
     dx, dy = px[nxt] - px, py[nxt] - py
-    qx, qy = np.ascontiguousarray(q.transpose(2, 1, 0))[:, :, None]
-    ex, ey = qx[nxt] - qx, qy[nxt] - qy
-    # side of vertex k of p against edge h of q (left is inside): V x V x N
-    s0 = ex * (py - qy) - ey * (px - qx)
-    s1 = s0[:, nxt]  # the same for the edge's other end
+    lo, hi, miss = np.zeros(px.shape), np.ones(px.shape), np.zeros(px.shape, dtype=bool)
+    s0, u, t = np.empty((3,) + px.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = s0 / (s0 - s1)
-    inside0, inside1 = s0 >= 0.0, s1 >= 0.0
-    lo = np.where(inside1 & ~inside0, t, 0.0).max(axis=0)
-    hi = np.where(inside0 & ~inside1, t, 1.0).min(axis=0)
-    same_way = (s0 == 0.0) & (s1 == 0.0) & (ex * dx + ey * dy > 0.0)
-    miss = (~inside0 & ~inside1).any(axis=0) | (same_way.any(axis=0) & later)
-    return lo.T, np.where(miss, lo, np.maximum(lo, hi)).T
+        for h, g in enumerate(nxt):
+            ex, ey = qx[g] - qx[h], qy[g] - qy[h]
+            # side of each vertex of p against edge h of q (left is inside),
+            # ex (py - qy) - ey (px - qx), and t = s0 / (s0 - s1), in place
+            np.multiply(ex, np.subtract(py, qy[h], out=s0), out=s0)
+            s0 -= np.multiply(ey, np.subtract(px, qx[h], out=u), out=u)
+            s1 = s0[nxt]  # the same for the edge's other end
+            np.divide(s0, np.subtract(s0, s1, out=t), out=t)
+            inside0 = s0 >= 0.0
+            inside1 = inside0[nxt]  # the edge enters the half-plane if > inside0
+            np.maximum(lo, np.where(inside1 > inside0, t, 0.0), out=lo)
+            np.minimum(hi, np.where(inside0 > inside1, t, 1.0), out=hi)
+            miss |= ~(inside0 | inside1)
+            zero = s0 == 0.0
+            on_line = zero & zero[nxt]
+            if on_line.any():
+                miss |= on_line & (ex * dx + ey * dy > 0.0) & later
+    return lo, np.where(miss, lo, np.maximum(lo, hi))
 
 
 def _union_lengths(group: np.ndarray, lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:

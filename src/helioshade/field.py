@@ -13,12 +13,12 @@ consecutive subjects whose selection visits at most `_GATHER_BUDGET`
 grid rows and mirrors, which also bounds their pairs; each chunk
 selects its own (subject, neighbour) pairs, clips them to the valid
 projection region (`_clip`, one pass per plane, for the few occluders
-that cross its planes), and projects and culls them as flat numpy
-arrays.  The few surviving quads stay in those arrays: `clip.clean_rows`
-certifies them as padded coordinate rows, and one call of
-`clip.covered_areas` per chunk gives the shaded area of every subject in
-it, from the parts of the polygon edges that bound it; no polygon is
-subtracted from another.
+that cross its planes), and projects and culls them as numpy arrays,
+vertex first and pair last: corners (3, V, P), sides and images (V, P).
+The few surviving quads stay in that form: `clip.clean_rows` certifies
+them as padded (2, V, K) rings, and one call of `clip.covered_areas` per
+chunk gives the shaded area of every subject in it, from the parts of
+the polygon edges that bound it; no polygon is subtracted from another.
 `ProjectedQuad` and `Polygon2` are built only for a single-subject
 query (`subject_quads`, `subject_efficiency`).
 Results are deterministic and assembled in heliostat order regardless
@@ -401,11 +401,11 @@ def _rotations_zxz(alpha, beta, gamma) -> np.ndarray:
 
 # Most grid rows plus gathered mirrors the capsule selection of one chunk
 # of subjects may visit, unless one subject alone needs more.  A chunk's
-# pairs are at most its gathered mirrors; its arrays and kept rings take
-# about 2 kB per pair, and `covered_areas` about 4 kB more at a 6.5
-# degree sun, where this budget gives the 1000-mirror field chunks of at
-# most about 1040 pairs (8192 gave 1350 and 1 MB more peak RSS).
-_GATHER_BUDGET = 6144
+# pairs are at most its gathered mirrors, and its evaluation peaks at
+# 2.5 kB per pair (tracemalloc) at a 6.5 degree sun, 8.8 kB at 1 degree.
+# At 6.5 degrees this budget gives the 1000-mirror field 4 chunks of at
+# most 1980 pairs (6144 gave 7, 9% slower; 24576 gave 2, +3.6 MB RSS).
+_GATHER_BUDGET = 12288
 
 # the kind of a kept quad, by its `_block_quads` kind index
 _KINDS = ("block", "shadow")
@@ -452,12 +452,12 @@ def _block_quads(of: OrientedField, j0: int, j1: int, use_culling: bool = True):
     (rows, cols, kinds, ring_xy, lengths): quad k is the image of
     neighbour cols[k] on subject j0 + rows[k], of kind `_KINDS[kinds[k]]`,
     with the counterclockwise ring of lengths[k] vertices in the subject's
-    local plane padded in ring_xy[k] (`clip.clean_rows`).
+    local plane padded in ring_xy[:, :, k] (2, V, K) (`clip.clean_rows`).
 
     The subjects' (subject, neighbour) pairs (`_pairs`) are clipped to
-    the valid projection region, projected and culled as flat (P, V)
-    coordinate arrays; `use_culling=False` keeps every neighbour and
-    every quad.  The valid region is the front of the subject plane for
+    the valid projection region, projected and culled as (V, P) arrays,
+    vertex first and pair last; `use_culling=False` keeps every neighbour
+    and every quad.  The valid region is the front of the subject plane for
     shadows and the slab between the subject plane and the aim point for
     blocks.  `_clip` cuts only the rare occluders that straddle one of
     those planes: to the front of the subject plane once, for both images,
@@ -477,97 +477,92 @@ def _block_quads(of: OrientedField, j0: int, j1: int, use_culling: bool = True):
     side_t = nx * ax + ny * ay + nz * az - plane_d
     hx, hy = of.dims[j0:j1].T / 2.0
 
-    def per_pair(v):
-        return v[rows, None]
-
-    c = (per_pair(cx), per_pair(cy), per_pair(cz))
-    rot = of.rotations[j0:j1][rows]
-    r = [[rot[:, i, k, None] for k in range(3)] for i in range(2)]
-    corners = np.moveaxis(of.corners[cols], 2, 0)  # (3, P, 4)
+    c = (cx[rows], cy[rows], cz[rows])
+    r = of.rotations[j0:j1, :2].transpose(1, 2, 0)[:, :, rows]
+    corners = of.corners.transpose(2, 1, 0)[:, :, cols]  # (3, 4, P)
     px, py, pz = corners
-    side = px * per_pair(nx) + py * per_pair(ny) + pz * per_pair(nz) - per_pair(plane_d)
+    side = px * nx[rows] + py * ny[rows] + pz * nz[rows] - plane_d[rows]
     count = np.full(len(cols), 4)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         # only the part of an occluder on the front side of the subject
         # plane casts a shadow on the mirror or blocks its reflection; a
         # block image is finite only inside the slab 0 < side < side(aim)
-        upper = per_pair(side_t * (1.0 - 1e-9))
-        shadow = (np.abs(denom_s) >= _PERP_TOL)[rows] & (side >= 0.0).any(axis=1)
-        block = (side_t > 0.0)[rows] & ~(side <= 0.0).all(axis=1) & ~(side >= upper).all(axis=1)
-        front = _clip(corners, side, count, (shadow | block) & (side < 0.0).any(axis=1))
+        upper = (side_t * (1.0 - 1e-9))[rows]
+        shadow = (np.abs(denom_s) >= _PERP_TOL)[rows] & (side >= 0.0).any(axis=0)
+        block = (side_t > 0.0)[rows] & ~(side <= 0.0).all(axis=0) & ~(side >= upper).all(axis=0)
+        front = _clip(corners, side, count, (shadow | block) & (side < 0.0).any(axis=0))
 
         # shadow projection along the light direction
         (px, py, pz), side_s, count_s = front
         shadow &= count_s >= 3
-        t_s = -side_s / per_pair(denom_s)
+        t_s = -side_s / denom_s[rows]
         shadow_x, shadow_y = _local_xy(px + t_s * ux, py + t_s * uy, pz + t_s * uz, c, r)
 
         # block projection from the aim point, of the front part cut below
         # the plane through the aim point
-        beyond = block & (side_s > upper).any(axis=1)
+        beyond = block & (side_s > upper).any(axis=0)
         (px, py, pz), side_b, count_b = _clip(*front, beyond, upper)
-        block &= (count_b >= 3) & ~(side_b <= 0.0).all(axis=1)
-        dx, dy, dz = per_pair(ax) - px, per_pair(ay) - py, per_pair(az) - pz
+        block &= (count_b >= 3) & ~(side_b <= 0.0).all(axis=0)
+        dx, dy, dz = ax[rows] - px, ay[rows] - py, az[rows] - pz
         dist = np.sqrt(dx * dx + dy * dy + dz * dz)
         dx, dy, dz = dx / dist, dy / dist, dz / dist
-        denom_b = dx * per_pair(nx) + dy * per_pair(ny) + dz * per_pair(nz)
+        denom_b = dx * nx[rows] + dy * ny[rows] + dz * nz[rows]
         t_b = -side_b / denom_b
-        block &= (dist > 0.0).all(axis=1) & (np.abs(denom_b) >= _PERP_TOL).all(axis=1)
+        block &= (dist > 0.0).all(axis=0) & (np.abs(denom_b) >= _PERP_TOL).all(axis=0)
         block_x, block_y = _local_xy(px + t_b * dx, py + t_b * dy, pz + t_b * dz, c, r)
 
     if use_culling:
-        shadow &= ~_culled(shadow_x, shadow_y, per_pair(hx), per_pair(hy))
-        block &= ~_culled(block_x, block_y, per_pair(hx), per_pair(hy))
+        shadow &= ~_culled(shadow_x, shadow_y, hx[rows], hy[rows])
+        block &= ~_culled(block_x, block_y, hx[rows], hy[rows])
 
-    # row 2p + kind is pair p's image of kind `_KINDS[kind]`; only the
-    # flagged rows are cleaned, the others can hold inf or NaN
-    w = max(block_x.shape[1], shadow_x.shape[1])
-    x, y = np.zeros((2, len(cols), 2, w))
-    for kind, (xs, ys) in enumerate(((block_x, block_y), (shadow_x, shadow_y))):
-        x[:, kind, : xs.shape[1]], y[:, kind, : ys.shape[1]] = xs, ys
+    # column 2p + kind is pair p's image of kind `_KINDS[kind]`; only the
+    # flagged columns are cleaned, the others can hold inf or NaN
+    w = max(len(block_x), len(shadow_x))
+    xy = np.zeros((2, w, len(cols), 2))
+    for kind, image in enumerate(((block_x, block_y), (shadow_x, shadow_y))):
+        xy[:, : len(image[0]), :, kind] = image
     flagged = np.flatnonzero(np.stack([block, shadow], axis=1))
     count = np.stack([count_b, count_s], axis=1).ravel()[flagged]
-    x, y = x.reshape(-1, w)[flagged], y.reshape(-1, w)[flagged]
-    kept, ring_xy, lengths = clean_rows(x, y, count)
+    kept, ring_xy, lengths = clean_rows(*xy.reshape(2, w, -1)[:, :, flagged], count)
     pair, kinds = np.divmod(flagged[kept], 2)
     return rows[pair], cols[pair], kinds, ring_xy, lengths
 
 
 def _clip(xyz: np.ndarray, side: np.ndarray, count: np.ndarray, rows: np.ndarray, upper=None):
     """One Sutherland-Hodgman pass: the flagged polygons cut to the part
-    with side >= 0, or with side <= upper if `upper` (P, 1) is given.
+    with side >= 0, or with side <= upper if `upper` (P,) is given.
 
-    `xyz` (3, P, V) holds P planar polygons of count[p] vertices each,
-    padded with copies of the first vertex, and `side` (P, V) their
+    `xyz` (3, V, P) holds P planar polygons of count[p] vertices each,
+    padded with copies of the first vertex, and `side` (V, P) their
     signed plane distances.  A cut edge a -> b gets the vertex
     a + t (b - a), t = sa / (sa - sb), on the plane.  Returns new
-    (xyz, side, count), wider if a polygon gained vertices; rows that
+    (xyz, side, count), wider if a polygon gained vertices; polygons that
     are not flagged keep their vertices.
     """
     q = np.flatnonzero(rows)
     if not len(q):
         return xyz, side, count
-    width = side.shape[1]
-    a = xyz[:, q]
-    sa = side[q] if upper is None else upper[q] - side[q]
-    b, sb = np.roll(a, -1, axis=2), np.roll(sa, -1, axis=1)
-    valid = np.arange(width) < count[q, None]
+    width = len(side)
+    a = xyz[:, :, q]
+    sa = side[:, q] if upper is None else upper[q] - side[:, q]
+    b, sb = np.roll(a, -1, axis=1), np.roll(sa, -1, axis=0)
+    valid = np.arange(width)[:, None] < count[q]
     cross = ((sa > 0.0) & (sb < 0.0)) | ((sa < 0.0) & (sb > 0.0))
     # slot 2k: vertex k if inside, slot 2k + 1: the cut of edge k
-    slots = np.stack([valid & (sa >= 0.0), valid & cross], axis=-1).reshape(len(q), -1)
-    cand = np.stack([a, a + sa / (sa - sb) * (b - a)], axis=-1).reshape(3, len(q), -1)
-    cand_s = np.stack([sa, np.zeros_like(sa)], axis=-1).reshape(len(q), -1)
-    kept = slots.sum(axis=1)
+    slots = np.stack([valid & (sa >= 0.0), valid & cross], axis=1).reshape(-1, len(q))
+    cand = np.stack([a, a + sa / (sa - sb) * (b - a)], axis=2).reshape(3, -1, len(q))
+    cand_s = np.stack([sa, np.zeros_like(sa)], axis=1).reshape(-1, len(q))
+    kept = slots.sum(axis=0)
     grown = max(width, int(kept.max()))
-    order = np.argsort(~slots, axis=1, kind="stable")[:, :grown]
-    order = np.where(np.arange(grown) < kept[:, None], order, order[:, :1])
-    cut_s = np.take_along_axis(cand_s, order, axis=1)
+    order = np.argsort(~slots, axis=0, kind="stable")[:grown]
+    order = np.where(np.arange(grown)[:, None] < kept, order, order[:1])
+    cut_s = np.take_along_axis(cand_s, order, axis=0)
     pad = grown - width
-    xyz = np.concatenate([xyz, np.repeat(xyz[:, :, :1], pad, axis=2)], axis=2)
-    side = np.concatenate([side, np.repeat(side[:, :1], pad, axis=1)], axis=1)
-    xyz[:, q] = np.take_along_axis(cand, order[None], axis=2)
-    side[q] = cut_s if upper is None else upper[q] - cut_s
+    xyz = np.concatenate([xyz, np.repeat(xyz[:, :1], pad, axis=1)], axis=1)
+    side = np.concatenate([side, np.repeat(side[:1], pad, axis=0)], axis=0)
+    xyz[:, :, q] = np.take_along_axis(cand, order[None], axis=1)
+    side[:, q] = cut_s if upper is None else upper[q] - cut_s
     count = count.copy()
     count[q] = kept
     return xyz, side, count
@@ -589,21 +584,22 @@ def subject_quads(
 
 def _projected(of: OrientedField, quads) -> List[ProjectedQuad]:
     """The `_block_quads` arrays of one subject as polygons."""
-    _, cols, kinds, ring_xy, lengths = (q.tolist() for q in quads)
+    _, cols, kinds, ring_xy, lengths = quads
+    cols, kinds, rings, lengths = (q.tolist() for q in (cols, kinds, ring_xy.T, lengths))
     return [
         ProjectedQuad(source_id=of.ids[i], kind=_KINDS[kind], ring=Polygon2(ring[:n]))
-        for i, kind, ring, n in zip(cols, kinds, ring_xy, lengths)
+        for i, kind, ring, n in zip(cols, kinds, rings, lengths)
     ]
 
 
 def _culled(xs: np.ndarray, ys: np.ndarray, hx, hy) -> np.ndarray:
-    """True for each ring (points on the last axis) whose points all lie
+    """True for each ring (points on the first axis) whose points all lie
     beyond one side of the 2hx x 2hy mirror: it cannot meet it."""
     return (
-        np.all(xs > hx, axis=-1)
-        | np.all(xs < -hx, axis=-1)
-        | np.all(ys > hy, axis=-1)
-        | np.all(ys < -hy, axis=-1)
+        np.all(xs > hx, axis=0)
+        | np.all(xs < -hx, axis=0)
+        | np.all(ys > hy, axis=0)
+        | np.all(ys < -hy, axis=0)
     )
 
 

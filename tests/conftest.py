@@ -166,7 +166,7 @@ def areas(sets, half_sizes):
     repeating each ring's last vertex."""
     rings = [[tuple(p) for p in r] for rs in sets for r in rs]
     v = max([4] + [len(r) for r in rings])
-    ring_xy = np.array([r + r[-1:] * (v - len(r)) for r in rings]).reshape(-1, v, 2)
+    ring_xy = np.array([r + r[-1:] * (v - len(r)) for r in rings]).reshape(-1, v, 2).T
     owner = np.repeat(np.arange(len(sets)), [len(rs) for rs in sets])
     return covered_areas(owner, ring_xy, half_sizes)
 

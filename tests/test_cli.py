@@ -1,6 +1,9 @@
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
 from xml.etree import ElementTree
 
 import pytest
@@ -700,3 +703,40 @@ def test_render_paints_the_reflecting_area(tmp_path, capsys, name, hid):
     assert sorted(e.get("d") for e in white) == sorted(e.get("d") for e in coloured)
     assert (outline.get("fill"), outline.get("stroke")) == ("none", "black")
     assert caption.text.startswith(f"subject {hid} ")
+
+
+# -- scripts/daily_efficiency_sweep.py ---------------------------------------
+
+SWEEP_SCRIPT = os.path.join(
+    os.path.dirname(__file__), "..", "scripts", "daily_efficiency_sweep.py"
+)
+
+
+def run_sweep_script(tmp_path, *argv):
+    # under a timeout: a step that does not advance would never end
+    return subprocess.run(
+        [sys.executable, SWEEP_SCRIPT, "--outdir", str(tmp_path / "out"), *argv],
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+@pytest.mark.parametrize("step", ["0", "-5", "1e-300", "0.5", "nan"])
+def test_sweep_script_refuses_a_step_below_a_minute(tmp_path, step):
+    proc = run_sweep_script(tmp_path, "--step-min", step)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error:")
+    assert "--step-min" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_script_writes_the_series(tmp_path):
+    proc = run_sweep_script(tmp_path, "--step-min", "60")
+    assert proc.returncode == 0, proc.stderr
+    lines = (tmp_path / "out" / "efficiency_series.txt").read_text().splitlines()
+    assert lines[0] == "# hour eta_deg theta_deg efficiency"
+    # whole hours from 8:00 to 16:00, when the sun is up on 01-21
+    assert [float(line.split()[0]) for line in lines[1:]] == list(range(8, 17))
+    assert all(0.0 <= float(line.split()[3]) <= 1.0 for line in lines[1:])
+    written = ["efficiency_series.txt", "morning.svg", "noon.svg"]
+    assert sorted(os.listdir(tmp_path / "out")) == written

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -365,10 +365,91 @@ def test_edge_intervals_follow_the_collinear_rule():
     around = rect(-5, -5, 5, 5) + [(-5, 5)] * 2
     cases = [(below, True, 1.0), (below, False, 1.0), (above, True, 0.0), (above, False, 1.0)]
     for q, later, covered in cases:
-        lo, hi = _edge_intervals(np.array([p]), np.array([q]), np.array([later]))
+        lo, hi = _edge_intervals(np.array([p]).T, np.array([q]).T, np.array([later]))
         assert hi[0, 0] - lo[0, 0] == covered, (q, later)
-    lo, hi = _edge_intervals(np.array([p + p[-1:] * 2]), np.array([around]), np.array([True]))
-    assert np.array_equal(hi - lo, np.ones((1, 6)))
+    lo, hi = _edge_intervals(np.array([p + p[-1:] * 2]).T, np.array([around]).T, np.array([True]))
+    assert np.array_equal((hi - lo).T, np.ones((1, 6)))
+
+
+def edge_intervals_all_at_once(p, q, later):
+    """`_edge_intervals` with pairs first: p and q are (N, V, 2), every
+    edge of q is tested against every vertex of p in one (V, V, N) side
+    table, and (lo, hi) are (N, V).  The reference for the kernel that
+    takes q's edges one at a time."""
+    v = p.shape[1]
+    nxt = (np.arange(v) + 1) % v
+    px, py = np.ascontiguousarray(p.transpose(2, 1, 0))
+    dx, dy = px[nxt] - px, py[nxt] - py
+    qx, qy = np.ascontiguousarray(q.transpose(2, 1, 0))[:, :, None]
+    ex, ey = qx[nxt] - qx, qy[nxt] - qy
+    # side of vertex k of p against edge h of q (left is inside): V x V x N
+    s0 = ex * (py - qy) - ey * (px - qx)
+    s1 = s0[:, nxt]  # the same for the edge's other end
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = s0 / (s0 - s1)
+    inside0, inside1 = s0 >= 0.0, s1 >= 0.0
+    lo = np.where(inside1 & ~inside0, t, 0.0).max(axis=0)
+    hi = np.where(inside0 & ~inside1, t, 1.0).min(axis=0)
+    same_way = (s0 == 0.0) & (s1 == 0.0) & (ex * dx + ey * dy > 0.0)
+    miss = (~inside0 & ~inside1).any(axis=0) | (same_way.any(axis=0) & later)
+    return lo.T, np.where(miss, lo, np.maximum(lo, hi)).T
+
+
+HALF_GRID = st.integers(-4, 4).map(lambda v: v / 2.0)
+
+
+@st.composite
+def convex_rings(draw):
+    """A counterclockwise convex ring with vertices on a 0.5 grid: an
+    axis-parallel rectangle or the hull of 3-6 grid points."""
+    if draw(st.booleans()):
+        x0, x1 = sorted(draw(st.lists(HALF_GRID, min_size=2, max_size=2, unique=True)))
+        y0, y1 = sorted(draw(st.lists(HALF_GRID, min_size=2, max_size=2, unique=True)))
+        return rect(x0, y0, x1, y1)
+    hull = convex_hull(draw(st.lists(st.tuples(HALF_GRID, HALF_GRID), min_size=3, max_size=6)))
+    assume(len(hull) >= 3)
+    return hull
+
+
+@st.composite
+def ring_pairs(draw):
+    """(p, q, later) with q convex: another grid ring, which shares
+    vertices and edge lines with p by chance; p itself, from any vertex
+    (every edge collinear, the same way); p shifted on the grid; or a
+    triangle on one edge of p, outside it (that edge the opposite way) or
+    inside it (the same way)."""
+    p = draw(convex_rings())
+    how = draw(st.sampled_from(["other", "itself", "shifted", "outside", "inside"]))
+    if how == "other":
+        q = draw(convex_rings())
+    elif how == "itself":
+        k = draw(st.integers(0, len(p) - 1))
+        q = p[k:] + p[:k]
+    elif how == "shifted":
+        sx, sy = draw(HALF_GRID), draw(HALF_GRID)
+        q = [(x + sx, y + sy) for x, y in p]
+    else:
+        k = draw(st.integers(0, len(p) - 1))
+        (ax, ay), (bx, by) = p[k], p[(k + 1) % len(p)]
+        # a point off the middle of a -> b, to its right (outside p) or left
+        sign = 1.0 if how == "outside" else -1.0
+        c = ((ax + bx) / 2 + sign * (by - ay), (ay + by) / 2 - sign * (bx - ax))
+        q = [(bx, by), (ax, ay), c] if how == "outside" else [(ax, ay), (bx, by), c]
+    return p, q, draw(st.booleans())
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(ring_pairs(), min_size=1, max_size=8), st.integers(0, 2))
+def test_edge_intervals_match_the_all_at_once_kernel(pairs, extra):
+    # every ring padded to one vertex count by repeating its last vertex
+    ps, qs, later = zip(*pairs)
+    v = max(4, *(len(r) for r in ps + qs)) + extra
+    p, q = (np.array([r + r[-1:] * (v - len(r)) for r in rings]) for rings in (ps, qs))
+    later = np.array(later)
+    lo, hi = _edge_intervals(p.T, q.T, later)
+    ref_lo, ref_hi = edge_intervals_all_at_once(p, q, later)
+    assert lo.T.tobytes() == ref_lo.tobytes()
+    assert hi.T.tobytes() == ref_hi.tobytes()
 
 
 def union_lengths_by_doubling(group, lo, hi, n):
@@ -423,7 +504,7 @@ def rows_of(rings, width=None):
     y = np.full((len(rings), width), np.nan)
     for k, ring in enumerate(rings):
         x[k, : len(ring)], y[k, : len(ring)] = zip(*ring)
-    return x, y, np.array([len(r) for r in rings])
+    return x.T, y.T, np.array([len(r) for r in rings])
 
 
 def assert_cleans_like_clean_ring(rings, width=None):
@@ -431,8 +512,8 @@ def assert_cleans_like_clean_ring(rings, width=None):
     expected = [clean_ring(r) for r in rings]
     assert kept.tolist() == [k for k, ring in enumerate(expected) if ring is not None]
     longest = max([4] + [len(ring) for ring in expected if ring is not None])
-    assert ring_xy.shape == (len(kept), longest, 2)
-    for k, padded, n in zip(kept.tolist(), ring_xy.tolist(), lengths.tolist()):
+    assert ring_xy.T.shape == (len(kept), longest, 2)
+    for k, padded, n in zip(kept.tolist(), ring_xy.T.tolist(), lengths.tolist()):
         assert [tuple(p) for p in padded[:n]] == expected[k], k
         assert all(tuple(p) == expected[k][-1] for p in padded[n:]), k
 

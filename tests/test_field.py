@@ -432,7 +432,7 @@ def test_kept_rings_are_convex(rng):
     for of in fields:
         for j0, j1 in field_module._blocks(of):
             *_, ring_xy, lengths = field_module._block_quads(of, j0, j1)
-            for ring, m in zip(ring_xy, lengths):
+            for ring, m in zip(ring_xy.T, lengths):
                 assert is_convex_ccw(Polygon2(ring[:m])), (of.ids[j0], ring[:m])
             rings += len(lengths)
     assert rings > 5000
@@ -676,6 +676,32 @@ def test_report_matches_golden_digest(hhmm):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORTS[hhmm]
 
 
+# sha256 of the --no-timing reports of the larger fields, in process and
+# labelled as the CLI labels them, pinned before the area kernel was
+# rewritten pair-last: (n, date and hour or eta/theta in degrees) -> digest
+GOLDEN_LARGE = {
+    (1000, "01-21 08:00"): "e80f423e0913e55661c388145848adc400c717b865b3073b0f6e454284992067",
+    (1000, "01-21 12:00"): "843d62b116b61aed012a8261d213688e5967066996a3337fc06e938285d0030f",
+    (1000, "01-21 16:15"): "931c47b417ef8b361e544ec0bd1b22f910e3b7a7770628c8a7de57c177fb1970",
+    (2000, (1.0, 250.0)): "437b85d9b1ae4ffdd928f21ca6e5759e5d4ad7a965d2edbf5d6fe17331bdb819",
+    (2000, (6.5, 245.0)): "9edd4f4fd081347f40ff83b23f532c219777cf530a06f4fa6a815a9cd96375d3",
+}
+
+
+@pytest.mark.parametrize("n, when", list(GOLDEN_LARGE))
+def test_large_report_matches_golden_digest(n, when):
+    layout = synthetic_field(n)
+    if isinstance(when, str):
+        sun = sun_at(21, _hour(when.split()[1]), layout.latitude_deg)
+        label = when
+    else:
+        sun = sun_vector(*map(math.radians, when))
+        label = "eta={:.9g} theta={:.9g}".format(*when)
+    report = evaluate_field(layout, sun, workers=1, date_label=label)
+    text = format_report(report, include_timing=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_LARGE[(n, when)]
+
+
 def test_residual_is_disjoint_convex_partition():
     layout = synthetic_field(250)
     sun = sun_at(21, _hour("16:15"), layout.latitude_deg)
@@ -765,7 +791,7 @@ def test_pair_results_do_not_depend_on_their_block(monkeypatch):
         lengths = counts.pop()
         for s in range(len(half_sizes)):
             mine = np.flatnonzero(owner == s)
-            measured.append([ring_xy[k, : lengths[k]].tolist() for k in mine])
+            measured.append([ring_xy.T[k, : lengths[k]].tolist() for k in mine])
         return covered_areas(owner, ring_xy, half_sizes)
 
     block_quads = field_module._block_quads

@@ -34,6 +34,8 @@ def main() -> None:
 
     layout = load_layout(args.layout)
     lat = math.radians(layout.latitude_deg)
+    if args.subject not in layout.ids:
+        sys.exit(f"error: unknown heliostat id {args.subject!r}")
     j = layout.ids.index(args.subject)
     os.makedirs(args.outdir, exist_ok=True)
 

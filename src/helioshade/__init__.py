@@ -2,7 +2,7 @@
 
 from .polygon2d import Point2, Polygon2
 from .solar import SunState, solar_position, sun_vector
-from .shading import Heliostat, efficiency
+from .shading import Heliostat
 
 __all__ = [
     "Point2",
@@ -11,7 +11,6 @@ __all__ = [
     "solar_position",
     "sun_vector",
     "Heliostat",
-    "efficiency",
 ]
 
 __version__ = "0.1.0"

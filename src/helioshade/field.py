@@ -5,8 +5,8 @@ names are re-exported here.
 The batch engine keeps, for each subject, only the neighbours whose
 centres lie in one of two sound capsules: one toward the sun for
 shadows and one toward the aim point for blocking (see
-`OrientedField.candidates`); on the synthetic 1000-mirror field that is
-about 2 neighbours a subject at noon and 6 at a 6.5 degree sun.  A
+`OrientedField.capsule_pairs`); on the synthetic 1000-mirror field that
+is about 2 neighbours a subject at noon and 6 at a 6.5 degree sun.  A
 uniform grid over the mirror centres finds the capsule members without
 comparing every pair.  The field is cut once, into chunks of whole
 consecutive subjects whose selection visits at most `_GATHER_BUDGET`
@@ -30,14 +30,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .clip import _ramp, clean_rows, covered_areas
 from .layout import FieldLayout, LayoutError, load_layout, save_layout
 from .polygon2d import Polygon2
-from .shading import EfficiencyResult, Heliostat, ProjectedQuad
+from .shading import EfficiencyResult, ProjectedQuad
 from .solar import SunState
 
 __all__ = [
@@ -160,21 +160,18 @@ def synthetic_field(n: int, spec: RadialStaggerSpec = RadialStaggerSpec()) -> Fi
 class OrientedField:
     """Immutable array view of a whole oriented field for one sun state.
 
-    `field` is a layout, whose columns are read as they are, or a
-    heliostat sequence, made one by `FieldLayout.from_heliostats`.  A
-    layout is valid by construction, so only the sun is checked here.
+    The layout's columns are read as they are.  A layout is valid by
+    construction, so only the sun is checked here.
     Each mirror's normal bisects the directions to its aim point and to
     the sun; its rotation (rows x', y', n) takes plant coordinates
     relative to its centre into its local frame, and its corners follow
     from that.
     """
 
-    def __init__(self, field: Union[FieldLayout, Sequence[Heliostat]], sun: SunState):
+    def __init__(self, field: FieldLayout, sun: SunState):
         u_s = np.array(sun.u_s, dtype=float)
         if not np.isfinite(u_s).all():
             raise ValueError(f"sun direction is not finite: eta={sun.eta!r}, theta={sun.theta!r}")
-        if not isinstance(field, FieldLayout):
-            field = FieldLayout.from_heliostats(field)
         self.sun = sun
         self.ids = field.ids
         self.n = n = field.n
@@ -208,7 +205,7 @@ class OrientedField:
             np.einsum("nji,naj->nai", self.rotations, local) + self.centers[:, None, :]
         )
 
-        # capsule prefilter constants, derived in `candidates`
+        # capsule prefilter constants, derived in `capsule_pairs`
         self.half_diagonals = 0.5 * np.hypot(self.dims[:, 0], self.dims[:, 1])
         z = self.corners[:, :, 2]
         dz = float(z.max() - z.min()) if n else 0.0
@@ -227,9 +224,12 @@ class OrientedField:
         self.block_end = np.where(self.unbounded[:, None], 0.0, block_end)
         self.grid = _Grid(self.centers[:, :2], 2.0 * self.half_diagonals.max()) if n else None
 
-    def candidates(self, j: int) -> np.ndarray:
-        """Ascending indices of the neighbours that can shadow or block
-        mirror j; every other neighbour's images miss the mirror.
+    def capsule_pairs(self, j0: int, j1: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Candidate pairs (subjects, neighbours) of the subjects
+        j0 <= j < j1, in row-major order with neighbours ascending: the
+        grid gathers the mirrors in the cells that cover the bounding boxes
+        of each subject's two capsules, and the exact capsule test keeps
+        the members.  Every other neighbour's images miss the mirror.
 
         Let dz be the field-wide spread of corner heights, hd the mirror
         half-diagonals and the suffix h the horizontal part of a vector.
@@ -263,14 +263,6 @@ class OrientedField:
         point not above every corner of mirror j, or a capsule length that
         is not finite, every neighbour is a candidate.
         """
-        return self.capsule_pairs(j, j + 1)[1]
-
-    def capsule_pairs(self, j0: int, j1: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Candidate pairs (subjects, neighbours) of the subjects
-        j0 <= j < j1, in row-major order with neighbours ascending: the
-        grid gathers the mirrors in the cells that cover the bounding boxes
-        of each subject's two capsules, and the exact capsule test keeps
-        the members."""
         subjects = np.arange(j0, j1)
         s, i = self.grid.gather(*self._capsule_boxes(subjects))
         d_x, d_y = (self.centers[i, :2] - self.centers[s, :2]).T
@@ -575,7 +567,7 @@ def subject_quads(
     before shadow per occluder), as polygons in the subject's local plane:
     `_block_quads` for a chunk of one subject.
 
-    Only the capsule candidates (`OrientedField.candidates`) are
+    Only the capsule candidates (`OrientedField.capsule_pairs`) are
     projected; `use_culling=False` projects every neighbour and keeps
     every quad.
     """

@@ -121,14 +121,15 @@ class FieldLayout:
     @classmethod
     def from_heliostats(cls, heliostats: Sequence[Heliostat]) -> "FieldLayout":
         """The layout of a heliostat sequence, the inverse of
-        `to_heliostats`: one receiver per mirror at its aim point, named
-        by its row, and latitude 0, as a heliostat holds none."""
-        rids = [str(k) for k in range(len(heliostats))]
+        `to_heliostats`: one receiver per distinct aim point, numbered in
+        order of first use, and latitude 0, as a heliostat holds none."""
+        aims = [tuple(h.aim) for h in heliostats]
+        slot = {aim: str(k) for k, aim in enumerate(dict.fromkeys(aims))}
         return cls(
             latitude_deg=0.0,
-            receivers=tuple(zip(rids, (h.aim for h in heliostats))),
+            receivers=tuple((rid, aim) for aim, rid in slot.items()),
             ids=[h.id for h in heliostats],
-            receiver_ids=rids,
+            receiver_ids=[slot[aim] for aim in aims],
             centers=[h.center for h in heliostats],
             dims=[(h.width, h.height) for h in heliostats],
             spins=[h.spin for h in heliostats],

@@ -63,12 +63,6 @@ class Polygon2:
     def __len__(self) -> int:
         return len(self.ring)
 
-    def reversed(self) -> "Polygon2":
-        return Polygon2(tuple(reversed(self.ring)))
-
-    def xy(self) -> np.ndarray:
-        return np.array([[p.x, p.y] for p in self.ring], dtype=float)
-
 
 def signed_area(p: Polygon2) -> float:
     """Shoelace area; positive iff the ring is counterclockwise.

@@ -1,16 +1,15 @@
-"""Heliostat records and the single-subject entry points.
+"""Heliostat records and the heliostat-sequence entry point.
 
 For a subject mirror the occluders are clipped to the valid side of the
 subject plane and projected: along the light direction for shadowing,
 toward the subject's aim point for blocking.  The projected quads are
 culled cheaply; the efficiency is one minus the fraction of the mirror
-that they cover.  `efficiency` and `candidate_quads` run that pipeline
-through the array engine in `field`, which orients the mirrors for the
-sun (`field.OrientedField`); a heliostat holds no orientation.  The
-heliostat sequence becomes a layout first
-(`field.FieldLayout.from_heliostats`), which refuses a field that breaks
-a layout rule, such as two mirrors with one id, with a `ValueError` that
-names the mirror.
+that they cover.  The engine that does this lives in `field` and takes a
+`FieldLayout`; a heliostat holds no orientation.  `candidate_quads`
+serves callers that hold a heliostat sequence: it makes the sequence a
+layout (`field.FieldLayout.from_heliostats`), which refuses a field that
+breaks a layout rule, such as two mirrors with one id, with a
+`ValueError` that names the mirror.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ __all__ = [
     "ProjectedQuad",
     "EfficiencyResult",
     "candidate_quads",
-    "efficiency",
 ]
 
 
@@ -93,17 +91,6 @@ def orient(h: Heliostat, sun: SunState) -> Heliostat:
     return h
 
 
-def _oriented_subject(subject: Heliostat, field: Sequence[Heliostat], sun: SunState):
-    """The array view of `field` for this sun and the subject's row in it."""
-    from .field import OrientedField
-
-    of = OrientedField(field, sun)
-    try:
-        return of, of.ids.index(subject.id)
-    except ValueError:
-        raise ValueError(f"unknown heliostat id {subject.id!r}") from None
-
-
 def candidate_quads(
     subject: Heliostat,
     field: Sequence[Heliostat],
@@ -118,26 +105,11 @@ def candidate_quads(
     that is not there.  Orientation is computed for `sun`, so the
     heliostats need not be oriented.
     """
-    from .field import subject_quads
+    from .field import FieldLayout, OrientedField, subject_quads
 
-    of, j = _oriented_subject(subject, field, sun)
-    return subject_quads(of, j, use_culling=use_culling)
-
-
-def efficiency(
-    subject: Heliostat,
-    field: Sequence[Heliostat],
-    sun: SunState,
-    use_culling: bool = True,
-) -> EfficiencyResult:
-    """Blocking-and-shadowing efficiency of `subject` against `field`.
-
-    The efficiency is one minus the fraction of the mirror that the
-    surviving quads cover (`clip.covered_areas`).  The subject is looked
-    up by id in `field` as in `candidate_quads`, and the result equals the
-    subject's record in `field.evaluate_field`.
-    """
-    from .field import subject_efficiency
-
-    of, j = _oriented_subject(subject, field, sun)
-    return subject_efficiency(of, j, use_culling=use_culling)
+    layout = FieldLayout.from_heliostats(field)
+    try:
+        j = layout.ids.index(subject.id)
+    except ValueError:
+        raise ValueError(f"unknown heliostat id {subject.id!r}") from None
+    return subject_quads(OrientedField(layout, sun), j, use_culling=use_culling)

@@ -11,7 +11,7 @@ import pytest
 from helioshade.clip import covered_areas
 from helioshade.field import FieldLayout
 from helioshade.polygon2d import contains_many, signed_area
-from helioshade.shading import Heliostat, orient
+from helioshade.shading import Heliostat
 from helioshade.solar import solar_position, sun_vector
 
 LAYOUT_DIR = os.path.join(os.path.dirname(__file__), "..", "layouts")
@@ -88,10 +88,6 @@ def sun_at(day, hour, latitude_deg):
     return sun_vector(eta, theta)
 
 
-def oriented(field, sun):
-    return [orient(h, sun) for h in field]
-
-
 def random_config(rng, eta_deg=(8.0, 75.0)):
     """Random subject + 1..10 occluders near its tower sight line + sun,
     whose height is drawn from the `eta_deg` range in degrees.
@@ -131,10 +127,15 @@ def random_config(rng, eta_deg=(8.0, 75.0)):
     return field, sun_vector(eta, theta)
 
 
+def xy(poly):
+    """The vertices of a `Polygon2` as an (n, 2) float array."""
+    return np.array([(p.x, p.y) for p in poly.ring])
+
+
 def is_convex_ccw(poly, tol=1e-12):
     """Counterclockwise, and no turn of the ring is a right turn by more
     than an angle whose sine is `tol` (rounding of cut points)."""
-    e = np.roll(poly.xy(), -1, axis=0) - poly.xy()
+    e = np.roll(xy(poly), -1, axis=0) - xy(poly)
     f = np.roll(e, -1, axis=0)
     cross = e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0]
     lengths = np.hypot(e[:, 0], e[:, 1]) * np.hypot(f[:, 0], f[:, 1])
@@ -148,9 +149,9 @@ def pieces_disjoint(region, tol=1e-12):
     them whose interiors are disjoint have such a line."""
 
     def apart(p, q):
-        a = p.xy()
+        a = xy(p)
         e = np.roll(a, -1, axis=0) - a
-        d = q.xy()[None, :, :] - a[:, None, :]
+        d = xy(q)[None, :, :] - a[:, None, :]
         side = e[:, None, 0] * d[..., 1] - e[:, None, 1] * d[..., 0]
         return bool(np.any(np.all(side <= tol * np.hypot(*e.T)[:, None], axis=1)))
 
@@ -175,12 +176,12 @@ def overlap_area(a, b):
     """Area of the intersection of two convex counterclockwise polygons:
     their areas less that of their union, which is what they cover of a
     square about the origin that holds both."""
-    h = 1.0 + max(float(np.abs(p.xy()).max()) for p in (a, b))
+    h = 1.0 + max(float(np.abs(xy(p)).max()) for p in (a, b))
     return signed_area(a) + signed_area(b) - areas([[a.ring, b.ring]], [(h, h)])[0]
 
 
 def _boundary_distance(poly, xs, ys):
-    v = poly.xy()
+    v = xy(poly)
     d = np.full(np.shape(xs), np.inf)
     for (ax, ay), (bx, by) in zip(v, np.roll(v, -1, axis=0)):
         dx, dy = bx - ax, by - ay
@@ -200,10 +201,10 @@ def region_matches(region, in_set, boundaries, cells=200, tol=1e-9):
         return np.min([_boundary_distance(p, xs, ys) for p in boundaries], axis=0) <= tol
 
     for piece in region.components:
-        xs, ys = piece.xy().T
+        xs, ys = xy(piece).T
         if not np.all(in_set(xs, ys) | near_edge(xs, ys)):
             return False
-    pts = np.vstack([p.xy() for p in boundaries])
+    pts = np.vstack([xy(p) for p in boundaries])
     (x0, y0), (x1, y1) = pts.min(axis=0) - 0.5, pts.max(axis=0) + 0.5
     gx, gy = np.meshgrid(
         x0 + (np.arange(cells) + 0.5) * (x1 - x0) / cells,

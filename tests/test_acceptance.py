@@ -13,7 +13,6 @@ import pytest
 from conftest import (
     areas,
     is_convex_ccw,
-    oriented,
     overlap_area,
     pieces_disjoint,
     random_config,
@@ -23,10 +22,16 @@ from conftest import (
     sun_at,
 )
 from helioshade.clip import Region, difference, region_area
-from helioshade.field import evaluate_field, format_report, synthetic_field
+from helioshade.field import (
+    FieldLayout,
+    OrientedField,
+    evaluate_field,
+    format_report,
+    subject_efficiency,
+    synthetic_field,
+)
 from helioshade.oracle import OracleConfig, sample_efficiency
 from helioshade.polygon2d import Polygon2, contains_many, signed_area
-from helioshade.shading import efficiency
 
 
 def report(name, ok, detail=""):
@@ -35,16 +40,15 @@ def report(name, ok, detail=""):
 
 
 def test_acceptance_golden_case_simple():
-    field = simple_trio()
+    layout = FieldLayout.from_heliostats(simple_trio())
     values = {}
     worst_ms = 0.0
     for label, hour, target, tol in (("noon", 12.0, 0.76, 0.02), ("15:15", 15.25, 0.31, 0.03)):
         sun = sun_at(21, hour, 40.08)
-        f = oriented(field, sun)
         best = math.inf
         for _ in range(5):
             t0 = time.perf_counter()
-            e = efficiency(f[0], f, sun).efficiency
+            e = subject_efficiency(OrientedField(layout, sun), 0).efficiency
             best = min(best, time.perf_counter() - t0)
         values[label] = (e, target, tol)
         worst_ms = max(worst_ms, best * 1e3)
@@ -60,14 +64,14 @@ def test_acceptance_golden_case_simple():
 
 def test_acceptance_golden_case_real_scenario():
     field = real_scenario_heliostats()
+    layout = FieldLayout.from_heliostats(field)
     checks = []
     for hour, target, tol in ((8.0, 0.86, 0.03), (12.0, 0.96, 0.02), (16.25, 0.52, 0.04)):
         sun = sun_at(21, hour, 38.23)
-        f = oriented(field, sun)
-        result = efficiency(f[0], f, sun)
+        result = subject_efficiency(OrientedField(layout, sun), 0)
         checks.append((hour, result.efficiency, target, tol))
         if hour == 12.0:
-            half = (f[0].width / 2.0, f[0].height / 2.0)
+            half = (field[0].width / 2.0, field[0].height / 2.0)
             contributors = {
                 q.source_id for q in result.quads if areas([[q.ring.ring]], [half])[0] > 1e-12
             }
@@ -87,9 +91,9 @@ def test_acceptance_noon_symmetry():
     sun = sun_at(21, 12.0, 40.08)
     losses = []
     for other in (h1, h2):
-        f = oriented([c, other], sun)
-        e = efficiency(f[0], f, sun).efficiency
-        losses.append((1.0 - e) * f[0].area)
+        of = OrientedField(FieldLayout.from_heliostats([c, other]), sun)
+        e = subject_efficiency(of, 0).efficiency
+        losses.append((1.0 - e) * c.area)
     gap = abs(losses[0] - losses[1])
     report(
         "noon symmetry of the two neighbor contributions",
@@ -106,9 +110,8 @@ def test_acceptance_oracle_equivalence():
     worst = 0.0
     for _ in range(50):
         field, sun = random_config(rng)
-        f = oriented(field, sun)
-        result = efficiency(f[0], f, sun)
-        est, se = sample_efficiency(f[0], f, sun, OracleConfig(samples=1_000_000))
+        result = subject_efficiency(OrientedField(FieldLayout.from_heliostats(field), sun), 0)
+        est, se = sample_efficiency(field[0], field, sun, OracleConfig(samples=1_000_000))
         diff = abs(result.efficiency - est)
         tol = max(0.002, 4.0 * se)
         worst = max(worst, diff / tol)
@@ -192,9 +195,9 @@ def test_acceptance_culling_soundness():
     worst = 0.0
     for _ in range(100):
         field, sun = random_config(rng)
-        f = oriented(field, sun)
-        e_on = efficiency(f[0], f, sun, use_culling=True).efficiency
-        e_off = efficiency(f[0], f, sun, use_culling=False).efficiency
+        of = OrientedField(FieldLayout.from_heliostats(field), sun)
+        e_on = subject_efficiency(of, 0, use_culling=True).efficiency
+        e_off = subject_efficiency(of, 0, use_culling=False).efficiency
         worst = max(worst, abs(e_on - e_off))
     report(
         "culling soundness on 100 random fields",

@@ -8,10 +8,10 @@ from xml.etree import ElementTree
 
 import pytest
 
-from conftest import REAL_SCENARIO, SIMPLE_PAIR, oriented, simple_trio, sun_at
+from conftest import REAL_SCENARIO, SIMPLE_PAIR, simple_trio, sun_at
 from helioshade.cli import main
+from helioshade.field import FieldLayout, OrientedField, subject_efficiency
 from helioshade.render import source_color
-from helioshade.shading import efficiency
 
 
 def run(capsys, *argv):
@@ -210,13 +210,11 @@ def test_render_simple_noon_two_symmetric_groups(tmp_path, capsys):
     assert 'version="1.1"' in svg
     assert source_color("h1") in svg and source_color("h2") in svg
     # caption efficiency equals the report value bit-for-bit
-    field = simple_trio()
-    sun = sun_at(21, 12.0, 40.08)
-    f = oriented(field, sun)
-    e = efficiency(f[0], f, sun).efficiency
+    of = OrientedField(FieldLayout.from_heliostats(simple_trio()), sun_at(21, 12.0, 40.08))
+    e = subject_efficiency(of, 0).efficiency
     assert f"e = {e:.9g}" in svg
     # symmetry of the two contributions about the subject's vertical axis
-    quads = efficiency(f[0], f, sun).quads
+    quads = subject_efficiency(of, 0).quads
     cx = {}
     for q in quads:
         cx.setdefault(q.source_id, []).append(
@@ -727,6 +725,14 @@ def test_sweep_script_refuses_a_step_below_a_minute(tmp_path, step):
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error:")
     assert "--step-min" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_script_refuses_an_unknown_subject(tmp_path):
+    proc = run_sweep_script(tmp_path, "--subject", "NOPE")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: unknown heliostat id 'NOPE'\n"
     assert not (tmp_path / "out").exists()
 
 

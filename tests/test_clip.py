@@ -11,6 +11,7 @@ from conftest import (
     overlap_area,
     pieces_disjoint,
     region_matches,
+    xy,
 )
 from helioshade.clip import (
     Region,
@@ -91,7 +92,7 @@ def test_difference_erases_identical():
 
 def test_difference_takes_either_orientation():
     a, b = square(0, 0, 4), square(3, 3, 2)
-    cw_a, cw_b = Polygon2(a.xy()[::-1]), Polygon2(b.xy()[::-1])
+    cw_a, cw_b = Polygon2(a.ring[::-1]), Polygon2(b.ring[::-1])
     for subject, clip in ((cw_a, b), (a, cw_b), (cw_a, cw_b)):
         r = difference(subject, clip)
         assert region_area(r) == pytest.approx(15.0, abs=1e-12)
@@ -215,13 +216,13 @@ def test_raster_oracle_agreement(rng):
             continue
         rastered += 1
         r = difference(a, b)
-        pts = np.vstack([a.xy(), b.xy()])
+        pts = np.vstack([xy(a), xy(b)])
         x0, y0 = pts.min(axis=0) - 0.1
         x1, y1 = pts.max(axis=0) + 0.1
         approx, cell = _raster_area(r, x0, y0, x1, y1)
         exact = region_area(r)
         perim = sum(
-            float(np.sum(np.hypot(*np.diff(np.vstack([c.xy(), c.xy()[:1]]), axis=0).T)))
+            float(np.sum(np.hypot(*np.diff(np.vstack([xy(c), xy(c)[:1]]), axis=0).T)))
             for c in r.components
         )
         cell_len = np.sqrt(cell)

@@ -37,7 +37,7 @@ from helioshade.field import (
 )
 from helioshade.clip import Region, covered_areas, region_area, subtract_rings
 from helioshade.polygon2d import Polygon2
-from helioshade.shading import efficiency
+from helioshade.shading import candidate_quads
 from helioshade.solar import SunState, solar_position, sun_vector
 
 
@@ -344,12 +344,13 @@ def test_evaluate_simple_pair_noon():
 )
 def test_subject_mode_matches_field_report(path):
     layout = load_layout(path)
-    field = layout.to_heliostats()
+    field = FieldLayout.from_heliostats(layout.to_heliostats())
     for hour in (8.0, 12.0, 16.25):
         sun = sun_at(21, hour, layout.latitude_deg)
         report = evaluate_field(layout, sun, workers=1)
-        for subject, record in zip(field, report.records):
-            assert efficiency(subject, field, sun).efficiency == record.efficiency
+        of = OrientedField(field, sun)
+        for j, record in enumerate(report.records):
+            assert subject_efficiency(of, j).efficiency == record.efficiency
 
 
 def _efficiencies(layout, sun):
@@ -418,7 +419,8 @@ def test_prefilter_matches_unfiltered_engine_at_grazing_sun(eta_deg):
 
 def test_kept_rings_are_convex(rng):
     # `covered_areas` takes convex counterclockwise rings only
-    fields = [OrientedField(*random_config(rng, eta_deg=(1.0, 75.0))) for _ in range(60)]
+    configs = [random_config(rng, eta_deg=(1.0, 75.0)) for _ in range(60)]
+    fields = [OrientedField(FieldLayout.from_heliostats(h), sun) for h, sun in configs]
     golden = synthetic_field(250)
     for hhmm in PREFILTER_HOURS:
         fields.append(OrientedField(golden, sun_at(21, _hour(hhmm), golden.latitude_deg)))
@@ -445,7 +447,7 @@ def test_prefilter_keeps_every_overlapping_quad(rng):
         of = OrientedField(layout_of(helios), sun)
         for j in range(of.n):
             half = (helios[j].width / 2.0, helios[j].height / 2.0)
-            kept = {of.ids[i] for i in of.candidates(j)}
+            kept = {of.ids[i] for i in of.capsule_pairs(j, j + 1)[1]}
             for quad in subject_quads(of, j, use_culling=False):
                 if areas([[quad.ring.ring]], [half])[0] > 1e-12:
                     overlapping += 1
@@ -460,7 +462,7 @@ def test_capsules_keep_every_overlapping_quad_at_low_sun(rng):
         of = OrientedField(layout_of(helios), sun)
         for j in range(of.n):
             half = (helios[j].width / 2.0, helios[j].height / 2.0)
-            kept = {of.ids[i] for i in of.candidates(j)}
+            kept = {of.ids[i] for i in of.capsule_pairs(j, j + 1)[1]}
             for quad in subject_quads(of, j, use_culling=False):
                 if areas([[quad.ring.ring]], [half])[0] > 1e-12:
                     overlapping += 1
@@ -513,7 +515,7 @@ def _low_aims(n):
         (synthetic_field(300), 1.0, 250.0, False),
         (synthetic_field(300), 6.5, 244.0, False),
         (synthetic_field(300), 31.6, 180.0, False),
-        (_low_aims(120), 6.5, 244.0, True),
+        (FieldLayout.from_heliostats(_low_aims(120)), 6.5, 244.0, True),
         (_far_flung(120), 1.0, 90.0, False),
     ],
     ids=["1deg", "6.5deg", "31.6deg", "low-aims", "far-flung"],
@@ -524,7 +526,7 @@ def test_grid_finds_exactly_the_capsule_members(layout, eta, theta, unbounded):
     members = _capsule_members(of)
     assert 0 < members.sum()
     for j in range(of.n):
-        assert np.array_equal(of.candidates(j), np.flatnonzero(members[j])), j
+        assert np.array_equal(of.capsule_pairs(j, j + 1)[1], np.flatnonzero(members[j])), j
     subjects, neighbours = of.capsule_pairs(0, of.n)
     assert np.array_equal(subjects * of.n + neighbours, np.flatnonzero(members))
 
@@ -532,7 +534,7 @@ def test_grid_finds_exactly_the_capsule_members(layout, eta, theta, unbounded):
 def test_random_configs_find_exactly_the_capsule_members(rng):
     for _ in range(50):
         helios, sun = random_config(rng, eta_deg=(1.0, 75.0))
-        of = OrientedField(helios, sun)
+        of = OrientedField(FieldLayout.from_heliostats(helios), sun)
         subjects, neighbours = of.capsule_pairs(0, of.n)
         assert np.array_equal(subjects * of.n + neighbours, np.flatnonzero(_capsule_members(of)))
 
@@ -555,7 +557,7 @@ def test_chunks_hold_whole_subjects_within_budget(monkeypatch, sun, budget):
     owners, _ = of.grid.gather(*of._capsule_boxes(np.arange(of.n)))
     gathered = np.bincount(owners, minlength=of.n)
     assert (gathered <= work).all()
-    pairs = [len(of.candidates(j)) for j in range(of.n)]
+    pairs = [len(of.capsule_pairs(j, j + 1)[1]) for j in range(of.n)]
     chunks = list(field_module._blocks(of))
     assert [c[0] for c in chunks] == [0] + [c[1] for c in chunks[:-1]]
     assert chunks[-1][1] == of.n
@@ -564,7 +566,7 @@ def test_chunks_hold_whole_subjects_within_budget(monkeypatch, sun, budget):
         subjects, neighbours = of.capsule_pairs(j0, j1)
         assert np.array_equal(subjects, np.repeat(np.arange(j0, j1), pairs[j0:j1]))
         assert np.array_equal(
-            neighbours, np.concatenate([of.candidates(j) for j in range(j0, j1)])
+            neighbours, np.concatenate([of.capsule_pairs(j, j + 1)[1] for j in range(j0, j1)])
         )
         # the memory bound: pairs <= gathered mirrors <= work <= budget
         assert len(subjects) <= gathered[j0:j1].sum()
@@ -830,7 +832,7 @@ def test_non_finite_sun_fails_loudly(eta, theta):
         OrientedField(layout, sun)
     field = layout.to_heliostats()
     with pytest.raises(ValueError, match="sun direction is not finite"):
-        efficiency(field[0], field, sun)
+        candidate_quads(field[0], field, sun)
     empty = dataclasses.replace(layout, ids=(), receiver_ids=(), centers=(), dims=(), spins=())
     with pytest.raises(ValueError, match="sun direction is not finite"):
         evaluate_field(empty, sun, workers=1)
@@ -849,7 +851,7 @@ def test_twin_centres_fail_loudly():
     helios = layout.to_heliostats()
     helios[3] = dataclasses.replace(helios[3], center=helios[1].center)
     with pytest.raises(ValueError, match=message):
-        efficiency(helios[0], helios, sun)
+        candidate_quads(helios[0], helios, sun)
 
 
 def test_synthetic_spacing_check_matches_all_pairs():
@@ -882,19 +884,19 @@ def test_non_finite_centre_fails_loudly():
     )
     sun = sun_at(21, 12.0, 38.23)
     with pytest.raises(ValueError, match="non-finite coordinate"):
-        subject_efficiency(OrientedField(helios, sun), 0)
+        subject_efficiency(OrientedField(FieldLayout.from_heliostats(helios), sun), 0)
     with pytest.raises(ValueError, match="non-finite coordinate"):
         evaluate_field(layout_of(helios), sun, workers=1)
     # the mirror itself, named, rather than e = 1 from all-NaN geometry
     with pytest.raises(ValueError, match="'h0002' has a non-finite coordinate"):
-        subject_efficiency(OrientedField(helios, sun), 2)
+        subject_efficiency(OrientedField(FieldLayout.from_heliostats(helios), sun), 2)
     wide = synthetic_field(5).to_heliostats()
     wide[4] = dataclasses.replace(wide[4], width=math.inf)
     with pytest.raises(ValueError, match="'h0004' has a non-finite coordinate"):
-        OrientedField(wide, sun)
+        OrientedField(FieldLayout.from_heliostats(wide), sun)
     wide[4] = dataclasses.replace(wide[4], width=0.0)
     with pytest.raises(ValueError, match="'h0004' has non-positive dimensions"):
-        OrientedField(wide, sun)
+        OrientedField(FieldLayout.from_heliostats(wide), sun)
 
 
 def test_heliostat_at_its_receiver_is_named():
@@ -903,9 +905,9 @@ def test_heliostat_at_its_receiver_is_named():
     helios[1] = dataclasses.replace(helios[1], center=helios[1].aim)
     sun = sun_at(21, 12.0, 38.23)
     with pytest.raises(ValueError, match="heliostat 'h0001': aim point not above center"):
-        OrientedField(helios, sun)
+        OrientedField(FieldLayout.from_heliostats(helios), sun)
     with pytest.raises(ValueError, match="heliostat 'h0001': aim point not above center"):
-        efficiency(helios[0], helios, sun)
+        candidate_quads(helios[0], helios, sun)
 
 
 def test_aim_point_not_above_centre_is_named():
@@ -925,10 +927,11 @@ def test_aim_point_not_above_centre_is_named():
             )
         helios[1] = dataclasses.replace(helios[1], aim=aim)
         with pytest.raises(ValueError, match="heliostat 'h0001': aim point not above center"):
-            efficiency(helios[0], helios, sun)
+            candidate_quads(helios[0], helios, sun)
     # aims 1 m above the centre are still evaluated
     low = _low_aims(120)
-    assert 0.0 <= efficiency(low[0], low, sun).efficiency <= 1.0
+    of = OrientedField(FieldLayout.from_heliostats(low), sun)
+    assert 0.0 <= subject_efficiency(of, 0).efficiency <= 1.0
 
 
 def test_from_heliostats_inverts_to_heliostats():
@@ -947,7 +950,7 @@ def test_faulty_fields_are_refused_when_built():
     with pytest.raises(LayoutError, match="duplicate heliostat id: 'h0001'"):
         FieldLayout.from_heliostats(helios)
     with pytest.raises(ValueError, match="duplicate heliostat id: 'h0001'"):
-        efficiency(helios[2], helios, sun)
+        candidate_quads(helios[2], helios, sun)
     layout = synthetic_field(4)
     centers = np.array(layout.centers)
     centers[2, 1] = math.nan

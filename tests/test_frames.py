@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_heliostat, random_config
-from helioshade.field import OrientedField
+from helioshade.field import FieldLayout, OrientedField
 from helioshade.oracle import _frame
 from helioshade.solar import sun_vector
 
@@ -33,14 +33,16 @@ def spun(field, rng):
 
 
 def test_level_unspun_rotation_is_identity():
-    assert np.allclose(OrientedField([level()], ZENITH).rotations[0], np.eye(3), atol=1e-12)
+    of = OrientedField(FieldLayout.from_heliostats([level()]), ZENITH)
+    assert np.allclose(of.rotations[0], np.eye(3), atol=1e-12)
 
 
 def test_spin_sign_convention():
     # spin turns x' from plant X toward plant Y: at a quarter turn x' is
     # plant Y, so plant X reads as local -y
     h = level(spin=math.pi / 2.0)
-    for r in (OrientedField([h], ZENITH).rotations[0], _frame(h, ZENITH)):
+    of = OrientedField(FieldLayout.from_heliostats([h]), ZENITH)
+    for r in (of.rotations[0], _frame(h, ZENITH)):
         assert np.allclose(r[0], [0.0, 1.0, 0.0], atol=1e-12)
         assert np.allclose(r @ [1.0, 0.0, 0.0], [0.0, -1.0, 0.0], atol=1e-12)
 
@@ -50,7 +52,7 @@ def test_rotations_orthogonal_unit_determinant(rng):
         field, sun = random_config(rng)
         field = spun(field, rng)
         frames = [_frame(h, sun) for h in field]
-        for r in [*OrientedField(field, sun).rotations, *frames]:
+        for r in [*OrientedField(FieldLayout.from_heliostats(field), sun).rotations, *frames]:
             assert np.allclose(r @ r.T, np.eye(3), atol=1e-12)
             assert abs(np.linalg.det(r) - 1.0) < 1e-12
 
@@ -61,7 +63,8 @@ def test_level_frame_at_zenith_ignores_azimuth(theta):
     # turn a level mirror's x' axis with theta
     h = level(4.0, 5.0, 6.0)
     sun = sun_vector(math.pi / 2.0, theta)
-    assert np.array_equal(OrientedField([h], sun).rotations[0], np.eye(3))
+    of = OrientedField(FieldLayout.from_heliostats([h]), sun)
+    assert np.array_equal(of.rotations[0], np.eye(3))
     assert np.array_equal(_frame(h, sun), np.eye(3))
 
 
@@ -76,7 +79,9 @@ def test_frame_independent_of_aim_distance():
     near = make_heliostat("s", 100.0, -40.0, 5.0, 10.0, 8.0, (0.0, 0.0, 105.0))
     near = dataclasses.replace(near, spin=0.7)
     far = dataclasses.replace(near, aim=(-100.0, 40.0, 205.0))  # twice as far
-    engine = [OrientedField([h], sun).rotations[0] for h in (near, far)]
+    engine = [
+        OrientedField(FieldLayout.from_heliostats([h]), sun).rotations[0] for h in (near, far)
+    ]
     assert np.allclose(engine[0], engine[1], atol=1e-12)
     assert np.allclose(_frame(near, sun), _frame(far, sun), atol=1e-12)
 
@@ -85,7 +90,7 @@ def test_rotation_maps_normal_to_z(rng):
     for _ in range(50):
         field, sun = random_config(rng)
         field = spun(field, rng)
-        of = OrientedField(field, sun)
+        of = OrientedField(FieldLayout.from_heliostats(field), sun)
         for k, h in enumerate(field):
             assert np.allclose(of.rotations[k] @ of.normals[k], [0.0, 0.0, 1.0], atol=1e-12)
             assert np.allclose(_frame(h, sun) @ of.normals[k], [0.0, 0.0, 1.0], atol=1e-12)
@@ -93,12 +98,12 @@ def test_rotation_maps_normal_to_z(rng):
 
 def test_centre_is_local_origin(rng):
     field, sun = random_config(rng)
-    of = OrientedField(spun(field, rng), sun)
+    of = OrientedField(FieldLayout.from_heliostats(spun(field, rng)), sun)
     assert np.allclose(of.corners.mean(axis=1), of.centers, atol=1e-12)
 
 
 def test_level_corners_are_translated_local_corners():
-    of = OrientedField([level(108.0, 0.0, 5.0)], ZENITH)
+    of = OrientedField(FieldLayout.from_heliostats([level(108.0, 0.0, 5.0)]), ZENITH)
     expected = [(103.0, 5.0, 5.0), (103.0, -5.0, 5.0), (113.0, -5.0, 5.0), (113.0, 5.0, 5.0)]
     assert np.allclose(of.corners[0], expected, atol=1e-12)
 
@@ -117,7 +122,7 @@ def test_roundtrip_and_orthogonality(ax, ay, az, spin, eta, theta, cx, cy, cz, p
     aim = (cx + 100.0 * ax, cy + 100.0 * ay, cz + 100.0 * az)
     h = dataclasses.replace(make_heliostat("s", cx, cy, cz, 10.0, 6.0, aim), spin=spin)
     sun = sun_vector(eta, theta)
-    of = OrientedField([h], sun)
+    of = OrientedField(FieldLayout.from_heliostats([h]), sun)
     r = _frame(h, sun)
     for m in (r, of.rotations[0]):
         assert np.allclose(m.T @ m, np.eye(3), atol=1e-12)
@@ -139,7 +144,7 @@ def test_oracle_frame_matches_engine_rotations(rng, tilted):
             x, y = rng.uniform(-500.0, 500.0, 2)
             field, sun = [level(float(x), float(y), 5.0)], ZENITH
         field = spun(field, rng)
-        of = OrientedField(field, sun)
+        of = OrientedField(FieldLayout.from_heliostats(field), sun)
         rho = np.hypot(of.normals[:, 0], of.normals[:, 1])
         assert (rho > 0.0).all() if tilted else (rho == 0.0).all()
         for k, h in enumerate(field):

@@ -4,19 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_heliostat, oriented, random_config, simple_trio, sun_at
-from helioshade.field import OrientedField, subject_quads
+from conftest import make_heliostat, random_config, simple_trio, sun_at
+from helioshade.field import FieldLayout, OrientedField, subject_efficiency, subject_quads
 from helioshade.oracle import OracleConfig, _sample_points, sample_efficiency
-from helioshade.shading import efficiency, orient
 from helioshade.solar import sun_vector
 
 ZENITH = sun_vector(math.pi / 2.0, 0.0)
 
 
 def test_empty_field_exact_one():
-    subject = orient(
-        make_heliostat("s", 0.0, 0.0, 0.0, 10.0, 10.0, (0, 0, 100)), ZENITH
-    )
+    subject = make_heliostat("s", 0.0, 0.0, 0.0, 10.0, 10.0, (0, 0, 100))
     est, se = sample_efficiency(subject, [subject], ZENITH, OracleConfig(samples=10_000))
     assert est == 1.0
     assert se == 0.0
@@ -24,10 +21,8 @@ def test_empty_field_exact_one():
 
 def test_fully_covered_zero():
     aim = (0.0, 0.0, 100.0)
-    subject = orient(make_heliostat("s", 0.0, 0.0, 0.0, 4.0, 4.0, aim), ZENITH)
-    lid = orient(
-        make_heliostat("o", 0.0, 0.0, 1.0, 40.0, 40.0, (0, 0, 101)), ZENITH
-    )
+    subject = make_heliostat("s", 0.0, 0.0, 0.0, 4.0, 4.0, aim)
+    lid = make_heliostat("o", 0.0, 0.0, 1.0, 40.0, 40.0, (0, 0, 101))
     est, _ = sample_efficiency(subject, [subject, lid], ZENITH, OracleConfig(samples=10_000))
     assert est == 0.0
 
@@ -35,19 +30,19 @@ def test_fully_covered_zero():
 def test_stratified_matches_clipping_golden_case():
     field = simple_trio()
     sun = sun_at(21, 12.0, 40.08)
-    f = oriented(field, sun)
-    e_clip = efficiency(f[0], f, sun).efficiency
-    est, se = sample_efficiency(f[0], f, sun, OracleConfig(samples=1_000_000))
+    of = OrientedField(FieldLayout.from_heliostats(field), sun)
+    e_clip = subject_efficiency(of, 0).efficiency
+    est, se = sample_efficiency(field[0], field, sun, OracleConfig(samples=1_000_000))
     assert abs(est - e_clip) <= max(0.002, 4.0 * se)
 
 
 def test_independent_3d_mode_agrees():
     field = simple_trio()
     sun = sun_at(21, 12.0, 40.08)
-    f = oriented(field, sun)
-    e_clip = efficiency(f[0], f, sun).efficiency
+    of = OrientedField(FieldLayout.from_heliostats(field), sun)
+    e_clip = subject_efficiency(of, 0).efficiency
     est, se = sample_efficiency(
-        f[0], f, sun, OracleConfig(samples=1_000_000, independent=True)
+        field[0], field, sun, OracleConfig(samples=1_000_000, independent=True)
     )
     assert abs(est - e_clip) <= max(0.002, 4.0 * se)
 
@@ -63,10 +58,10 @@ def test_independent_3d_mode_agrees_on_random_fields(rng, spin):
         if spin:
             spins = rng.uniform(-math.pi, math.pi, len(field)).tolist()
             field = [dataclasses.replace(h, spin=s) for h, s in zip(field, spins)]
-        f = oriented(field, sun)
-        e_clip = efficiency(f[0], f, sun).efficiency
+        of = OrientedField(FieldLayout.from_heliostats(field), sun)
+        e_clip = subject_efficiency(of, 0).efficiency
         est, se = sample_efficiency(
-            f[0], f, sun, OracleConfig(samples=250_000, independent=True)
+            field[0], field, sun, OracleConfig(samples=250_000, independent=True)
         )
         assert abs(est - e_clip) <= max(0.002, 4.0 * se)
         shaded += e_clip < 1.0
@@ -133,7 +128,7 @@ def test_independent_3d_mode_agrees_on_clipped_straddles(case):
         make_heliostat("o", *centre, ow, oh, tuple(occ_aim)),
     ]
     sun = sun_vector(math.radians(eta), math.radians(theta))
-    of = OrientedField(field, sun)
+    of = OrientedField(FieldLayout.from_heliostats(field), sun)
     n, c = of.normals[0], of.centers[0]
     side = of.corners[1] @ n - n @ c
     levels = {"plane": 0.0, "top": n @ of.aims[0] - n @ c}
@@ -141,10 +136,9 @@ def test_independent_3d_mode_agrees_on_clipped_straddles(case):
     assert crossed == planes
     assert [q.kind for q in subject_quads(of, 0)] == kinds
 
-    f = oriented(field, sun)
-    e_clip = efficiency(f[0], f, sun).efficiency
+    e_clip = subject_efficiency(of, 0).efficiency
     est, se = sample_efficiency(
-        f[0], f, sun, OracleConfig(samples=250_000, independent=True)
+        field[0], field, sun, OracleConfig(samples=250_000, independent=True)
     )
     assert e_clip < 0.95
     assert abs(est - e_clip) <= max(0.002, 4.0 * se)
@@ -165,7 +159,6 @@ def test_stratified_sampler_puts_one_point_in_each_cell(samples):
 def test_deterministic_given_seed():
     field = simple_trio()
     sun = sun_at(21, 12.0, 40.08)
-    f = oriented(field, sun)
-    a = sample_efficiency(f[0], f, sun, OracleConfig(samples=40_000, seed=7))
-    b = sample_efficiency(f[0], f, sun, OracleConfig(samples=40_000, seed=7))
+    a = sample_efficiency(field[0], field, sun, OracleConfig(samples=40_000, seed=7))
+    b = sample_efficiency(field[0], field, sun, OracleConfig(samples=40_000, seed=7))
     assert a == b

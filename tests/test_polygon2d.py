@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import xy
 from helioshade.polygon2d import (
     Point2,
     Polygon2,
@@ -23,7 +24,7 @@ def test_signed_area_unit_square():
 
 
 def test_signed_area_reversed_negates():
-    assert signed_area(UNIT_SQUARE.reversed()) == -signed_area(UNIT_SQUARE)
+    assert signed_area(Polygon2(UNIT_SQUARE.ring[::-1])) == -signed_area(UNIT_SQUARE)
 
 
 def test_signed_area_mirror_rectangle():
@@ -78,7 +79,7 @@ def test_contains_many_matches_scalar_including_degenerate():
 def _winding_inside(poly: Polygon2, xs, ys):
     """Independent nonzero-winding membership (equals even-odd for simple
     polygons away from edges)."""
-    v = poly.xy()
+    v = xy(poly)
     winding = np.zeros(len(xs), dtype=int)
     n = len(v)
     for i in range(n):
@@ -110,7 +111,7 @@ def test_contains_agrees_with_winding_number(rng):
         xs = rng.uniform(-8.0, 8.0, size=5000)
         ys = rng.uniform(-8.0, 8.0, size=5000)
         # keep clear of edges so both rules are testing the generic case
-        v = poly.xy()
+        v = xy(poly)
         near = np.zeros(len(xs), dtype=bool)
         n = len(v)
         for i in range(n):
@@ -142,7 +143,7 @@ def test_signed_area_reversal_and_translation(pts, dx, dy):
     except ValueError:
         return  # coincident vertices generated; constructor contract, not area
     a = signed_area(poly)
-    assert signed_area(poly.reversed()) == -a
+    assert signed_area(Polygon2(poly.ring[::-1])) == -a
     moved = Polygon2([(x + dx, y + dy) for x, y in pts])
     scale = max(1.0, abs(a))
     assert abs(signed_area(moved) - a) <= 1e-9 * scale + 1e-6

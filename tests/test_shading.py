@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import make_heliostat, random_config, simple_trio, sun_at
-from helioshade.field import OrientedField, subject_quads
+from helioshade.field import FieldLayout, OrientedField, subject_efficiency, subject_quads
 from helioshade.oracle import _frame
-from helioshade.shading import candidate_quads, efficiency, orient
+from helioshade.shading import candidate_quads
 from helioshade.solar import sun_vector
 
 
@@ -20,7 +20,7 @@ ZENITH = sun_vector(math.pi / 2.0, 0.0)
 
 def test_zenith_bisector():
     h = up_facing("a", 0.0, 0.0)
-    n = OrientedField([h], ZENITH).normals[0]
+    n = OrientedField(FieldLayout.from_heliostats([h]), ZENITH).normals[0]
     assert n == pytest.approx((0.0, 0.0, 1.0), abs=1e-12)
     assert _frame(h, ZENITH)[2] == pytest.approx((0.0, 0.0, 1.0), abs=1e-12)
 
@@ -29,7 +29,7 @@ def test_reflection_law_and_planarity(rng):
     for _ in range(200):
         field, sun = random_config(rng)
         h = field[0]
-        of = OrientedField(field, sun)
+        of = OrientedField(FieldLayout.from_heliostats(field), sun)
         n, c = of.normals[0], of.centers[0]
         u_t = np.subtract(h.aim, h.center)
         u_t /= np.linalg.norm(u_t)
@@ -43,10 +43,10 @@ def test_reflection_law_and_planarity(rng):
                 assert abs((r @ (corner - c))[2]) < 1e-9
 
 
-def test_orient_rejects_heliostat_at_receiver():
+def test_heliostat_at_receiver_rejected():
     h = make_heliostat("x", 1.0, 2.0, 3.0, 10.0, 10.0, (1.0, 2.0, 3.0))
-    with pytest.raises(ValueError, match="heliostat at receiver"):
-        orient(h, ZENITH)
+    with pytest.raises(ValueError, match="heliostat 'x': aim point not above center"):
+        candidate_quads(h, [h], ZENITH)
 
 
 def _quads(subject, others, sun, kind, use_culling=True):
@@ -61,7 +61,7 @@ def test_shadow_vertical_drop():
     assert quad.source_id == "o"
     # map the local-frame ring back to plant coordinates: it must be the
     # occluder rectangle dropped straight down onto z = 0
-    rotation = OrientedField([subject], ZENITH).rotations[0]
+    rotation = OrientedField(FieldLayout.from_heliostats([subject]), ZENITH).rotations[0]
     local = np.array([(p.x, p.y, 0.0) for p in quad.ring.ring])
     xs, ys, zs = (local @ rotation + np.array(subject.center)).T
     assert (xs.min(), xs.max()) == pytest.approx((-3.0, 7.0), abs=1e-9)
@@ -72,7 +72,8 @@ def test_shadow_vertical_drop():
 def test_shadow_perpendicular_discarded():
     # mirrors aimed for the zenith sun, lit by a horizontal one: the light
     # runs along the subject plane (n_c . u_s ~ 0), so nothing is cast
-    of = OrientedField([up_facing("s", 0.0, 0.0), up_facing("o", 2.0, 0.0, 5.0)], ZENITH)
+    layout = FieldLayout.from_heliostats([up_facing("s", 0.0, 0.0), up_facing("o", 2.0, 0.0, 5.0)])
+    of = OrientedField(layout, ZENITH)
 
     def kinds():
         return [q.kind for q in subject_quads(of, 0, use_culling=False)]
@@ -129,12 +130,12 @@ def test_cull_rules():
 def test_unknown_subject_rejected():
     subject = up_facing("s", 0.0, 0.0)
     with pytest.raises(ValueError, match="unknown heliostat id 'x'"):
-        efficiency(up_facing("x", 5.0, 5.0), [subject], ZENITH)
+        candidate_quads(up_facing("x", 5.0, 5.0), [subject], ZENITH)
 
 
 def test_efficiency_empty_field():
     subject = up_facing("s", 0.0, 0.0)
-    r = efficiency(subject, [subject], ZENITH)
+    r = subject_efficiency(OrientedField(FieldLayout.from_heliostats([subject]), ZENITH), 0)
     assert r.efficiency == 1.0
     assert r.quads == ()
 
@@ -143,7 +144,7 @@ def test_efficiency_fully_occluded():
     aim = (0.0, 0.0, 100.0)
     subject = make_heliostat("s", 0.0, 0.0, 0.0, 4.0, 4.0, aim)
     lid = make_heliostat("o", 0.0, 0.0, 1.0, 40.0, 40.0, (0, 0, 101))
-    r = efficiency(subject, [subject, lid], ZENITH)
+    r = subject_efficiency(OrientedField(FieldLayout.from_heliostats([subject, lid]), ZENITH), 0)
     assert r.efficiency == 0.0
 
 
@@ -152,16 +153,18 @@ def test_efficiency_in_unit_interval_and_monotone_under_insertion(rng):
         field, sun = random_config(rng)
         prev = 1.0
         for k in range(1, len(field) + 1):
-            e = efficiency(field[0], field[:k], sun).efficiency
+            of = OrientedField(FieldLayout.from_heliostats(field[:k]), sun)
+            e = subject_efficiency(of, 0).efficiency
             assert 0.0 <= e <= 1.0
             assert e <= prev + 1e-9
             prev = e
 
 
 def test_golden_simple_case():
-    field = simple_trio()
+    layout = FieldLayout.from_heliostats(simple_trio())
     sun = sun_at(21, 12.0, 40.08)
-    e_noon = efficiency(field[0], field, sun).efficiency
+    e_noon = subject_efficiency(OrientedField(layout, sun), 0).efficiency
     assert e_noon == pytest.approx(0.76, abs=0.02)
     sun = sun_at(21, 15.25, 40.08)
-    assert efficiency(field[0], field, sun).efficiency == pytest.approx(0.31, abs=0.03)
+    e_late = subject_efficiency(OrientedField(layout, sun), 0).efficiency
+    assert e_late == pytest.approx(0.31, abs=0.03)

@@ -32,7 +32,10 @@ def main() -> None:
     if not args.step_min >= 1.0:
         sys.exit(f"error: --step-min must be at least 1 minute, got {args.step_min:.9g}")
 
-    layout = load_layout(args.layout)
+    try:
+        layout = load_layout(args.layout)
+    except (OSError, ValueError) as exc:  # LayoutError is a ValueError
+        sys.exit(f"error: {exc}")
     lat = math.radians(layout.latitude_deg)
     if args.subject not in layout.ids:
         sys.exit(f"error: unknown heliostat id {args.subject!r}")

@@ -14,6 +14,7 @@ import argparse
 import datetime
 import functools
 import math
+import platform
 import sys
 import time
 from typing import List, Optional, Sequence, Tuple
@@ -29,6 +30,11 @@ from .field import (
 from .oracle import OracleConfig, sample_efficiency
 from .render import render_svg
 from .solar import SunState, solar_position, sun_vector
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 __all__ = ["main"]
 
@@ -178,6 +184,14 @@ def cmd_render(args) -> None:
     print(f"{args.out}: subject {result.subject_id} e = {_fmt(result.efficiency)}")
 
 
+def _minor_faults() -> int:
+    """Minor page faults of this process and its reaped workers so far."""
+    return sum(
+        resource.getrusage(who).ru_minflt
+        for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+    )
+
+
 def cmd_bench(args) -> None:
     if args.n < 1:
         raise CliError("bench needs --n >= 1")
@@ -190,16 +204,20 @@ def cmd_bench(args) -> None:
     sun, _ = _resolve_sun(args, layout.latitude_deg)
     times = []
     average = 1.0
+    faults = None if resource is None else _minor_faults()
     for _ in range(args.reps):
         t0 = time.perf_counter()
         report = evaluate_field(layout, sun, workers=args.workers)
         times.append(time.perf_counter() - t0)
         average = report.average
     mean = sum(times) / len(times)
+    minflt = ""
+    if faults is not None:
+        minflt = f"minflt/rep={round((_minor_faults() - faults) / args.reps)} "
     print(
         f"n={layout.n} reps={args.reps} "
         f"mean={_fmt(mean)} s min={_fmt(min(times))} s "
-        f"average_efficiency={_fmt(average)}"
+        f"{minflt}average_efficiency={_fmt(average)}"
     )
 
 
@@ -291,7 +309,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# M_TRIM_THRESHOLD and M_MMAP_THRESHOLD of glibc's <malloc.h>
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.lru_cache(maxsize=None)
+def _keep_freed_heap() -> None:
+    """On glibc, keep freed heap pages in this process, once per process.
+
+    By default glibc gives the top of the heap back to the OS once a
+    chunk's few MB of numpy temporaries are freed, and the next chunk
+    faults the same pages in again.  The two thresholds below are the
+    ceilings of glibc's own dynamic ones on 64-bit (mallopt(3)).  Only
+    the CLI sets them, since a library call must not change its host
+    process's allocator; forked workers inherit them."""
+    if platform.libc_ver()[0] != "glibc":
+        return
+    import ctypes
+
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, 32 << 20):
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
+    _keep_freed_heap()
     args = _build_parser().parse_args(argv)
     try:
         args.func(args)

@@ -644,8 +644,9 @@ def evaluate_field(
 
     Orientation happens once for the whole field; the subjects are then
     evaluated a chunk of subjects at a time (`_blocks`, `_block_quads`),
-    and the chunks are independent and may fan out to a process pool.
-    Results are identical for any worker count.
+    and the chunks are independent and may fan out to a process pool of
+    at most one process per chunk.  Results are identical for any worker
+    count.
     """
     if workers < 1:
         raise ValueError(f"worker count must be at least 1, got {workers}")
@@ -655,7 +656,8 @@ def evaluate_field(
     if n == 0:
         return FieldReport(sun=sun, date_label=date_label, records=(), average=1.0, duration=0.0)
     chunks = list(_blocks(of))
-    if workers > 1 and n > 1:
+    workers = min(workers, len(chunks))
+    if workers > 1:
         import multiprocessing as mp
 
         # fork shares the oriented field without pickling it; spawn is

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -296,6 +297,48 @@ def test_bench_takes_a_sun(capsys):
     noon, low, dated = (out.split("average_efficiency=")[1] for _, out, _ in runs)
     assert noon == dated
     assert float(low) < float(noon)
+
+
+def test_bench_reports_minor_faults_per_rep(capsys):
+    pytest.importorskip("resource")
+    code, out, _ = run(capsys, "bench", "--n", "40", "--reps", "2")
+    assert code == 0
+    assert re.search(r" minflt/rep=\d+ average_efficiency=", out), out
+
+
+# Counts the minor page faults of the third of three identical low-sun
+# runs of the CLI in one process: a rerun finds its heap pages in place.
+THIRD_RUN_FAULTS = """
+import contextlib, os, resource, sys
+from helioshade.cli import main
+from helioshade.field import save_layout, synthetic_field
+
+save_layout(synthetic_field(1000), sys.argv[1])
+argv = ["efficiency", sys.argv[1], "--date", "01-21", "--hour", "16:15",
+        "--workers", "1", "--no-timing"]
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert main(argv) == 0
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(faults)
+"""
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc", reason="the CLI sets a heap policy on glibc only"
+)
+def test_cli_reruns_do_not_refault_the_heap(tmp_path):
+    # a fresh process, since the heap policy is process-wide
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", THIRD_RUN_FAULTS, str(tmp_path / "field.txt")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 100
 
 
 def test_bench_mixed_sun_forms_fail(capsys):
@@ -733,6 +776,29 @@ def test_sweep_script_refuses_an_unknown_subject(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == "error: unknown heliostat id 'NOPE'\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "error: [Errno 2] No such file or directory"),
+        (
+            "plant lat=38\nreceiver id=t x=0 y=0 z=100\n"
+            "heliostat id=a x=0 y=50 z=5 w=10 h=-1 receiver=t\n",
+            "error: heliostat 'a' has non-positive dimensions\n",
+        ),
+    ],
+    ids=["missing", "negative-height"],
+)
+def test_sweep_script_refuses_a_layout_it_cannot_load(tmp_path, text, message):
+    layout = tmp_path / "layout.txt"
+    if text is not None:
+        layout.write_text(text)
+    proc = run_sweep_script(tmp_path, "--layout", str(layout))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith(message)
     assert not (tmp_path / "out").exists()
 
 

@@ -976,9 +976,11 @@ def test_report_format(tmp_path):
         assert float(cols[2]) == pytest.approx(float(cols[1]) * float(cols[3]))
 
 
+# the 1000-mirror field is 2 chunks at 12:00 and 4 at 16:15, so both
+# hours run a pool
 @pytest.mark.parametrize("hour", [12.0, 16.25])
 def test_reports_identical_across_workers(hour):
-    layout = synthetic_field(40)
+    layout = synthetic_field(1000)
     sun = sun_at(21, hour, layout.latitude_deg)
     texts = []
     for workers in (1, 4):
@@ -997,7 +999,7 @@ def test_spawn_workers_match_serial(monkeypatch):
     monkeypatch.setattr(
         multiprocessing, "get_context", lambda m=None: methods.append(m) or get_context(m)
     )
-    layout = synthetic_field(40)
+    layout = synthetic_field(1000)
     sun = sun_at(21, 16.25, layout.latitude_deg)
     texts = [
         format_report(evaluate_field(layout, sun, workers=w), include_timing=False)
@@ -1005,3 +1007,26 @@ def test_spawn_workers_match_serial(monkeypatch):
     ]
     assert methods == ["spawn"]
     assert texts[0] == texts[1]
+
+
+def test_pool_has_at_most_one_process_per_chunk(monkeypatch):
+    import multiprocessing
+
+    sizes = []
+    get_context = multiprocessing.get_context
+
+    class RecordingContext:
+        def __init__(self, method):
+            self.ctx = get_context(method)
+
+        def Pool(self, processes, **kwargs):
+            sizes.append(processes)
+            return self.ctx.Pool(processes, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "get_context", RecordingContext)
+    pair = load_layout(SIMPLE_PAIR)
+    evaluate_field(pair, sun_at(21, 12.0, pair.latitude_deg), workers=8)
+    assert sizes == []  # one chunk runs in the calling process
+    layout = synthetic_field(1000)
+    evaluate_field(layout, sun_at(21, 16.25, layout.latitude_deg), workers=8)
+    assert sizes == [4]  # one process per chunk

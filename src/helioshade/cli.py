@@ -43,6 +43,13 @@ class CliError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Ends a malformed command line with one `error:` line, not a usage block."""
+
+    def error(self, message: str):
+        raise CliError(f"{self.prog}: {message}")
+
+
 # ten times the default: from 1e6 samples up, the tolerance
 # max(0.002, 4 SE) is at its floor, since 4 sqrt(0.25 / 1e6) = 0.002
 _MAX_SAMPLES = 10_000_000
@@ -197,7 +204,7 @@ def cmd_bench(args) -> None:
         raise CliError("bench needs --n >= 1")
     if args.reps < 1:
         raise CliError("bench needs --reps >= 1")
-    layout = load_layout(args.layout) if args.layout else synthetic_field(args.n)
+    layout = synthetic_field(args.n)
     if args.eta is None and args.theta is None:
         args.date = args.date or "01-21"
         args.hour = args.hour or "12:00"
@@ -249,7 +256,7 @@ def cmd_oracle_check(args) -> None:
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: `parse_args` leaves
     it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="helioshade",
         description="Heliostat blocking-and-shadowing efficiency via polygon clipping",
     )
@@ -290,7 +297,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_sun_args(p)
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--reps", type=int, default=10)
-    p.add_argument("--layout", help="use this layout instead of a synthetic one")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_bench)
 
@@ -337,8 +343,8 @@ def _keep_freed_heap() -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     _keep_freed_heap()
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         args.func(args)
     except (CliError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

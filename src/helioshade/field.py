@@ -49,7 +49,6 @@ __all__ = [
     "synthetic_field",
     "evaluate_field",
     "format_report",
-    "write_report",
 ]
 
 # Projections with |n . u| below this are treated as perpendicular: the
@@ -184,26 +183,25 @@ class OrientedField:
         n_raw = u_t - u_s
         self.normals = n_raw / np.linalg.norm(n_raw, axis=1)[:, None]
 
+        # the rows of Rz(spin) Rx(beta) Rz(alpha): alpha turns the normal's
+        # horizontal part onto -y, beta tilts it to +z, the spin turns about it
         nx, ny, nz = self.normals.T
         rho = np.hypot(nx, ny)
         alpha = np.where(rho > 0.0, np.arctan2(nx, -ny), 0.0)
         beta = np.arctan2(rho, nz)
-        self.rotations = _rotations_zxz(alpha, beta, field.spins)
+        ca, sa, cb, sb = np.cos(alpha), np.sin(alpha), np.cos(beta), np.sin(beta)
+        cg, sg = np.cos(field.spins)[:, None], np.sin(field.spins)[:, None]
+        x0 = np.stack([ca, sa, np.zeros(n)], axis=1)
+        y0 = np.stack([-cb * sa, cb * ca, sb], axis=1)
+        x_row, y_row = cg * x0 + sg * y0, cg * y0 - sg * x0
+        n_row = np.stack([sb * sa, -sb * ca, cb], axis=1)
+        self.rotations = np.stack([x_row, y_row, n_row], axis=1)
 
-        hw = self.dims[:, 0] / 2.0
-        hh = self.dims[:, 1] / 2.0
-        local = np.stack(
-            [
-                np.stack([-hw, hh, np.zeros(n)], axis=1),
-                np.stack([-hw, -hh, np.zeros(n)], axis=1),
-                np.stack([hw, -hh, np.zeros(n)], axis=1),
-                np.stack([hw, hh, np.zeros(n)], axis=1),
-            ],
-            axis=1,
-        )  # (n, 4, 3)
-        self.corners = (
-            np.einsum("nji,naj->nai", self.rotations, local) + self.centers[:, None, :]
-        )
+        # corners (-, +), (-, -), (+, -), (+, +) in the mirror's (x', y')
+        across = self.dims[:, :1] / 2.0 * x_row
+        up = self.dims[:, 1:] / 2.0 * y_row
+        corners = np.stack([up - across, -across - up, across - up, across + up], axis=1)
+        self.corners = corners + self.centers[:, None, :]
 
         # capsule prefilter constants, derived in `capsule_pairs`
         self.half_diagonals = 0.5 * np.hypot(self.dims[:, 0], self.dims[:, 1])
@@ -369,26 +367,6 @@ def _segment_dist2(x, y, vx, vy):
         t = np.where(vv > 0.0, np.clip((x * vx + y * vy) / vv, 0.0, 1.0), 0.0)
     ex, ey = x - t * vx, y - t * vy
     return ex * ex + ey * ey
-
-
-def _rotations_zxz(alpha, beta, gamma) -> np.ndarray:
-    """(n,3,3) stack of Rz(gamma) @ Rx(beta) @ Rz(alpha)."""
-    n = len(alpha)
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    cb, sb = np.cos(beta), np.sin(beta)
-    cg, sg = np.cos(gamma), np.sin(gamma)
-    z = np.zeros(n)
-    o = np.ones(n)
-    rz_a = np.stack(
-        [ca, sa, z, -sa, ca, z, z, z, o], axis=1
-    ).reshape(n, 3, 3)
-    rx_b = np.stack(
-        [o, z, z, z, cb, sb, z, -sb, cb], axis=1
-    ).reshape(n, 3, 3)
-    rz_g = np.stack(
-        [cg, sg, z, -sg, cg, z, z, z, o], axis=1
-    ).reshape(n, 3, 3)
-    return rz_g @ rx_b @ rz_a
 
 
 # Most grid rows plus gathered mirrors the capsule selection of one chunk
@@ -701,7 +679,3 @@ def format_report(report: FieldReport, include_timing: bool = True) -> str:
     lines.append(f"# average {report.average:.9g}")
     return "\n".join(lines) + "\n"
 
-
-def write_report(report: FieldReport, path: str, include_timing: bool = True) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_report(report, include_timing=include_timing))

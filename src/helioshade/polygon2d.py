@@ -19,7 +19,6 @@ __all__ = [
     "COINCIDENCE_TOL",
     "Point2",
     "Polygon2",
-    "signed_area",
     "contains",
     "contains_many",
 ]
@@ -64,18 +63,13 @@ class Polygon2:
         return len(self.ring)
 
 
-def signed_area(p: Polygon2) -> float:
-    """Shoelace area; positive iff the ring is counterclockwise.
+def ring_signed_area(pts: Sequence[Tuple[float, float]]) -> float:
+    """Shoelace area of a ring given as (x, y) pairs; positive iff the
+    ring is counterclockwise.
 
     Terms are combined with exact summation so reversing the ring negates
     the result exactly.
     """
-    return ring_signed_area([(v.x, v.y) for v in p.ring])
-
-
-def ring_signed_area(pts: Sequence[Tuple[float, float]]) -> float:
-    """Shoelace over a raw coordinate sequence (no Polygon2 validation);
-    `signed_area` for a bare ring."""
     n = len(pts)
     terms = []
     for i in range(n):

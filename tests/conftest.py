@@ -10,7 +10,7 @@ import pytest
 
 from helioshade.clip import covered_areas
 from helioshade.field import FieldLayout
-from helioshade.polygon2d import contains_many, signed_area
+from helioshade.polygon2d import contains_many, ring_signed_area
 from helioshade.shading import Heliostat
 from helioshade.solar import solar_position, sun_vector
 
@@ -139,7 +139,7 @@ def is_convex_ccw(poly, tol=1e-12):
     f = np.roll(e, -1, axis=0)
     cross = e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0]
     lengths = np.hypot(e[:, 0], e[:, 1]) * np.hypot(f[:, 0], f[:, 1])
-    return signed_area(poly) > 0.0 and bool(np.all(cross >= -tol * lengths))
+    return ring_signed_area(xy(poly)) > 0.0 and bool(np.all(cross >= -tol * lengths))
 
 
 def pieces_disjoint(region, tol=1e-12):
@@ -177,7 +177,8 @@ def overlap_area(a, b):
     their areas less that of their union, which is what they cover of a
     square about the origin that holds both."""
     h = 1.0 + max(float(np.abs(xy(p)).max()) for p in (a, b))
-    return signed_area(a) + signed_area(b) - areas([[a.ring, b.ring]], [(h, h)])[0]
+    covered = areas([[a.ring, b.ring]], [(h, h)])[0]
+    return ring_signed_area(xy(a)) + ring_signed_area(xy(b)) - covered
 
 
 def _boundary_distance(poly, xs, ys):

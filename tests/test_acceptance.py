@@ -20,6 +20,7 @@ from conftest import (
     region_matches,
     simple_trio,
     sun_at,
+    xy,
 )
 from helioshade.clip import Region, difference, region_area
 from helioshade.field import (
@@ -31,7 +32,7 @@ from helioshade.field import (
     synthetic_field,
 )
 from helioshade.oracle import OracleConfig, sample_efficiency
-from helioshade.polygon2d import Polygon2, contains_many, signed_area
+from helioshade.polygon2d import Polygon2, contains_many, ring_signed_area
 
 
 def report(name, ok, detail=""):
@@ -171,7 +172,7 @@ def test_acceptance_clipping_properties():
     props_ok = True
     for _ in range(1000):
         pa, pb = quad(), quad()
-        area_a = signed_area(pa)
+        area_a = ring_signed_area(xy(pa))
         d = difference(Region.from_polygon(pa), pb)
         i = overlap_area(pa, pb)
         rel = abs(region_area(d) + i - area_a) / max(area_a, 1e-12)

@@ -464,6 +464,32 @@ def test_out_of_range_time_fails(capsys, argv):
     assert err.count("\n") == 1 and "malformed time" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("bench", "--n", "40", "--bogus"), "unrecognized arguments: --bogus"),
+        (("bench", "--n", "abc"), "argument --n: invalid int value: 'abc'"),
+        (("sweep", SIMPLE_PAIR, "--date", "01-21", "--start", "08:00", "--end", "09:00"),
+         "the following arguments are required: --subject"),
+        ((), "the following arguments are required: command"),
+    ],
+    ids=["unknown-flag", "n-not-int", "missing-subject", "no-command"],
+)
+def test_malformed_command_line_fails_with_one_error_line(capsys, argv, message):
+    # no usage block and no exit status 2: one line, like every refusal
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: helioshade") and message in err
+
+
+def test_help_still_prints_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: helioshade bench")
+
+
 @pytest.mark.parametrize("n", [0, 1])
 def test_tiny_layouts_run_through_every_query(tmp_path, capsys, n):
     p = tmp_path / "tiny.txt"

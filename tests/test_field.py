@@ -33,8 +33,8 @@ from helioshade.field import (
     subject_efficiency,
     subject_quads,
     synthetic_field,
-    write_report,
 )
+from helioshade.cli import main
 from helioshade.clip import Region, covered_areas, region_area, subtract_rings
 from helioshade.polygon2d import Polygon2
 from helioshade.shading import candidate_quads
@@ -958,11 +958,11 @@ def test_faulty_fields_are_refused_when_built():
         dataclasses.replace(layout, centers=centers)
 
 
-def test_report_format(tmp_path):
-    layout = load_layout(SIMPLE_PAIR)
-    report = evaluate_field(layout, sun_at(21, 12.0, layout.latitude_deg))
+def test_report_format(tmp_path, capsys):
     p = tmp_path / "report.txt"
-    write_report(report, str(p))
+    argv = ["efficiency", SIMPLE_PAIR, "--date", "01-21", "--hour", "12:00", "--out", str(p)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ""
     lines = p.read_text().splitlines()
     assert lines[0].startswith("# sun eta=")
     assert lines[1].startswith("# date")

@@ -49,9 +49,8 @@ def main() -> None:
         fh.write("# hour eta_deg theta_deg efficiency\n")
         t = 6.0
         while t <= 18.0 + 1e-9:
-            try:
-                eta, theta = solar_position(DAY_OF_YEAR, t, lat)
-            except ValueError:  # below the horizon
+            eta, theta = solar_position(DAY_OF_YEAR, t, lat)
+            if eta <= 0.0:  # below the horizon
                 t += args.step_min / 60.0
                 continue
             result = subject_efficiency(OrientedField(layout, sun_vector(eta, theta)), j)

@@ -105,11 +105,8 @@ def _resolve_sun(args, latitude_deg: float) -> Tuple[SunState, str]:
         raise CliError("--date and --hour must be given together")
     day = _day_of_year(args.date)
     hour = _parse_hhmm(args.hour)
-    try:
-        eta, theta = solar_position(day, hour, math.radians(latitude_deg))
-    except ValueError:
-        raise CliError(f"sun below horizon at {args.date} {args.hour}") from None
-    return sun_vector(eta, theta), f"{args.date} {args.hour}"
+    sun = sun_vector(*solar_position(day, hour, math.radians(latitude_deg)))
+    return sun, f"{args.date} {args.hour}"
 
 
 def _subject_index(ids: Sequence[str], subject_id: str) -> int:
@@ -167,17 +164,12 @@ def cmd_sweep(args) -> None:
         if mm == 60:
             hh, mm = hh + 1, 0
         stamp = f"{hh:02d}:{mm:02d}"
-        try:
-            eta, theta = solar_position(day, t, lat)
-        except ValueError:
+        eta, theta = solar_position(day, t, lat)
+        if eta <= 0.0:
             lines.append(f"# {stamp} sun below horizon, skipped")
-            t += args.step / 60.0
-            continue
-        e = subject_efficiency(OrientedField(layout, sun_vector(eta, theta)), j).efficiency
-        lines.append(
-            f"{stamp} {_fmt(math.degrees(eta))} "
-            f"{_fmt(math.degrees(theta))} {_fmt(e)}"
-        )
+        else:
+            e = subject_efficiency(OrientedField(layout, sun_vector(eta, theta)), j).efficiency
+            lines.append(f"{stamp} {_fmt(math.degrees(eta))} {_fmt(math.degrees(theta))} {_fmt(e)}")
         t += args.step / 60.0
     _write_or_print("\n".join(lines) + "\n", args.out)
 

@@ -32,6 +32,22 @@ __all__ = ["FieldLayout", "LayoutError", "load_layout", "save_layout"]
 # an area of 1 but overflows the squared capsule radius.
 _MAX_EXTENT = 1e6
 
+# Smallest width or height, in metres, of a mirror: a centimetre, below
+# any heliostat.  The engine's two absolute tolerances are in metres:
+# `clip.clean_ring` drops a ring of less than `clip.MIN_COMPONENT_AREA`
+# = 1e-12 m2 and merges a vertex within `polygon2d.COINCIDENCE_TOL` =
+# 1e-9 m in x and y of the one before it.  A dropped ring covered less
+# than 1e-12 m2 of the mirror.  A merged vertex, at most sqrt(2) 1e-9 m
+# from that one, takes from its ring a triangle within sqrt(2) 1e-9 m of
+# the line through its two neighbours, which meets a w x h mirror in at
+# most sqrt(2) 1e-9 sqrt(w^2 + h^2) m2.  Divided by the area w h, with
+# w, h >= 1e-2 m, a dropped ring changes e by less than 1e-12 / 1e-4 =
+# 1e-8 and a merged vertex by at most 2e-9 / 1e-2 = 2e-7, the largest
+# change in e that one ring or vertex makes.  Below the bound the
+# tolerances are no longer small: two 1e-7 m mirrors, of area 1e-14 m2,
+# lose every shadow ring and read e = 1 where half a mirror is shaded.
+_MIN_SIDE = 1e-2
+
 
 class LayoutError(ValueError):
     pass
@@ -149,16 +165,22 @@ class FieldLayout:
         ]
 
     def validate(self) -> None:
-        """Raise `LayoutError` for a duplicate receiver id, else for the
-        first heliostat, in row order, that repeats an earlier id, names
-        an unknown receiver, has a non-finite coordinate (of its centre,
+        """Raise `LayoutError` for a latitude not strictly between the
+        poles, else for a duplicate receiver id, else for the first
+        heliostat, in row order, that repeats an earlier id, names an
+        unknown receiver, has a non-finite coordinate (of its centre,
         size, spin or aim point), has a non-positive dimension, has an area
         w h that is not a positive finite number, has a centre coordinate,
         size or aim point coordinate beyond `_MAX_EXTENT` in magnitude, has
-        its aim point not above its centre or has the centre of an earlier
-        heliostat (checked in that order).  An aim point above the centre
-        also keeps the mirror off its receiver and its normal defined for
-        any sun above the horizon."""
+        a side shorter than `_MIN_SIDE`, has its aim point not above its
+        centre or has the centre of an earlier heliostat (checked in that
+        order).  An aim point above the centre also keeps the mirror off
+        its receiver and its normal defined for any sun above the
+        horizon."""
+        if not -90.0 < self.latitude_deg < 90.0:
+            raise LayoutError(
+                f"plant latitude {self.latitude_deg:.9g} is not strictly between -90 and 90 degrees"
+            )
         seen = set()
         for rid, _ in self.receivers:
             if rid in seen:
@@ -182,6 +204,7 @@ class FieldLayout:
                 (self.dims <= 0.0).any(axis=1),
                 ~((area > 0.0) & np.isfinite(area)),
                 (np.abs(lengths) > _MAX_EXTENT).any(axis=1),
+                (self.dims < _MIN_SIDE).any(axis=1),
                 aims[:, 2] <= self.centers[:, 2],
                 twin >= 0,
             ]
@@ -198,6 +221,7 @@ class FieldLayout:
             f"heliostat {hid!r} has non-positive dimensions",
             f"heliostat {hid!r} has an area w*h that is not a positive finite number",
             f"heliostat {hid!r} has a coordinate or size beyond {_MAX_EXTENT:g} m",
+            f"heliostat {hid!r} has a side shorter than {_MIN_SIDE:g} m",
             f"heliostat {hid!r}: aim point not above center",
             f"heliostat {hid!r} has the same center as {self.ids[twin[k]]!r}",
         )

@@ -56,7 +56,8 @@ def solar_position(day_of_year: int, solar_hour: float, latitude: float) -> tupl
     """(eta, theta) for a given day, apparent solar hour and latitude (rad).
 
     Simple declination / hour-angle model; no equation of time, no
-    refraction.  Raises if the sun is at or below the horizon.
+    refraction.  Any hour has a position: eta <= 0 is a sun at or below
+    the horizon, which `sun_vector` refuses.
     """
     if not 1 <= day_of_year <= 365:
         raise ValueError("day_of_year must be in 1..365")
@@ -70,8 +71,6 @@ def solar_position(day_of_year: int, solar_hour: float, latitude: float) -> tupl
     )
     sin_eta = max(-1.0, min(1.0, sin_eta))
     eta = math.asin(sin_eta)
-    if eta <= 0.0:
-        raise ValueError("sun below horizon")
     # Horizontal components of the to-sun direction in (north, west):
     #   north = sin(delta) cos(lat) - cos(delta) sin(lat) cos(omega)
     #   west  = cos(delta) sin(omega)   (afternoon sun is in the west)

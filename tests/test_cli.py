@@ -157,6 +157,34 @@ def test_below_horizon_fails(capsys):
     assert "below horizon" in err
 
 
+_POLAR = (
+    "plant lat=95\nreceiver id=t x=0 y=0 z=100\n"
+    "heliostat id=a x=0 y=50 z=5 w=10 h=10 receiver=t\n"
+)
+_POLAR_ERROR = "error: plant latitude 95 is not strictly between -90 and 90 degrees\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["efficiency", "--date", "01-21", "--hour", "12:00"],
+        ["efficiency", "--eta", "30", "--theta", "180"],
+        ["sweep", "--date", "01-21", "--start", "08:00", "--end", "16:00", "--subject", "a"],
+        ["render", "--date", "01-21", "--hour", "12:00", "--subject", "a", "--out", "a.svg"],
+        ["oracle-check", "--date", "01-21", "--hour", "12:00", "--subject", "a"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_latitude_beyond_the_poles_fails_with_one_error_line(tmp_path, capsys, argv):
+    # the error is the latitude, not a sun below the horizon at every hour
+    layout = tmp_path / "polar.txt"
+    layout.write_text(_POLAR)
+    argv = [str(tmp_path / a) if a.endswith(".svg") else a for a in argv]
+    code, out, err = run(capsys, argv[0], str(layout), *argv[1:])
+    assert (code, out, err) == (1, "", _POLAR_ERROR)
+    assert not (tmp_path / "a.svg").exists()
+
+
 # -- sweep -------------------------------------------------------------------
 
 
@@ -814,8 +842,9 @@ def test_sweep_script_refuses_an_unknown_subject(tmp_path):
             "heliostat id=a x=0 y=50 z=5 w=10 h=-1 receiver=t\n",
             "error: heliostat 'a' has non-positive dimensions\n",
         ),
+        (_POLAR, _POLAR_ERROR),
     ],
-    ids=["missing", "negative-height"],
+    ids=["missing", "negative-height", "latitude-95"],
 )
 def test_sweep_script_refuses_a_layout_it_cannot_load(tmp_path, text, message):
     layout = tmp_path / "layout.txt"

@@ -193,6 +193,27 @@ def test_empty_heliostat_list_is_valid(tmp_path):
             "heliostat id=a x=0 y=30 z=5 w=10 h=10 receiver=t\n",
             "heliostat 'a' has a coordinate or size beyond 1e\\+06 m",
         ),
+        # the latitude is checked before the duplicate receiver
+        (
+            "plant lat=95\nreceiver id=t x=0 y=0 z=100\nreceiver id=t x=0 y=0 z=90\n",
+            "plant latitude 95 is not strictly between -90 and 90 degrees",
+        ),
+        ("plant lat=90\n", "plant latitude 90 is not strictly between"),
+        ("plant lat=-90\n", "plant latitude -90 is not strictly between"),
+        # two such mirrors 1.2e-7 m apart read e = 1 at a 20 degree sun,
+        # with half of one shaded
+        (
+            "plant lat=40\nreceiver id=t x=0 y=0 z=1e-5\n"
+            "heliostat id=a x=1.2e-7 y=0 z=0 w=1e-7 h=1e-7 receiver=t\n"
+            "heliostat id=b x=2.4e-7 y=0 z=0 w=1e-7 h=1e-7 receiver=t\n",
+            "heliostat 'a' has a side shorter than 0.01 m",
+        ),
+        (
+            "plant lat=40\nreceiver id=t x=0 y=0 z=100\n"
+            "heliostat id=a x=0 y=30 z=5 w=10 h=10 receiver=t\n"
+            "heliostat id=b x=0 y=60 z=5 w=100 h=0.005 receiver=t\n",
+            "heliostat 'b' has a side shorter than 0.01 m",
+        ),
     ],
 )
 def test_layout_diagnostics(tmp_path, body, message):

@@ -72,8 +72,12 @@ def test_winter_noon_elevation_and_azimuth():
 
 
 def test_night_rejected():
+    # night is a position with a non-positive height, which only
+    # sun_vector refuses
+    eta, theta = solar_position(21, 0.5, math.radians(40.0))
+    assert eta <= 0.0
     with pytest.raises(ValueError, match="sun below horizon"):
-        solar_position(21, 0.5, math.radians(40.0))
+        sun_vector(eta, theta)
 
 
 def test_invalid_inputs_rejected():

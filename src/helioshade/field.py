@@ -171,6 +171,10 @@ class OrientedField:
         u_s = np.array(sun.u_s, dtype=float)
         if not np.isfinite(u_s).all():
             raise ValueError(f"sun direction is not finite: eta={sun.eta!r}, theta={sun.theta!r}")
+        # the words of `sun_vector`, for a SunState built by hand: light
+        # that does not head down lights no mirror from above
+        if not u_s[2] < 0.0:
+            raise ValueError("sun below horizon")
         self.sun = sun
         self.ids = field.ids
         self.n = n = field.n
@@ -209,7 +213,8 @@ class OrientedField:
         dz = float(z.max() - z.min()) if n else 0.0
         sin_eta = -float(u_s[2])
         rise = self.aims[:, 2] - z.max(axis=1)
-        sun_up = sin_eta > 0.0 and math.isfinite(dz / sin_eta)
+        # sin_eta > 0, but dz / sin_eta overflows for a sun a few ulps up
+        sun_up = math.isfinite(dz / sin_eta)
         shadow_end = -u_s[:2] * (dz / sin_eta) if sun_up else np.zeros(2)
         # no centre offset is longer than the diagonal of the centres' box
         span = float(np.hypot(*np.ptp(self.centers[:, :2], axis=0))) if n else 0.0

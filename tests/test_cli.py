@@ -817,11 +817,28 @@ def run_sweep_script(tmp_path, *argv):
 
 @pytest.mark.parametrize("step", ["0", "-5", "1e-300", "0.5", "nan"])
 def test_sweep_script_refuses_a_step_below_a_minute(tmp_path, step):
-    proc = run_sweep_script(tmp_path, "--step-min", step)
+    proc = run_sweep_script(tmp_path, "--step", step)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error:")
-    assert "--step-min" in proc.stderr
+    assert "--step" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--step", "abc"], "error: helioshade sweep: argument --step: invalid float value"),
+        (["--bogus"], "error: daily_efficiency_sweep.py: unrecognized arguments: --bogus"),
+    ],
+    ids=["step-abc", "unknown-flag"],
+)
+def test_sweep_script_refuses_a_malformed_command_line(tmp_path, argv, message):
+    # once a usage block and exit 2
+    proc = run_sweep_script(tmp_path, *argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith(message)
     assert not (tmp_path / "out").exists()
 
 
@@ -858,12 +875,24 @@ def test_sweep_script_refuses_a_layout_it_cannot_load(tmp_path, text, message):
 
 
 def test_sweep_script_writes_the_series(tmp_path):
-    proc = run_sweep_script(tmp_path, "--step-min", "60")
+    proc = run_sweep_script(tmp_path, "--step", "60")
     assert proc.returncode == 0, proc.stderr
     lines = (tmp_path / "out" / "efficiency_series.txt").read_text().splitlines()
-    assert lines[0] == "# hour eta_deg theta_deg efficiency"
+    rows = [line.split() for line in lines if not line.startswith("#")]
     # whole hours from 8:00 to 16:00, when the sun is up on 01-21
-    assert [float(line.split()[0]) for line in lines[1:]] == list(range(8, 17))
-    assert all(0.0 <= float(line.split()[3]) <= 1.0 for line in lines[1:])
+    assert [row[0] for row in rows] == [f"{hh:02d}:00" for hh in range(8, 17)]
+    assert all(0.0 <= float(row[3]) <= 1.0 for row in rows)
+    # 16:15 is not a time of the series, so it has no snapshot
     written = ["efficiency_series.txt", "morning.svg", "noon.svg"]
     assert sorted(os.listdir(tmp_path / "out")) == written
+
+
+def test_sweep_script_writes_what_the_cli_sweep_prints(tmp_path, capsys):
+    proc = run_sweep_script(tmp_path, "--step", "60")
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run(
+        capsys, "sweep", REAL_SCENARIO, "--subject", "s", "--date", "01-21",
+        "--start", "06:00", "--end", "18:00", "--step", "60",
+    )
+    assert code == 0
+    assert (tmp_path / "out" / "efficiency_series.txt").read_text() == out

@@ -859,6 +859,40 @@ def test_non_finite_sun_fails_loudly(eta, theta):
         evaluate_field(empty, sun, workers=1)
 
 
+@pytest.mark.parametrize("eta", [-0.2, 0.0])
+def test_sun_at_or_below_the_horizon_fails_loudly(eta):
+    # sun_vector refuses such a sun, but a SunState built by hand once
+    # gave a report: c 0.606588969 at eta = -0.2 and 0.602133694 at 0
+    layout = load_layout(SIMPLE_PAIR)
+    theta = math.pi
+    with pytest.raises(ValueError, match="sun below horizon"):
+        sun_vector(eta, theta)
+    u_s = (
+        -math.cos(eta) * math.cos(theta), math.cos(eta) * math.sin(theta), -math.sin(eta)
+    )
+    sun = SunState(eta=eta, theta=theta, u_s=u_s)
+    with pytest.raises(ValueError, match="sun below horizon"):
+        OrientedField(layout, sun)
+    with pytest.raises(ValueError, match="sun below horizon"):
+        evaluate_field(layout, sun, workers=1)
+    field = layout.to_heliostats()
+    with pytest.raises(ValueError, match="sun below horizon"):
+        candidate_quads(field[0], field, sun)
+    empty = dataclasses.replace(layout, ids=(), receiver_ids=(), centers=(), dims=(), spins=())
+    with pytest.raises(ValueError, match="sun below horizon"):
+        evaluate_field(empty, sun, workers=1)
+
+
+def test_lowest_sun_is_evaluated():
+    # sun_vector(5e-324, theta) is a valid sun, but dz / sin(eta)
+    # overflows there, and the shadow capsule must not turn to nan
+    layout = load_layout(SIMPLE_PAIR)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = evaluate_field(layout, sun_vector(5e-324, 1.0), workers=1)
+    assert [r.efficiency for r in report.records] == pytest.approx([1.0, 0.361931669, 1.0])
+
+
 def test_twin_centres_fail_loudly():
     # two mirrors on one centre once gave e = 1.16e-16 for both; a layout
     # built in code, like a layout file, is now refused when it is built

@@ -25,7 +25,7 @@ def main() -> int:
     )
     ap.add_argument("--subject", default="s")
     ap.add_argument("--outdir", default="sweep_out")
-    ap.add_argument("--step", default="15", help="step, minutes")
+    ap.add_argument("--step", default="15", help="step, whole minutes")
     try:
         args = ap.parse_args()
     except cli.CliError as exc:

@@ -20,6 +20,7 @@ import time
 from typing import List, Optional, Sequence, Tuple
 
 from .field import (
+    HeliostatRecord,
     OrientedField,
     evaluate_field,
     format_report,
@@ -59,7 +60,8 @@ def _fmt(v: float) -> str:
     return f"{v:.9g}"
 
 
-def _parse_hhmm(text: str) -> float:
+def _parse_hhmm(text: str) -> int:
+    """Minutes since midnight of an HH:MM time."""
     try:
         hh, mm = (int(part) for part in text.split(":"))
         valid = 0 <= hh <= 23 and 0 <= mm <= 59
@@ -67,7 +69,12 @@ def _parse_hhmm(text: str) -> float:
         valid = False
     if not valid:
         raise CliError(f"malformed time {text!r}, expected HH:MM")
-    return hh + mm / 60.0
+    return hh * 60 + mm
+
+
+def _solar_hour(minute: int) -> float:
+    """The solar hour of a minute since midnight, for `--hour` and `sweep` alike."""
+    return minute // 60 + minute % 60 / 60.0
 
 
 def _day_of_year(date_text: str) -> int:
@@ -104,7 +111,7 @@ def _resolve_sun(args, latitude_deg: float) -> Tuple[SunState, str]:
     if args.date is None or args.hour is None:
         raise CliError("--date and --hour must be given together")
     day = _day_of_year(args.date)
-    hour = _parse_hhmm(args.hour)
+    hour = _solar_hour(_parse_hhmm(args.hour))
     sun = sun_vector(*solar_position(day, hour, math.radians(latitude_deg)))
     return sun, f"{args.date} {args.hour}"
 
@@ -131,19 +138,16 @@ def cmd_efficiency(args) -> None:
         of = OrientedField(layout, sun)
         j = _subject_index(of.ids, args.subject)
         e = subject_efficiency(of, j).efficiency
-        width, height = of.dims[j].tolist()
-        area = width * height
-        _write_or_print(f"{args.subject} {_fmt(e)} {_fmt(e * area)} {_fmt(area)}\n", args.out)
+        record = HeliostatRecord.from_efficiency(args.subject, e, *of.dims[j].tolist())
+        _write_or_print(record.line() + "\n", args.out)
         return
     report = evaluate_field(layout, sun, workers=args.workers, date_label=label)
     _write_or_print(format_report(report, include_timing=not args.no_timing), args.out)
 
 
 def cmd_sweep(args) -> None:
-    # also rejects nan; the stamps are whole minutes, so a shorter step
-    # only repeats them, and one that does not advance t would never end
-    if not args.step >= 1.0:
-        raise CliError(f"--step must be at least 1 minute, got {_fmt(args.step)}")
+    if args.step < 1:
+        raise CliError(f"--step must be at least 1 minute, got {args.step}")
     layout = load_layout(args.layout)
     start = _parse_hhmm(args.start)
     end = _parse_hhmm(args.end)
@@ -154,23 +158,17 @@ def cmd_sweep(args) -> None:
     j = _subject_index(layout.ids, args.subject)
     lines = [
         f"# sweep subject={args.subject} date={args.date} "
-        f"start={args.start} end={args.end} step={_fmt(args.step)} min",
+        f"start={args.start} end={args.end} step={args.step} min",
         "# time eta_deg theta_deg efficiency",
     ]
-    t = start
-    while t <= end + 1e-9:
-        hh = int(t)
-        mm = int(round((t - hh) * 60.0))
-        if mm == 60:
-            hh, mm = hh + 1, 0
-        stamp = f"{hh:02d}:{mm:02d}"
-        eta, theta = solar_position(day, t, lat)
+    for minute in range(start, end + 1, args.step):
+        stamp = f"{minute // 60:02d}:{minute % 60:02d}"
+        eta, theta = solar_position(day, _solar_hour(minute), lat)
         if eta <= 0.0:
             lines.append(f"# {stamp} sun below horizon, skipped")
         else:
             e = subject_efficiency(OrientedField(layout, sun_vector(eta, theta)), j).efficiency
             lines.append(f"{stamp} {_fmt(math.degrees(eta))} {_fmt(math.degrees(theta))} {_fmt(e)}")
-        t += args.step / 60.0
     _write_or_print("\n".join(lines) + "\n", args.out)
 
 
@@ -270,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--date", required=True, help="solar date MM-DD")
     p.add_argument("--start", required=True, help="start time HH:MM")
     p.add_argument("--end", required=True, help="end time HH:MM")
-    p.add_argument("--step", type=float, default=15.0, help="step, minutes")
+    p.add_argument("--step", type=int, default=15, help="step, whole minutes")
     p.add_argument("--subject", required=True)
     p.add_argument("--out", help="output file; stdout if omitted")
     p.set_defaults(func=cmd_sweep)

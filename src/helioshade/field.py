@@ -68,6 +68,15 @@ class HeliostatRecord:
     area_reflecting: float
     area_total: float
 
+    @classmethod
+    def from_efficiency(cls, hid: str, e: float, width: float, height: float) -> "HeliostatRecord":
+        """The record of a width x height mirror at efficiency e."""
+        return cls(hid, e, e * width * height, width * height)
+
+    def line(self) -> str:
+        """The record's line of the field report, reals to 9 significant digits."""
+        return f"{self.id} {self.efficiency:.9g} {self.area_reflecting:.9g} {self.area_total:.9g}"
+
 
 @dataclass(frozen=True)
 class FieldReport:
@@ -654,7 +663,7 @@ def evaluate_field(
     effs = [e for part in parts for e in part]
     duration = time.perf_counter() - start
     records = tuple(
-        HeliostatRecord(id=hid, efficiency=e, area_reflecting=e * w * h, area_total=w * h)
+        HeliostatRecord.from_efficiency(hid, e, w, h)
         for hid, e, (w, h) in zip(of.ids, effs, of.dims.tolist())
     )
     average = sum(r.efficiency for r in records) / n
@@ -677,10 +686,7 @@ def format_report(report: FieldReport, include_timing: bool = True) -> str:
     if include_timing:
         lines.append(f"# elapsed {report.duration:.9g} s")
     lines.append("# id efficiency area_reflecting area_total")
-    for r in report.records:
-        lines.append(
-            f"{r.id} {r.efficiency:.9g} {r.area_reflecting:.9g} {r.area_total:.9g}"
-        )
+    lines.extend(r.line() for r in report.records)
     lines.append(f"# average {report.average:.9g}")
     return "\n".join(lines) + "\n"
 

@@ -59,9 +59,6 @@ class Polygon2:
                 raise ValueError("degenerate polygon: consecutive coincident vertices")
         object.__setattr__(self, "ring", pts)
 
-    def __len__(self) -> int:
-        return len(self.ring)
-
 
 def ring_signed_area(pts: Sequence[Tuple[float, float]]) -> float:
     """Shoelace area of a ring given as (x, y) pairs; positive iff the

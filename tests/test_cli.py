@@ -11,7 +11,13 @@ import pytest
 
 from conftest import REAL_SCENARIO, SIMPLE_PAIR, simple_trio, sun_at
 from helioshade.cli import main
-from helioshade.field import FieldLayout, OrientedField, subject_efficiency
+from helioshade.field import (
+    FieldLayout,
+    OrientedField,
+    save_layout,
+    subject_efficiency,
+    synthetic_field,
+)
 from helioshade.render import source_color
 
 
@@ -127,6 +133,26 @@ def test_subject_line_equals_report_line(capsys, path):
             assert out == line + "\n"
 
 
+def test_subject_line_takes_the_report_line_area_product(tmp_path, capsys, monkeypatch):
+    import helioshade.field as field_module
+
+    # e * (w * h) and the report's e * w * h differ in the last printed
+    # digit here: 52.5869828 against 52.5869827 on a 12.88 x 9.489 mirror
+    e = 0.43027086896628913
+    monkeypatch.setattr(
+        field_module, "_efficiencies", lambda of, j0, j1, quads: [e] * (j1 - j0)
+    )
+    layout = tmp_path / "field3.txt"
+    save_layout(synthetic_field(3), str(layout))
+    sun = ("--date", "01-21", "--hour", "12:00")
+    code, report, _ = run(capsys, "efficiency", str(layout), *sun, "--no-timing")
+    assert code == 0
+    line = next(ln for ln in report.splitlines() if ln.startswith("h0001 "))
+    assert line == "h0001 0.430270869 52.5869827 122.21832"
+    code, out, _ = run(capsys, "efficiency", str(layout), *sun, "--subject", "h0001")
+    assert (code, out) == (0, line + "\n")
+
+
 def test_malformed_sun_spec_fails(capsys):
     code, _, err = run(capsys, "efficiency", SIMPLE_PAIR, "--eta", "45")
     assert code != 0 and "error:" in err
@@ -202,6 +228,23 @@ def test_sweep_record_count_and_noon_consistency(capsys):
         "--subject", "c",
     )
     assert noon.split()[3] == out2.split()[1]
+
+
+@pytest.mark.parametrize("step", ["1", "7", "15", "60"])
+def test_every_sweep_row_equals_its_subject_query(capsys, step):
+    code, out, _ = run(
+        capsys, "sweep", REAL_SCENARIO, "--date", "01-21", "--start", "06:00",
+        "--end", "18:00", "--step", step, "--subject", "s",
+    )
+    assert code == 0
+    rows = [ln.split() for ln in out.splitlines() if not ln.startswith("#")]
+    assert rows
+    for stamp, _, _, e in rows:
+        code, line, _ = run(
+            capsys, "efficiency", REAL_SCENARIO, "--date", "01-21", "--hour", stamp,
+            "--subject", "s",
+        )
+        assert code == 0 and line.split()[1] == e, stamp
 
 
 def test_sweep_empty_neighbors_constant_one(tmp_path, capsys):
@@ -425,18 +468,20 @@ def test_oracle_check_corrupted_fails(capsys):
           "--end", "09:00", "--subject", "c", "--step", "-5"), "--step"),
         (("sweep", SIMPLE_PAIR, "--date", "01-21", "--start", "08:00",
           "--end", "09:00", "--subject", "c", "--step", "1e-300"), "--step"),
+        (("sweep", SIMPLE_PAIR, "--date", "01-21", "--start", "08:00",
+          "--end", "09:00", "--subject", "c", "--step", "1.1"), "--step"),
         (("bench", "--n", "5", "--reps", "0"), "--reps"),
         (("oracle-check", SIMPLE_PAIR, "--date", "01-21", "--hour", "12:00",
           "--subject", "c", "--samples", "0"), "--samples"),
         (("oracle-check", SIMPLE_PAIR, "--date", "01-21", "--hour", "12:00",
           "--subject", "c", "--samples", "10000000000000"), "--samples"),
     ],
-    ids=["step-0", "step-neg", "step-tiny", "reps-0", "samples-0", "samples-huge"],
+    ids=["step-0", "step-neg", "step-tiny", "step-fraction", "reps-0", "samples-0", "samples-huge"],
 )
 def test_non_positive_counts_fail_with_one_error_line(capsys, argv, flag):
-    # the step check comes before the sweep loop, which a step that does
-    # not advance would never leave, and the samples check before the
-    # oracle allocates them
+    # the step check comes before the sweep loop, where a step of 0 would
+    # fail without naming --step and a negative one would print no rows,
+    # and the samples check before the oracle allocates them
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
@@ -828,7 +873,7 @@ def test_sweep_script_refuses_a_step_below_a_minute(tmp_path, step):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--step", "abc"], "error: helioshade sweep: argument --step: invalid float value"),
+        (["--step", "abc"], "error: helioshade sweep: argument --step: invalid int value"),
         (["--bogus"], "error: daily_efficiency_sweep.py: unrecognized arguments: --bogus"),
     ],
     ids=["step-abc", "unknown-flag"],

@@ -80,9 +80,12 @@ def _solar_hour(minute: int) -> float:
 def _day_of_year(date_text: str) -> int:
     try:
         month, day = (int(p) for p in date_text.split("-"))
-        return datetime.date(2023, month, day).timetuple().tm_yday
     except ValueError:
         raise CliError(f"malformed date {date_text!r}, expected MM-DD") from None
+    try:
+        return datetime.date(2023, month, day).timetuple().tm_yday
+    except ValueError:
+        raise CliError(f"date {date_text!r} is not a day of the 365-day year") from None
 
 
 def _add_sun_args(p: argparse.ArgumentParser) -> None:
@@ -132,6 +135,8 @@ def _write_or_print(text: str, out: Optional[str]) -> None:
 
 
 def cmd_efficiency(args) -> None:
+    if args.workers < 1:
+        raise CliError(f"--workers must be at least 1, got {args.workers}")
     layout = load_layout(args.layout)
     sun, label = _resolve_sun(args, layout.latitude_deg)
     if args.subject:

@@ -7,14 +7,15 @@ centres lie in one of two sound capsules: one toward the sun for
 shadows and one toward the aim point for blocking (see
 `OrientedField.capsule_pairs`); on the synthetic 1000-mirror field that
 is about 2 neighbours a subject at noon and 6 at a 6.5 degree sun.  A
-uniform grid over the mirror centres finds the capsule members without
-comparing every pair.  The field is cut once, into chunks of whole
-consecutive subjects whose selection visits at most `_GATHER_BUDGET`
-grid rows and mirrors, which also bounds their pairs; each chunk
-selects its own (subject, neighbour) pairs, clips them to the valid
-projection region (`_clip`, one pass per plane, for the few occluders
-that cross its planes), and projects and culls them as numpy arrays,
-vertex first and pair last: corners (3, V, P), sides and images (V, P).
+uniform grid over the mirror centres finds the capsule members in one
+box per subject, around both its capsules, without comparing every
+pair.  The field is cut once, into chunks of whole consecutive subjects
+whose selection visits at most `_GATHER_BUDGET` grid rows and mirrors,
+which also bounds their pairs; each chunk selects its own (subject,
+neighbour) pairs, clips them to the valid projection region (`_clip`,
+one pass per plane, for the few occluders that cross its planes), and
+projects and culls them as numpy arrays, vertex first and pair last:
+corners (3, V, P), sides and images (V, P).
 The few surviving quads stay in that form: `clip.clean_rows` certifies
 them as padded (2, V, K) rings, and one call of `clip.covered_areas` per
 chunk gives the shaded area of every subject in it, from the parts of
@@ -146,7 +147,7 @@ def synthetic_field(n: int, spec: RadialStaggerSpec = RadialStaggerSpec()) -> Fi
     # pairwise separation must exceed the mirror diagonal: a pair closer
     # than that lies in neighbouring cells of a grid one diagonal wide
     box = np.full(2, diag * (1.0 + _REACH_SLACK))
-    s, i = _Grid(pts, diag).gather(np.arange(n), pts - box, pts + box)
+    s, i = _Grid(pts, diag).gather(pts - box, pts + box)
     d_x, d_y = (pts[i] - pts[s]).T
     if ((d_x * d_x + d_y * d_y <= diag * diag) & (s != i)).any():
         raise LayoutError("infeasible spacing: generated mirrors overlap")
@@ -239,8 +240,8 @@ class OrientedField:
     def capsule_pairs(self, j0: int, j1: int) -> Tuple[np.ndarray, np.ndarray]:
         """Candidate pairs (subjects, neighbours) of the subjects
         j0 <= j < j1, in row-major order with neighbours ascending: the
-        grid gathers the mirrors in the cells that cover the bounding boxes
-        of each subject's two capsules, and the exact capsule test keeps
+        grid gathers the mirrors in the cells of one box per subject, the
+        bounding box of both its capsules, and the exact capsule test keeps
         the members.  Every other neighbour's images miss the mirror.
 
         Let dz be the field-wide spread of corner heights, hd the mirror
@@ -275,8 +276,8 @@ class OrientedField:
         point not above every corner of mirror j, or a capsule length that
         is not finite, every neighbour is a candidate.
         """
-        subjects = np.arange(j0, j1)
-        s, i = self.grid.gather(*self._capsule_boxes(subjects))
+        s, i = self.grid.gather(*self._capsule_boxes(np.arange(j0, j1)))
+        s += j0
         d_x, d_y = (self.centers[i, :2] - self.centers[s, :2]).T
         radius = (self.half_diagonals[i] + self.half_diagonals[s]) * (1.0 + _REACH_SLACK)
         r2 = radius * radius
@@ -285,37 +286,29 @@ class OrientedField:
             | (_segment_dist2(d_x, d_y, *self.shadow_end) <= r2)
             | (_segment_dist2(d_x, d_y, *self.block_end[s].T) <= r2)
         )
-        # sort, and drop the pairs found through both boxes of a subject
-        key = np.sort(s[keep] * self.n + i[keep])
-        key = key[np.diff(key, prepend=-1) != 0]
-        return np.divmod(key, self.n)
+        return np.divmod(np.sort(s[keep] * self.n + i[keep]), self.n)
 
     def _capsule_boxes(self, subjects: np.ndarray):
-        """Subjects and plant-frame bounding boxes (lo, hi) of their shadow
-        and block capsules, two entries per subject; a subject whose every
+        """Plant-frame bounding boxes (lo, hi) of the subjects, each box
+        holding both capsules of its subject; a subject whose every
         neighbour is a candidate gets the whole plane."""
         # the largest radius of the subject's capsules, a little wider
         # still, so rounding cannot put a member outside the box
         radius = (self.half_diagonals[subjects] + self.half_diagonals.max()) * (
             1.0 + 2.0 * _REACH_SLACK
         )
-        ends = np.concatenate(
-            [np.broadcast_to(self.shadow_end, (len(subjects), 2)), self.block_end[subjects]]
-        )
-        c = np.tile(self.centers[subjects, :2], (2, 1))
-        r = np.tile(radius, 2)[:, None]
-        lo = c + np.minimum(ends, 0.0) - r
-        hi = c + np.maximum(ends, 0.0) + r
-        unbounded = np.tile(self.unbounded[subjects], 2)
+        c, ends = self.centers[subjects, :2], self.block_end[subjects]
+        lo = c + np.minimum(np.minimum(ends, self.shadow_end), 0.0) - radius[:, None]
+        hi = c + np.maximum(np.maximum(ends, self.shadow_end), 0.0) + radius[:, None]
+        unbounded = self.unbounded[subjects]
         lo[unbounded], hi[unbounded] = -math.inf, math.inf
-        return np.tile(subjects, 2), lo, hi
+        return lo, hi
 
     def _capsule_work(self) -> np.ndarray:
         """Per subject, the grid rows and mirrors that `capsule_pairs`
         visits for it: a bound on the size of its arrays."""
-        _, lo, hi = self._capsule_boxes(np.arange(self.n))
-        rows, mirrors = self.grid.box_sizes(lo, hi)
-        return (rows + mirrors).reshape(2, self.n).sum(axis=0)
+        rows, mirrors = self.grid.box_sizes(*self._capsule_boxes(np.arange(self.n)))
+        return rows + mirrors
 
 
 class _Grid:
@@ -362,16 +355,16 @@ class _Grid:
         mirrors = t[y1 + 1, x1 + 1] - t[y0, x1 + 1] - t[y1 + 1, x0] + t[y0, x0]
         return y1 - y0 + 1, mirrors
 
-    def gather(self, owners: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-        """(owner, mirror) for every mirror in the cells of each box: each
-        row of a box is one contiguous run of the sorted mirrors."""
+    def gather(self, lo: np.ndarray, hi: np.ndarray):
+        """(box index, mirror) for every mirror in the cells of each box:
+        each row of a box is one contiguous run of the sorted mirrors."""
         x0, y0, x1, y1 = self._cells(lo, hi)
         rows = y1 - y0 + 1
-        box = np.repeat(np.arange(len(owners)), rows)
+        box = np.repeat(np.arange(len(lo)), rows)
         base = (_ramp(rows) + y0[box]) * self.nx
         first = self.start[base + x0[box]]
         count = self.start[base + x1[box] + 1] - first
-        return np.repeat(owners[box], count), self.order[_ramp(count) + np.repeat(first, count)]
+        return np.repeat(box, count), self.order[_ramp(count) + np.repeat(first, count)]
 
 
 def _segment_dist2(x, y, vx, vy):
@@ -387,8 +380,9 @@ def _segment_dist2(x, y, vx, vy):
 # of subjects may visit, unless one subject alone needs more.  A chunk's
 # pairs are at most its gathered mirrors, and its evaluation peaks at
 # 2.5 kB per pair (tracemalloc) at a 6.5 degree sun, 8.8 kB at 1 degree.
-# At 6.5 degrees this budget gives the 1000-mirror field 4 chunks of at
-# most 1980 pairs (6144 gave 7, 9% slower; 24576 gave 2, +3.6 MB RSS).
+# At 6.5 degrees this budget gives the 1000-mirror field 3 chunks of at
+# most 2637 pairs (6144 gives 5, 7% slower, -1.9 MB RSS; 24576 gives 2 of
+# 5205 pairs, 7% faster, +4.7 MB RSS).
 _GATHER_BUDGET = 12288
 
 # the kind of a kept quad, by its `_block_quads` kind index

@@ -256,8 +256,8 @@ def load_layout(path: str) -> FieldLayout:
     record type and the keys of their fields in order; each shape is
     checked once against `_FIELDS`, each of its fields is one column, and
     the numbers of a column go through `float` together and must be
-    finite.  Only a fault found so sends the lines, one at a time, through
-    `_line_fault`, which names the first faulty line.
+    finite.  Only a fault found so sends the block's lines, one at a time,
+    through `_line_fault`, which names the first faulty line.
     """
     pieces: Dict[str, list] = {kind: [] for kind in _FIELDS}
     start = 0
@@ -276,7 +276,7 @@ def load_layout(path: str) -> FieldLayout:
                 if shape is False:
                     groups += _grouped(group, _shape)
                 elif shape is None:
-                    raise _first_fault(path)
+                    raise _first_fault(path, records)
                 else:
                     pieces[shape[0]].append((np.array([k for k, _ in group]), shape[1]))
             start += len(block)
@@ -371,16 +371,14 @@ def _in_file_order(pieces: Dict[str, list], kind: str) -> Dict[str, object]:
     return out
 
 
-def _first_fault(path: str) -> LayoutError:
-    """The error of the first faulty line of a file in which the bulk
-    parse found a fault; finding none is a bug in the parser."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split()
-            if parts and not parts[0].startswith("#"):
-                fault = _line_fault(parts)
-                if fault is not None:
-                    return LayoutError(f"line {lineno}: {fault}")
+def _first_fault(path: str, records) -> LayoutError:
+    """The error of the first faulty line among the (file row, split
+    line) records of the block in which the bulk parse found a fault;
+    every earlier block passed, and finding none is a bug in the parser."""
+    for k, parts in records:
+        fault = _line_fault(parts)
+        if fault is not None:
+            return LayoutError(f"line {k + 1}: {fault}")
     raise RuntimeError(f"{path}: the layout parser found a fault that no line holds")
 
 

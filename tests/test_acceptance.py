@@ -226,7 +226,7 @@ def test_acceptance_performance_1000_heliostats():
 
 def test_acceptance_determinism():
     layout = synthetic_field(1000)
-    sun = sun_at(21, 16.25, layout.latitude_deg)  # 4 chunks, so a pool runs
+    sun = sun_at(21, 16.25, layout.latitude_deg)  # 3 chunks, so a pool runs
     texts = set()
     for workers in (1, 1, 4, 8):
         rep = evaluate_field(layout, sun, workers=workers)

@@ -163,7 +163,15 @@ def test_malformed_sun_spec_fails(capsys):
     assert code != 0 and "error:" in err
 
 
-@pytest.mark.parametrize("workers_arg", [["--workers", "0"], ["--workers", "-3"]])
+@pytest.mark.parametrize(
+    "workers_arg",
+    [
+        ["--workers", "0"],
+        ["--workers", "-3"],
+        ["--workers", "0", "--subject", "c"],
+        ["--workers", "-3", "--subject", "c"],
+    ],
+)
 def test_invalid_worker_count_fails(capsys, workers_arg):
     code, out, err = run(
         capsys, "efficiency", SIMPLE_PAIR, "--date", "01-21", "--hour", "12:00",
@@ -173,6 +181,28 @@ def test_invalid_worker_count_fails(capsys, workers_arg):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert err.startswith("error:") and "worker" in err.lower()
+
+
+@pytest.mark.parametrize(
+    "date,message",
+    [
+        ("0121", "malformed date '0121', expected MM-DD"),
+        ("01-21-3", "malformed date '01-21-3', expected MM-DD"),
+        ("ab-cd", "malformed date 'ab-cd', expected MM-DD"),
+        # well formed, but not a day of the solar model's 365-day year
+        ("02-29", "date '02-29' is not a day of the 365-day year"),
+        ("02-30", "date '02-30' is not a day of the 365-day year"),
+        ("13-01", "date '13-01' is not a day of the 365-day year"),
+    ],
+    ids=["0121", "01-21-3", "ab-cd", "02-29", "02-30", "13-01"],
+)
+def test_bad_date_fails_with_one_error_line(capsys, date, message):
+    code, out, err = run(
+        capsys, "efficiency", SIMPLE_PAIR, "--date", date, "--hour", "12:00"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_below_horizon_fails(capsys):

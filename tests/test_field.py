@@ -538,8 +538,11 @@ def _low_aims(n):
         (synthetic_field(300), 31.6, 180.0, False),
         (FieldLayout.from_heliostats(_low_aims(120)), 6.5, 244.0, True),
         (_far_flung(120), 1.0, 90.0, False),
+        # the shadow capsules lie across the block capsules, so one box
+        # around both is larger than the two it replaces
+        (synthetic_field(300), 1.0, 270.0, False),
     ],
-    ids=["1deg", "6.5deg", "31.6deg", "low-aims", "far-flung"],
+    ids=["1deg", "6.5deg", "31.6deg", "low-aims", "far-flung", "1deg-west"],
 )
 def test_grid_finds_exactly_the_capsule_members(layout, eta, theta, unbounded):
     of = OrientedField(layout, sun_vector(math.radians(eta), math.radians(theta)))
@@ -1083,5 +1086,8 @@ def test_pool_has_at_most_one_process_per_chunk(monkeypatch):
     evaluate_field(pair, sun_at(21, 12.0, pair.latitude_deg), workers=8)
     assert sizes == []  # one chunk runs in the calling process
     layout = synthetic_field(1000)
-    evaluate_field(layout, sun_at(21, 16.25, layout.latitude_deg), workers=8)
-    assert sizes == [4]  # one process per chunk
+    sun = sun_at(21, 16.25, layout.latitude_deg)
+    chunks = len(list(field_module._blocks(OrientedField(layout, sun))))
+    assert chunks > 1
+    evaluate_field(layout, sun, workers=8)
+    assert sizes == [chunks]  # one process per chunk

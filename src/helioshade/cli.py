@@ -199,6 +199,8 @@ def cmd_bench(args) -> None:
         raise CliError("bench needs --n >= 1")
     if args.reps < 1:
         raise CliError("bench needs --reps >= 1")
+    if args.workers < 1:
+        raise CliError(f"--workers must be at least 1, got {args.workers}")
     layout = synthetic_field(args.n)
     if args.eta is None and args.theta is None:
         args.date = args.date or "01-21"

@@ -11,11 +11,13 @@ uniform grid over the mirror centres finds the capsule members in one
 box per subject, around both its capsules, without comparing every
 pair.  The field is cut once, into chunks of whole consecutive subjects
 whose selection visits at most `_GATHER_BUDGET` grid rows and mirrors,
-which also bounds their pairs; each chunk selects its own (subject,
-neighbour) pairs, clips them to the valid projection region (`_clip`,
-one pass per plane, for the few occluders that cross its planes), and
-projects and culls them as numpy arrays, vertex first and pair last:
-corners (3, V, P), sides and images (V, P).
+which also bounds their image rows, at most two per mirror visited.
+Each chunk selects its own image rows (subject, neighbour, kind), one
+for each shadow or block image that its own capsule admits, clips them
+to the valid projection region (`_clip`, one pass per plane, for the few
+occluders that cross its planes), and projects and culls them as numpy
+arrays, vertex first and image row last: corners (3, V, R), sides and
+images (V, R).
 The few surviving quads stay in that form: `clip.clean_rows` certifies
 them as padded (2, V, K) rings, and one call of `clip.covered_areas` per
 chunk gives the shaded area of every subject in it, from the parts of
@@ -237,20 +239,23 @@ class OrientedField:
         self.block_end = np.where(self.unbounded[:, None], 0.0, block_end)
         self.grid = _Grid(self.centers[:, :2], 2.0 * self.half_diagonals.max()) if n else None
 
-    def capsule_pairs(self, j0: int, j1: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Candidate pairs (subjects, neighbours) of the subjects
-        j0 <= j < j1, in row-major order with neighbours ascending: the
-        grid gathers the mirrors in the cells of one box per subject, the
-        bounding box of both its capsules, and the exact capsule test keeps
-        the members.  Every other neighbour's images miss the mirror.
+    def capsule_pairs(self, j0: int, j1: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Candidate image rows (subjects, neighbours, kinds) of the
+        subjects j0 <= j < j1, one row for each image of a neighbour that
+        its own capsule admits, kinds indexing `_KINDS`, in row-major
+        order with neighbours ascending and a neighbour's block row before
+        its shadow row: the grid gathers the mirrors in the cells of one
+        box per subject, the bounding box of both its capsules, and the
+        exact capsule test of each kind keeps its members.  Every other
+        image misses the mirror.
 
         Let dz be the field-wide spread of corner heights, hd the mirror
         half-diagonals and the suffix h the horizontal part of a vector.
-        A neighbour i matters only if its shadow or block image meets
-        mirror j: some point p of i (or of its part clipped to the valid
-        side of the plane, a convex combination of its corners) maps to a
-        point q of mirror j.  Both lie within the field's corner heights,
-        and |p_h - c_i,h| <= hd_i, |q_h - c_j,h| <= hd_j.
+        An image of neighbour i matters only if it meets mirror j: some
+        point p of i (or of its part clipped to the valid side of the
+        plane, a convex combination of its corners) maps to a point q of
+        mirror j.  Both lie within the field's corner heights, and
+        |p_h - c_i,h| <= hd_i, |q_h - c_j,h| <= hd_j.
 
         Shadow: q = p + t u_s with t >= 0, and u_s sinks at the solar
         height eta, so t = (p_z - q_z) / sin(eta) <= dz / sin(eta) and
@@ -270,23 +275,26 @@ class OrientedField:
         within hd_j of the segment [0, B_j] with
         B_j = min(1, dz / rise_j) (T_h - c_j,h).
 
-        So c_i,h - c_j,h lies within hd_i + hd_j of [0, S] (the shadow
-        capsule) or of [0, B_j] (the block capsule); the radius is widened
-        by `_REACH_SLACK`.  With the sun at or below the horizon, the aim
-        point not above every corner of mirror j, or a capsule length that
-        is not finite, every neighbour is a candidate.
+        So a shadow image can meet the mirror only if c_i,h - c_j,h lies
+        within hd_i + hd_j of [0, S] (the shadow capsule), and a block
+        image only if it lies within hd_i + hd_j of [0, B_j] (the block
+        capsule); the radius is widened by `_REACH_SLACK`.  With the sun
+        at or below the horizon, the aim point not above every corner of
+        mirror j, or a capsule length that is not finite, both images of
+        every neighbour are candidates.
         """
         s, i = self.grid.gather(*self._capsule_boxes(np.arange(j0, j1)))
         s += j0
         d_x, d_y = (self.centers[i, :2] - self.centers[s, :2]).T
         radius = (self.half_diagonals[i] + self.half_diagonals[s]) * (1.0 + _REACH_SLACK)
         r2 = radius * radius
-        keep = (s != i) & (
-            self.unbounded[s]
-            | (_segment_dist2(d_x, d_y, *self.shadow_end) <= r2)
-            | (_segment_dist2(d_x, d_y, *self.block_end[s].T) <= r2)
-        )
-        return np.divmod(np.sort(s[keep] * self.n + i[keep]), self.n)
+        key = 2 * (s * self.n + i)
+        admitted = [
+            key[(s != i) & (self.unbounded[s] | (_segment_dist2(d_x, d_y, *end) <= r2))] + kind
+            for kind, end in enumerate((self.block_end[s].T, self.shadow_end))
+        ]
+        pairs, kinds = np.divmod(np.sort(np.concatenate(admitted)), 2)
+        return (*np.divmod(pairs, self.n), kinds)
 
     def _capsule_boxes(self, subjects: np.ndarray):
         """Plant-frame bounding boxes (lo, hi) of the subjects, each box
@@ -378,32 +386,33 @@ def _segment_dist2(x, y, vx, vy):
 
 # Most grid rows plus gathered mirrors the capsule selection of one chunk
 # of subjects may visit, unless one subject alone needs more.  A chunk's
-# pairs are at most its gathered mirrors, and its evaluation peaks at
-# 2.5 kB per pair (tracemalloc) at a 6.5 degree sun, 8.8 kB at 1 degree.
-# At 6.5 degrees this budget gives the 1000-mirror field 3 chunks of at
-# most 2637 pairs (6144 gives 5, 7% slower, -1.9 MB RSS; 24576 gives 2 of
-# 5205 pairs, 7% faster, +4.7 MB RSS).
+# image rows are at most twice its gathered mirrors, and on the
+# 1000-mirror field its evaluation peaks at 1.8 kB per image row
+# (tracemalloc) at a 6.5 degree sun, 10.1 kB at 1 degree.  At 6.5 degrees
+# this budget gives that field 3 chunks of at most 2824 image rows (6144
+# gives 5, 7% slower, -1.9 MB RSS; 24576 gives 2, 7% faster, +4.7 MB RSS).
 _GATHER_BUDGET = 12288
 
-# the kind of a kept quad, by its `_block_quads` kind index
+# the kind of an image row, by its kind index (`capsule_pairs`, `_pairs`)
 _KINDS = ("block", "shadow")
 
 
 def _pairs(of: OrientedField, j0: int, j1: int, use_culling: bool):
-    """(subjects, neighbours) of the subjects j0 <= j < j1, in row-major
-    order with neighbours ascending: the capsule candidates, or with
-    `use_culling=False` every neighbour."""
+    """Image rows (subjects, neighbours, kinds) of the subjects
+    j0 <= j < j1, in the order of `OrientedField.capsule_pairs`: its
+    candidates, or with `use_culling=False` both images of every
+    neighbour."""
     if use_culling:
         return of.capsule_pairs(j0, j1)
     rows, cols = np.nonzero(np.arange(of.n) != np.arange(j0, j1)[:, None])
-    return rows + j0, cols
+    return np.repeat(rows + j0, 2), np.repeat(cols, 2), np.tile([0, 1], len(cols))
 
 
 def _blocks(of: OrientedField) -> Iterator[Tuple[int, int]]:
     """The field cut greedily into chunks [j0, j1) of whole consecutive
     subjects whose capsule selection visits at most `_GATHER_BUDGET` grid
     rows and mirrors; a subject that alone visits more is a chunk by
-    itself.  So the whole pair list is never built."""
+    itself.  So the image rows of the whole field are never built at once."""
     ends = np.cumsum(of._capsule_work())
     j0 = 0
     while j0 < of.n:
@@ -416,7 +425,7 @@ def _blocks(of: OrientedField) -> Iterator[Tuple[int, int]]:
 def _local_xy(x, y, z, c, r):
     """Subject-plane (x, y) of plant points: rotation rows r applied to
     the offset from the subject centre c, written out term by term so a
-    pair's numbers do not depend on the arrays it is batched with."""
+    row's numbers do not depend on the arrays it is batched with."""
     dx, dy, dz = x - c[0], y - c[1], z - c[2]
     return (
         r[0][0] * dx + r[0][1] * dy + r[0][2] * dz,
@@ -432,32 +441,33 @@ def _block_quads(of: OrientedField, j0: int, j1: int, use_culling: bool = True):
     with the counterclockwise ring of lengths[k] vertices in the subject's
     local plane padded in ring_xy[:, :, k] (2, V, K) (`clip.clean_rows`).
 
-    The subjects' (subject, neighbour) pairs (`_pairs`) are clipped to
-    the valid projection region, projected and culled as (V, P) arrays,
-    vertex first and pair last; `use_culling=False` keeps every neighbour
-    and every quad.  The valid region is the front of the subject plane for
-    shadows and the slab between the subject plane and the aim point for
-    blocks.  `_clip` cuts only the rare occluders that straddle one of
-    those planes: to the front of the subject plane once, for both images,
-    then below the aim point's plane for the block; a chunk without such
-    a pair keeps its 4-vertex rows.
+    The subjects' image rows (`_pairs`) are clipped to the valid
+    projection region, projected and culled as (V, R) arrays, vertex first
+    and image row last; `use_culling=False` keeps every neighbour and every
+    quad.  The valid region is the front of the subject plane for a shadow
+    and the slab between the subject plane and the aim point for a block.
+    `_clip` cuts only the rare occluders that straddle one of those
+    planes: to the front of the subject plane, then below the aim point's
+    plane, which is at +inf for a shadow row; a chunk without such a row
+    keeps its 4-vertex rows.  Each row is then projected along its own
+    direction d, the light for a shadow and toward the aim point for a
+    block.
     """
-    subjects, cols = _pairs(of, j0, j1, use_culling)
+    subjects, cols, kinds = _pairs(of, j0, j1, use_culling)
     rows = subjects - j0  # row-major: subjects keep field order
+    block = kinds == 0  # `_KINDS[0]`
 
-    # per-subject constants, then gathered per pair
+    # per-subject constants, then gathered per row
     nx, ny, nz = of.normals[j0:j1].T
     cx, cy, cz = of.centers[j0:j1].T
     ax, ay, az = of.aims[j0:j1].T
-    ux, uy, uz = of.sun.u_s
     plane_d = nx * cx + ny * cy + nz * cz
-    denom_s = nx * ux + ny * uy + nz * uz
     side_t = nx * ax + ny * ay + nz * az - plane_d
     hx, hy = of.dims[j0:j1].T / 2.0
 
     c = (cx[rows], cy[rows], cz[rows])
     r = of.rotations[j0:j1, :2].transpose(1, 2, 0)[:, :, rows]
-    corners = of.corners.transpose(2, 1, 0)[:, :, cols]  # (3, 4, P)
+    corners = of.corners.transpose(2, 1, 0)[:, :, cols]  # (3, 4, R)
     px, py, pz = corners
     side = px * nx[rows] + py * ny[rows] + pz * nz[rows] - plane_d[rows]
     count = np.full(len(cols), 4)
@@ -465,46 +475,32 @@ def _block_quads(of: OrientedField, j0: int, j1: int, use_culling: bool = True):
     with np.errstate(divide="ignore", invalid="ignore"):
         # only the part of an occluder on the front side of the subject
         # plane casts a shadow on the mirror or blocks its reflection; a
-        # block image is finite only inside the slab 0 < side < side(aim)
-        upper = (side_t * (1.0 - 1e-9))[rows]
-        shadow = (np.abs(denom_s) >= _PERP_TOL)[rows] & (side >= 0.0).any(axis=0)
-        block = (side_t > 0.0)[rows] & ~(side <= 0.0).all(axis=0) & ~(side >= upper).all(axis=0)
-        front = _clip(corners, side, count, (shadow | block) & (side < 0.0).any(axis=0))
+        # block image is finite only inside the slab 0 < side < side(aim),
+        # and a shadow row's slab has no upper plane
+        upper = np.where(block, side_t[rows] * (1.0 - 1e-9), np.inf)
+        front = np.where(block, (side > 0.0).any(axis=0), (side >= 0.0).any(axis=0))
+        live = front & (upper > 0.0) & (side < upper).any(axis=0)
+        xyz, side, count = _clip(corners, side, count, live & (side < 0.0).any(axis=0))
+        xyz, side, count = _clip(xyz, side, count, live & (side > upper).any(axis=0), upper)
+        px, py, pz = xyz
 
-        # shadow projection along the light direction
-        (px, py, pz), side_s, count_s = front
-        shadow &= count_s >= 3
-        t_s = -side_s / denom_s[rows]
-        shadow_x, shadow_y = _local_xy(px + t_s * ux, py + t_s * uy, pz + t_s * uz, c, r)
-
-        # block projection from the aim point, of the front part cut below
-        # the plane through the aim point
-        beyond = block & (side_s > upper).any(axis=0)
-        (px, py, pz), side_b, count_b = _clip(*front, beyond, upper)
-        block &= (count_b >= 3) & ~(side_b <= 0.0).all(axis=0)
+        # a live block row keeps a vertex above the subject plane through
+        # both cuts, and a vertex at the aim point gets a NaN direction d,
+        # which fails the |n . d| test
         dx, dy, dz = ax[rows] - px, ay[rows] - py, az[rows] - pz
         dist = np.sqrt(dx * dx + dy * dy + dz * dz)
-        dx, dy, dz = dx / dist, dy / dist, dz / dist
-        denom_b = dx * nx[rows] + dy * ny[rows] + dz * nz[rows]
-        t_b = -side_b / denom_b
-        block &= (dist > 0.0).all(axis=0) & (np.abs(denom_b) >= _PERP_TOL).all(axis=0)
-        block_x, block_y = _local_xy(px + t_b * dx, py + t_b * dy, pz + t_b * dz, c, r)
+        dx, dy, dz = (np.where(block, v / dist, u) for v, u in zip((dx, dy, dz), of.sun.u_s))
+        denom = dx * nx[rows] + dy * ny[rows] + dz * nz[rows]
+        t = -side / denom
+        keep = live & (count >= 3) & (np.abs(denom) >= _PERP_TOL).all(axis=0)
+        x, y = _local_xy(px + t * dx, py + t * dy, pz + t * dz, c, r)
 
     if use_culling:
-        shadow &= ~_culled(shadow_x, shadow_y, hx[rows], hy[rows])
-        block &= ~_culled(block_x, block_y, hx[rows], hy[rows])
+        keep &= ~_culled(x, y, hx[rows], hy[rows])
 
-    # column 2p + kind is pair p's image of kind `_KINDS[kind]`; only the
-    # flagged columns are cleaned, the others can hold inf or NaN
-    w = max(len(block_x), len(shadow_x))
-    xy = np.zeros((2, w, len(cols), 2))
-    for kind, image in enumerate(((block_x, block_y), (shadow_x, shadow_y))):
-        xy[:, : len(image[0]), :, kind] = image
-    flagged = np.flatnonzero(np.stack([block, shadow], axis=1))
-    count = np.stack([count_b, count_s], axis=1).ravel()[flagged]
-    kept, ring_xy, lengths = clean_rows(*xy.reshape(2, w, -1)[:, :, flagged], count)
-    pair, kinds = np.divmod(flagged[kept], 2)
-    return rows[pair], cols[pair], kinds, ring_xy, lengths
+    # only the kept columns are cleaned, the others can hold inf or NaN
+    kept, ring_xy, lengths = clean_rows(x[:, keep], y[:, keep], count[keep])
+    return rows[keep][kept], cols[keep][kept], kinds[keep][kept], ring_xy, lengths
 
 
 def _clip(xyz: np.ndarray, side: np.ndarray, count: np.ndarray, rows: np.ndarray, upper=None):

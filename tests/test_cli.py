@@ -501,17 +501,22 @@ def test_oracle_check_corrupted_fails(capsys):
         (("sweep", SIMPLE_PAIR, "--date", "01-21", "--start", "08:00",
           "--end", "09:00", "--subject", "c", "--step", "1.1"), "--step"),
         (("bench", "--n", "5", "--reps", "0"), "--reps"),
+        (("bench", "--workers", "0"), "--workers"),
         (("oracle-check", SIMPLE_PAIR, "--date", "01-21", "--hour", "12:00",
           "--subject", "c", "--samples", "0"), "--samples"),
         (("oracle-check", SIMPLE_PAIR, "--date", "01-21", "--hour", "12:00",
           "--subject", "c", "--samples", "10000000000000"), "--samples"),
     ],
-    ids=["step-0", "step-neg", "step-tiny", "step-fraction", "reps-0", "samples-0", "samples-huge"],
+    ids=[
+        "step-0", "step-neg", "step-tiny", "step-fraction", "reps-0", "bench-workers-0",
+        "samples-0", "samples-huge",
+    ],
 )
 def test_non_positive_counts_fail_with_one_error_line(capsys, argv, flag):
     # the step check comes before the sweep loop, where a step of 0 would
     # fail without naming --step and a negative one would print no rows,
-    # and the samples check before the oracle allocates them
+    # the bench worker check before the synthetic field is built, and the
+    # samples check before the oracle allocates them
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""

@@ -468,11 +468,12 @@ def test_prefilter_keeps_every_overlapping_quad(rng):
         of = OrientedField(layout_of(helios), sun)
         for j in range(of.n):
             half = (helios[j].width / 2.0, helios[j].height / 2.0)
-            kept = {of.ids[i] for i in of.capsule_pairs(j, j + 1)[1]}
+            _, cols, kinds = of.capsule_pairs(j, j + 1)
+            admitted = {(of.ids[i], field_module._KINDS[k]) for i, k in zip(cols, kinds)}
             for quad in subject_quads(of, j, use_culling=False):
                 if areas([[quad.ring.ring]], [half])[0] > 1e-12:
                     overlapping += 1
-                    assert quad.source_id in kept
+                    assert (quad.source_id, quad.kind) in admitted
     assert overlapping > 100
 
 
@@ -483,17 +484,18 @@ def test_capsules_keep_every_overlapping_quad_at_low_sun(rng):
         of = OrientedField(layout_of(helios), sun)
         for j in range(of.n):
             half = (helios[j].width / 2.0, helios[j].height / 2.0)
-            kept = {of.ids[i] for i in of.capsule_pairs(j, j + 1)[1]}
+            _, cols, kinds = of.capsule_pairs(j, j + 1)
+            admitted = {(of.ids[i], field_module._KINDS[k]) for i, k in zip(cols, kinds)}
             for quad in subject_quads(of, j, use_culling=False):
                 if areas([[quad.ring.ring]], [half])[0] > 1e-12:
                     overlapping += 1
-                    assert quad.source_id in kept
+                    assert (quad.source_id, quad.kind) in admitted
     assert overlapping > 100
 
 
 def _capsule_members(of):
-    """(n, n) mask of the capsule test over every (subject, neighbour)
-    pair, without the grid."""
+    """(n, n) masks (block, shadow) of the capsule tests over every
+    (subject, neighbour) pair, without the grid."""
     d = of.centers[None, :, :2] - of.centers[:, None, :2]
     r = (of.half_diagonals[None, :] + of.half_diagonals[:, None]) * (
         1.0 + field_module._REACH_SLACK
@@ -506,9 +508,10 @@ def _capsule_members(of):
         e = d - t[..., None] * v
         return (e * e).sum(axis=-1) <= r * r
 
-    mask = of.unbounded[:, None] | within(of.shadow_end) | within(of.block_end)
-    np.fill_diagonal(mask, False)
-    return mask
+    masks = [of.unbounded[:, None] | within(ends) for ends in (of.block_end, of.shadow_end)]
+    for mask in masks:
+        np.fill_diagonal(mask, False)
+    return masks
 
 
 def _far_flung(n):
@@ -548,19 +551,30 @@ def test_grid_finds_exactly_the_capsule_members(layout, eta, theta, unbounded):
     of = OrientedField(layout, sun_vector(math.radians(eta), math.radians(theta)))
     assert of.unbounded.any() == unbounded
     members = _capsule_members(of)
-    assert 0 < members.sum()
+    assert all(0 < mask.sum() for mask in members)
     for j in range(of.n):
-        assert np.array_equal(of.capsule_pairs(j, j + 1)[1], np.flatnonzero(members[j])), j
-    subjects, neighbours = of.capsule_pairs(0, of.n)
-    assert np.array_equal(subjects * of.n + neighbours, np.flatnonzero(members))
+        _, neighbours, kinds = of.capsule_pairs(j, j + 1)
+        for kind, mask in enumerate(members):
+            assert np.array_equal(neighbours[kinds == kind], np.flatnonzero(mask[j])), (j, kind)
+    _assert_rows_are_capsule_members(of, members)
+
+
+def _assert_rows_are_capsule_members(of, members):
+    """The image rows of the whole field are exactly each kind's capsule
+    members, in field order with a neighbour's block row first."""
+    subjects, neighbours, kinds = of.capsule_pairs(0, of.n)
+    for kind, mask in enumerate(members):
+        mine = kinds == kind
+        assert np.array_equal(subjects[mine] * of.n + neighbours[mine], np.flatnonzero(mask))
+    key = (subjects * of.n + neighbours) * 2 + kinds
+    assert (np.diff(key) > 0).all()
 
 
 def test_random_configs_find_exactly_the_capsule_members(rng):
     for _ in range(50):
         helios, sun = random_config(rng, eta_deg=(1.0, 75.0))
         of = OrientedField(FieldLayout.from_heliostats(helios), sun)
-        subjects, neighbours = of.capsule_pairs(0, of.n)
-        assert np.array_equal(subjects * of.n + neighbours, np.flatnonzero(_capsule_members(of)))
+        _assert_rows_are_capsule_members(of, _capsule_members(of))
 
 
 @pytest.mark.parametrize("budget", [None, 100_000, 8192, 3000, 700, 300, 30, 1])
@@ -587,7 +601,7 @@ def test_chunks_hold_whole_subjects_within_budget(monkeypatch, sun, budget):
     assert chunks[-1][1] == of.n
     for k, (j0, j1) in enumerate(chunks):
         assert j0 < j1
-        subjects, neighbours = of.capsule_pairs(j0, j1)
+        subjects, neighbours, _ = of.capsule_pairs(j0, j1)
         assert np.array_equal(subjects, np.repeat(np.arange(j0, j1), pairs[j0:j1]))
         assert np.array_equal(
             neighbours, np.concatenate([of.capsule_pairs(j, j + 1)[1] for j in range(j0, j1)])
@@ -792,7 +806,7 @@ def test_pair_results_do_not_depend_on_their_block(monkeypatch):
     assert len(list(field_module._blocks(of))) > 1
     # some pairs need a clip: the occluder has corners on both sides of
     # the subject plane, or of the parallel plane through the aim point
-    subjects, neighbours = of.capsule_pairs(0, of.n)
+    subjects, neighbours, _ = of.capsule_pairs(0, of.n)
     normals = of.normals[subjects]
     offset = np.einsum("pk,pk->p", normals, of.centers[subjects])
     side = np.einsum("pvk,pk->pv", of.corners[neighbours], normals) - offset[:, None]

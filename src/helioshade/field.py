@@ -223,20 +223,18 @@ class OrientedField:
         self.half_diagonals = 0.5 * np.hypot(self.dims[:, 0], self.dims[:, 1])
         z = self.corners[:, :, 2]
         dz = float(z.max() - z.min()) if n else 0.0
-        sin_eta = -float(u_s[2])
-        rise = self.aims[:, 2] - z.max(axis=1)
-        # sin_eta > 0, but dz / sin_eta overflows for a sun a few ulps up
-        sun_up = math.isfinite(dz / sin_eta)
-        shadow_end = -u_s[:2] * (dz / sin_eta) if sun_up else np.zeros(2)
-        # no centre offset is longer than the diagonal of the centres' box
+        # no centre offset is longer than the diagonal of the centres' box,
+        # so S is cut to it, also at a sun a few ulps up, where the Python
+        # float dz / sin(eta) is inf
         span = float(np.hypot(*np.ptp(self.centers[:, :2], axis=0))) if n else 0.0
-        length = float(np.hypot(*shadow_end))
-        self.shadow_end = shadow_end * (span / length) if length > span else shadow_end
+        u_h = math.hypot(u_s[0], u_s[1])
+        reach = min(dz / -float(u_s[2]), span / u_h) if u_h > 0.0 else 0.0
+        self.shadow_end = -u_s[:2] * reach
+        rise = self.aims[:, 2] - z.max(axis=1)
+        # fmin drops the NaN of 0 / 0: an aim point not above the top
+        # corner gets the whole run, lam < 1 still
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            block_end = np.minimum(1.0, dz / rise)[:, None] * to_t[:, :2]
-        # subjects whose every neighbour is a candidate
-        self.unbounded = ~(rise > 0.0) | ~np.isfinite(block_end).all(axis=1) | (not sun_up)
-        self.block_end = np.where(self.unbounded[:, None], 0.0, block_end)
+            self.block_end = np.fmin(1.0, dz / np.maximum(rise, 0.0))[:, None] * to_t[:, :2]
         self.grid = _Grid(self.centers[:, :2], 2.0 * self.half_diagonals.max()) if n else None
 
     def capsule_pairs(self, j0: int, j1: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -273,15 +271,17 @@ class OrientedField:
         lam = (p_z - q_z) / (T_z - q_z) <= dz / rise_j, and
         p_h - c_j,h = (1 - lam)(q_h - c_j,h) + lam (T_h - c_j,h) lies
         within hd_j of the segment [0, B_j] with
-        B_j = min(1, dz / rise_j) (T_h - c_j,h).
+        B_j = min(1, dz / rise_j) (T_h - c_j,h), and B_j = T_h - c_j,h
+        if rise_j <= 0.
 
         So a shadow image can meet the mirror only if c_i,h - c_j,h lies
         within hd_i + hd_j of [0, S] (the shadow capsule), and a block
         image only if it lies within hd_i + hd_j of [0, B_j] (the block
-        capsule); the radius is widened by `_REACH_SLACK`.  With the sun
-        at or below the horizon, the aim point not above every corner of
-        mirror j, or a capsule length that is not finite, both images of
-        every neighbour are candidates.
+        capsule); the radius is widened by `_REACH_SLACK`.  Both segments
+        are finite for every subject and every sun above the horizon: the
+        slab clip alone gives lam < 1, whatever the aim point's height
+        over mirror j, and S is cut to D also when dz / sin(eta)
+        overflows.
         """
         s, i = self.grid.gather(*self._capsule_boxes(np.arange(j0, j1)))
         s += j0
@@ -290,7 +290,7 @@ class OrientedField:
         r2 = radius * radius
         key = 2 * (s * self.n + i)
         admitted = [
-            key[(s != i) & (self.unbounded[s] | (_segment_dist2(d_x, d_y, *end) <= r2))] + kind
+            key[(s != i) & (_segment_dist2(d_x, d_y, *end) <= r2)] + kind
             for kind, end in enumerate((self.block_end[s].T, self.shadow_end))
         ]
         pairs, kinds = np.divmod(np.sort(np.concatenate(admitted)), 2)
@@ -298,8 +298,7 @@ class OrientedField:
 
     def _capsule_boxes(self, subjects: np.ndarray):
         """Plant-frame bounding boxes (lo, hi) of the subjects, each box
-        holding both capsules of its subject; a subject whose every
-        neighbour is a candidate gets the whole plane."""
+        holding both capsules of its subject."""
         # the largest radius of the subject's capsules, a little wider
         # still, so rounding cannot put a member outside the box
         radius = (self.half_diagonals[subjects] + self.half_diagonals.max()) * (
@@ -308,8 +307,6 @@ class OrientedField:
         c, ends = self.centers[subjects, :2], self.block_end[subjects]
         lo = c + np.minimum(np.minimum(ends, self.shadow_end), 0.0) - radius[:, None]
         hi = c + np.maximum(np.maximum(ends, self.shadow_end), 0.0) + radius[:, None]
-        unbounded = self.unbounded[subjects]
-        lo[unbounded], hi[unbounded] = -math.inf, math.inf
         return lo, hi
 
     def _capsule_work(self) -> np.ndarray:

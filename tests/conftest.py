@@ -88,15 +88,16 @@ def sun_at(day, hour, latitude_deg):
     return sun_vector(eta, theta)
 
 
-def random_config(rng, eta_deg=(8.0, 75.0)):
+def random_config(rng, eta_deg=(8.0, 75.0), tower_z=(80.0, 160.0), frac=(0.02, 0.35)):
     """Random subject + 1..10 occluders near its tower sight line + sun,
     whose height is drawn from the `eta_deg` range in degrees.
 
-    Occluders are dropped between the subject and the tower with lateral
-    scatter so shadow/block images frequently land on (and overlap) the
-    subject mirror.
+    Occluders are dropped between the subject and the tower, a `frac`
+    fraction of the way, with lateral scatter so shadow/block images
+    frequently land on (and overlap) the subject mirror.  The tower top
+    is drawn from `tower_z` in metres, the pivots are 5 m high.
     """
-    tower = (0.0, 0.0, float(rng.uniform(80.0, 160.0)))
+    tower = (0.0, 0.0, float(rng.uniform(*tower_z)))
     r = float(rng.uniform(60.0, 400.0))
     az = float(rng.uniform(-math.pi, math.pi))
     sx, sy = r * math.cos(az), r * math.sin(az)
@@ -106,11 +107,11 @@ def random_config(rng, eta_deg=(8.0, 75.0)):
     field = [subject]
     n_occ = int(rng.integers(1, 11))
     for i in range(n_occ):
-        frac = float(rng.uniform(0.02, 0.35))
+        f = float(rng.uniform(*frac))
         jx = float(rng.normal(0.0, 6.0))
         jy = float(rng.normal(0.0, 6.0))
-        ox = sx * (1.0 - frac) + jx
-        oy = sy * (1.0 - frac) + jy
+        ox = sx * (1.0 - f) + jx
+        oy = sy * (1.0 - f) + jy
         field.append(
             make_heliostat(
                 f"occ{i}",

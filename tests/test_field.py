@@ -412,23 +412,43 @@ def _hour(hhmm):
     return int(hh) + int(mm) / 60.0
 
 
-@pytest.mark.parametrize("hhmm", PREFILTER_HOURS)
-def test_prefilter_matches_unfiltered_engine(hhmm):
-    layout = synthetic_field(250)
-    of = OrientedField(layout, sun_at(21, _hour(hhmm), layout.latitude_deg))
-    for j in np.linspace(0, of.n - 1, 8).astype(int):
-        on = subject_efficiency(of, j, use_culling=True)
-        off = subject_efficiency(of, j, use_culling=False)
-        assert on.efficiency == off.efficiency
+@pytest.mark.parametrize("hhmm", PREFILTER_HOURS + [None], ids=PREFILTER_HOURS + ["low-aims"])
+def test_prefilter_matches_unfiltered_engine(hhmm, rng):
+    if hhmm is None:
+        # aim points below the subjects' top corners, occluders in the far
+        # half of the run to them, which only a block capsule along the
+        # whole run reaches
+        configs = [
+            random_config(rng, eta_deg=(1.0, 75.0), tower_z=(5.5, 8.0), frac=(0.5, 0.95))
+            for _ in range(40)
+        ]
+        fields = [OrientedField(FieldLayout.from_heliostats(h), sun) for h, sun in configs]
+        low = [of.aims[:, 2] <= of.corners[:, :, 2].max(axis=1) for of in fields]
+        assert 2 * sum(map(np.sum, low)) > sum(map(len, low))
+    else:
+        layout = synthetic_field(250)
+        fields = [OrientedField(layout, sun_at(21, _hour(hhmm), layout.latitude_deg))]
+    for of in fields:
+        for j in np.unique(np.linspace(0, of.n - 1, 8).astype(int)):
+            on = subject_efficiency(of, j, use_culling=True)
+            off = subject_efficiency(of, j, use_culling=False)
+            assert on.efficiency == off.efficiency
 
 
-@pytest.mark.parametrize("eta_deg", [1e-160, 1e-200, 1e-300])
-def test_prefilter_matches_unfiltered_engine_at_grazing_sun(eta_deg):
+@pytest.mark.parametrize(
+    "eta,theta_deg",
+    [(math.radians(d), 200.0) for d in (1e-160, 1e-200, 1e-300)]
+    + [(5e-324, 200.0), (math.radians(1e-300), 90.0)],
+    ids=["1e-160", "1e-200", "1e-300", "5e-324rad", "1e-300-east"],
+)
+def test_prefilter_matches_unfiltered_engine_at_grazing_sun(eta, theta_deg):
     # below about 1e-154 rad the shadow capsule's squared length used to
     # overflow, shrinking the capsule to a disc that dropped shadowing
-    # neighbours (mean e 0.764 against 0.401 unfiltered)
+    # neighbours (mean e 0.764 against 0.401 unfiltered); at 5e-324 rad
+    # dz / sin(eta) itself overflows, and the capsule is still cut to the
+    # span of the centres
     layout = synthetic_field(60)
-    sun = sun_vector(math.radians(eta_deg), math.radians(200.0))
+    sun = sun_vector(eta, math.radians(theta_deg))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         of = OrientedField(layout, sun)
@@ -508,7 +528,7 @@ def _capsule_members(of):
         e = d - t[..., None] * v
         return (e * e).sum(axis=-1) <= r * r
 
-    masks = [of.unbounded[:, None] | within(ends) for ends in (of.block_end, of.shadow_end)]
+    masks = [within(ends) for ends in (of.block_end, of.shadow_end)]
     for mask in masks:
         np.fill_diagonal(mask, False)
     return masks
@@ -525,7 +545,8 @@ def _far_flung(n):
 
 def _low_aims(n):
     """synthetic_field(n) as heliostats, every seventh aimed just above its
-    centre: below its top corner, so its every neighbour is a candidate."""
+    centre: below its top corner, so its block capsule runs the whole way
+    to the aim point."""
     helios = synthetic_field(n).to_heliostats()
     return [
         dataclasses.replace(h, aim=(0.0, 0.0, h.center[2] + 1.0)) if k % 7 == 0 else h
@@ -534,22 +555,21 @@ def _low_aims(n):
 
 
 @pytest.mark.parametrize(
-    "layout,eta,theta,unbounded",
+    "layout,eta,theta",
     [
-        (synthetic_field(300), 1.0, 250.0, False),
-        (synthetic_field(300), 6.5, 244.0, False),
-        (synthetic_field(300), 31.6, 180.0, False),
-        (FieldLayout.from_heliostats(_low_aims(120)), 6.5, 244.0, True),
-        (_far_flung(120), 1.0, 90.0, False),
+        (synthetic_field(300), 1.0, 250.0),
+        (synthetic_field(300), 6.5, 244.0),
+        (synthetic_field(300), 31.6, 180.0),
+        (FieldLayout.from_heliostats(_low_aims(120)), 6.5, 244.0),
+        (_far_flung(120), 1.0, 90.0),
         # the shadow capsules lie across the block capsules, so one box
         # around both is larger than the two it replaces
-        (synthetic_field(300), 1.0, 270.0, False),
+        (synthetic_field(300), 1.0, 270.0),
     ],
     ids=["1deg", "6.5deg", "31.6deg", "low-aims", "far-flung", "1deg-west"],
 )
-def test_grid_finds_exactly_the_capsule_members(layout, eta, theta, unbounded):
+def test_grid_finds_exactly_the_capsule_members(layout, eta, theta):
     of = OrientedField(layout, sun_vector(math.radians(eta), math.radians(theta)))
-    assert of.unbounded.any() == unbounded
     members = _capsule_members(of)
     assert all(0 < mask.sum() for mask in members)
     for j in range(of.n):
@@ -579,18 +599,22 @@ def test_random_configs_find_exactly_the_capsule_members(rng):
 
 @pytest.mark.parametrize("budget", [None, 100_000, 8192, 3000, 700, 300, 30, 1])
 @pytest.mark.parametrize(
-    "sun",
+    "layout,sun",
     [
-        sun_vector(math.radians(1.0), math.radians(250.0)),
-        sun_at(21, 16.25, RadialStaggerSpec().latitude_deg),
+        (synthetic_field(300), sun_vector(math.radians(1.0), math.radians(250.0))),
+        (synthetic_field(300), sun_at(21, 16.25, RadialStaggerSpec().latitude_deg)),
+        (
+            FieldLayout.from_heliostats(_low_aims(300)),
+            sun_vector(math.radians(6.5), math.radians(244.0)),
+        ),
     ],
-    ids=["1deg", "16:15"],
+    ids=["1deg", "16:15", "low-aims"],
 )
-def test_chunks_hold_whole_subjects_within_budget(monkeypatch, sun, budget):
+def test_chunks_hold_whole_subjects_within_budget(monkeypatch, layout, sun, budget):
     if budget is None:
         budget = field_module._GATHER_BUDGET
     monkeypatch.setattr(field_module, "_GATHER_BUDGET", budget)
-    of = OrientedField(synthetic_field(300), sun)
+    of = OrientedField(layout, sun)
     work = of._capsule_work()
     owners, _ = of.grid.gather(*of._capsule_boxes(np.arange(of.n)))
     gathered = np.bincount(owners, minlength=of.n)
@@ -606,8 +630,10 @@ def test_chunks_hold_whole_subjects_within_budget(monkeypatch, sun, budget):
         assert np.array_equal(
             neighbours, np.concatenate([of.capsule_pairs(j, j + 1)[1] for j in range(j0, j1)])
         )
-        # the memory bound: pairs <= gathered mirrors <= work <= budget
-        assert len(subjects) <= gathered[j0:j1].sum()
+        # the memory bound: (subject, neighbour) pairs <= gathered mirrors
+        # <= work <= budget, and image rows <= 2 x gathered mirrors
+        assert len(np.unique(subjects * of.n + neighbours)) <= gathered[j0:j1].sum()
+        assert len(subjects) <= 2 * gathered[j0:j1].sum()
         assert work[j0:j1].sum() <= budget or j1 - j0 == 1
         if k + 1 < len(chunks):
             # greedy: the next subject would not have fitted
